@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .core import DimensionError, is_acyclic
+from .core import DimensionError
 
 
 def _square_zero_diag(w) -> np.ndarray:
@@ -71,8 +71,8 @@ def threshold_and_repair(w: np.ndarray, w_threshold: float) -> np.ndarray:
         raise ValueError("threshold must be >= 0")
     a = _square_zero_diag(w)
     support = np.abs(a) >= max(w_threshold, np.finfo(float).tiny)
-    while not is_acyclic(support):
-        reach = _reachability(support)
+    # a node reaching itself lies on a cycle
+    while np.any(np.diag(reach := _reachability(support))):
         best = None
         n = a.shape[0]
         for j in range(n):

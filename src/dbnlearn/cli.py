@@ -222,9 +222,6 @@ def _parse_hyper(pairs) -> dict:
 
 
 def _load_cli_dataset(args):
-    arities = None
-    if getattr(args, "arity", None):
-        pass  # resolved after parsing to know variable counts
     static = args.static if getattr(args, "static", None) else _sibling_static(args.data)
     ds = read_dataset(args.data, static)
     if getattr(args, "arity", None):

@@ -18,6 +18,7 @@ across threads; the operations in this module are pure functions.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -129,76 +130,55 @@ class FamilySpec:
         return tuple(out)
 
 
-def is_acyclic(intra: np.ndarray) -> bool:
-    """True iff the directed graph ``intra[j, i] != 0  <=>  j -> i`` has no cycle.
-
-    Iterative depth-first search with three-colour marking.
-    """
+def _square(intra) -> np.ndarray:
     a = np.asarray(intra)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"adjacency must be square, got shape {a.shape}")
-    n = a.shape[0]
-    color = [0] * n  # 0 white, 1 grey, 2 black
-    for start in range(n):
-        if color[start] != 0:
-            continue
-        stack = [(start, 0)]
-        color[start] = 1
-        while stack:
-            v, nxt = stack[-1]
-            advanced = False
-            for w in range(nxt, n):
-                if not a[v, w]:
-                    continue
-                stack[-1] = (v, w + 1)
-                if color[w] == 1:
-                    return False
-                if color[w] == 0:
-                    color[w] = 1
-                    stack.append((w, 0))
-                advanced = True
-                break
-            if not advanced:
-                color[v] = 2
-                stack.pop()
-    return True
+    return a
 
 
-def _find_cycle(a: np.ndarray) -> list[int]:
-    """Return one directed cycle of ``a`` as a vertex list (first == last)."""
+def _kahn(a: np.ndarray) -> list[int]:
+    """Smallest-index-first Kahn order of every node that no cycle blocks."""
     n = a.shape[0]
-    color = [0] * n
-    parent = [-1] * n
-    for start in range(n):
-        if color[start] != 0:
-            continue
-        stack = [(start, 0)]
-        color[start] = 1
-        while stack:
-            v, nxt = stack[-1]
-            advanced = False
-            for w in range(nxt, n):
-                if not a[v, w]:
-                    continue
-                stack[-1] = (v, w + 1)
-                if color[w] == 1:
-                    cycle = [w, v]
-                    u = v
-                    while u != w:
-                        u = parent[u]
-                        cycle.append(u)
-                    cycle.reverse()
-                    return cycle
-                if color[w] == 0:
-                    color[w] = 1
-                    parent[w] = v
-                    stack.append((w, 0))
-                advanced = True
-                break
-            if not advanced:
-                color[v] = 2
-                stack.pop()
-    raise AssertionError("no cycle found in a graph reported cyclic")
+    succ = [[] for _ in range(n)]
+    indeg = [0] * n
+    src, dst = np.nonzero(a)
+    for j, i in zip(src.tolist(), dst.tolist()):
+        succ[j].append(i)
+        indeg[i] += 1
+    ready = [v for v in range(n) if indeg[v] == 0]  # sorted, hence a heap
+    order = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for w in succ[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(ready, w)
+    return order
+
+
+def _cycle(a: np.ndarray, order: list[int]) -> list[int]:
+    """One directed cycle among the nodes Kahn could not place (first == last).
+
+    Each such node keeps a predecessor among them, so walking back along
+    smallest-index predecessors must revisit a node.
+    """
+    rest = set(range(a.shape[0])) - set(order)
+    walk = [min(rest)]
+    seen = {walk[0]: 0}
+    while True:
+        v = min(j for j in np.flatnonzero(a[:, walk[-1]]).tolist() if j in rest)
+        if v in seen:
+            return [v] + walk[seen[v]:][::-1]
+        seen[v] = len(walk)
+        walk.append(v)
+
+
+def is_acyclic(intra: np.ndarray) -> bool:
+    """True iff the directed graph ``intra[j, i] != 0  <=>  j -> i`` has no cycle."""
+    a = _square(intra)
+    return len(_kahn(a)) == a.shape[0]
 
 
 def topological_order(intra: np.ndarray) -> list[int]:
@@ -207,27 +187,10 @@ def topological_order(intra: np.ndarray) -> list[int]:
     Raises :class:`CycleError` naming one offending cycle when the input
     is cyclic.
     """
-    a = np.asarray(intra)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"adjacency must be square, got shape {a.shape}")
-    n = a.shape[0]
-    indeg = [int(np.count_nonzero(a[:, i])) for i in range(n)]
-    ready = sorted(i for i in range(n) if indeg[i] == 0)
-    order: list[int] = []
-    while ready:
-        v = ready.pop(0)
-        order.append(v)
-        changed = False
-        for w in range(n):
-            if a[v, w]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    ready.append(w)
-                    changed = True
-        if changed:
-            ready.sort()
-    if len(order) != n:
-        raise CycleError(_find_cycle(a))
+    a = _square(intra)
+    order = _kahn(a)
+    if len(order) != a.shape[0]:
+        raise CycleError(_cycle(a, order))
     return order
 
 
@@ -326,7 +289,7 @@ class DbnStructure:
                     f"node {i} has both an inter self edge and auto lag 1")
         object.__setattr__(self, "auto_lags", lags)
         if not is_acyclic(self.intra):
-            raise CycleError(_find_cycle(self.intra))
+            raise CycleError(_cycle(self.intra, _kahn(self.intra)))
 
     @staticmethod
     def empty(n_x: int, n_z: int = 0, p: int = 1) -> "DbnStructure":
@@ -512,19 +475,28 @@ class TrajectoryDataset:
     def parent_columns(self, family: FamilySpec, t: np.ndarray | int) -> np.ndarray:
         """Values of the family's parents at target time(s) ``t``: shape (N, len(t), k)."""
         t = np.atleast_1d(np.asarray(t, dtype=int))
-        cols = []
-        for par in family.parents:
+        # filled in C order, so that merging the leading axes is a view
+        out = np.empty((self.N, len(t), len(family.parents)), dtype=self.x.dtype)
+        for c, par in enumerate(family.parents):
             if par.kind == "inter":
-                cols.append(self.x[:, t - 1, par.index])
+                out[:, :, c] = self.x[:, t - 1, par.index]
             elif par.kind == "intra":
-                cols.append(self.x[:, t, par.index])
+                out[:, :, c] = self.x[:, t, par.index]
             elif par.kind == "auto":
-                cols.append(self.x[:, t - par.index, family.node])
+                out[:, :, c] = self.x[:, t - par.index, family.node]
             else:
-                cols.append(np.broadcast_to(self.z[:, par.index][:, None], (self.N, len(t))))
-        if not cols:
-            return np.empty((self.N, len(t), 0), dtype=self.x.dtype)
-        return np.stack(cols, axis=-1)
+                out[:, :, c] = self.z[:, par.index][:, None]
+        return out
+
+    def family_rows(self, family: FamilySpec, t0: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Child values (M,) and parent columns (M, k) of every target time ``t0..T``.
+
+        ``t0`` defaults to the family's first usable time; rows run over
+        trajectories, then time.
+        """
+        ts = np.arange(self.first_usable_t(family) if t0 is None else t0, self.T + 1)
+        child = self.x[:, ts, family.node].reshape(-1)
+        return child, self.parent_columns(family, ts).reshape(child.size, len(family.parents))
 
     def family_arities(self, family: FamilySpec) -> tuple[int, ...]:
         if not self.domain.discrete:

@@ -26,9 +26,7 @@ from .core import (
     parents_of,
 )
 from .learn import CellTimeout, Deadline, LearnerReport, run_learner
-from .scoring import (
-    DirichletPrior, count_transitions, fit_linear_gaussian, loglik_cpt, mle_cpt,
-)
+from .scoring import DirichletPrior, fit_structure_params, loglik_cpt
 from .simulate import GeneratorConfig, RegimeSpec, derive_seed, regime_datasets
 
 
@@ -177,35 +175,11 @@ def temporal_split(dataset: TrajectoryDataset, fraction: float = 0.7,
     return train, test
 
 
-def fit_structure_params(dataset: TrajectoryDataset, structure: DbnStructure,
-                         smoothing: DirichletPrior | None) -> ParameterSet:
-    """Per-family parameter fit used for hold-out scoring.
-
-    Discrete families use the Dirichlet posterior mean when a prior is
-    given (so unseen test configurations keep finite likelihood) and the
-    raw count ratios otherwise; continuous families use least squares.
-    """
-    fams = []
-    for i in range(structure.n_x):
-        family = parents_of(structure, i)
-        if dataset.domain.discrete:
-            fams.append(mle_cpt(count_transitions(dataset, family), smoothing=smoothing))
-        else:
-            fams.append(fit_linear_gaussian(dataset, i, family)[0])
-    return ParameterSet(families=tuple(fams))
-
-
 def _gaussian_loglik(dataset: TrajectoryDataset, structure: DbnStructure,
                      params: ParameterSet) -> float:
     total = 0.0
     for i in range(structure.n_x):
-        family = parents_of(structure, i)
-        t0 = dataset.first_usable_t(family)
-        if t0 > dataset.T:
-            continue
-        ts = np.arange(t0, dataset.T + 1)
-        y = dataset.x[:, ts, i].ravel()
-        pcols = dataset.parent_columns(family, ts).reshape(y.size, len(family.parents))
+        y, pcols = dataset.family_rows(parents_of(structure, i))
         par = params[i]
         resid = y - (par.beta0 + pcols @ par.beta)
         total += float(-0.5 * y.size * math.log(2.0 * math.pi * par.sigma2)

@@ -14,6 +14,10 @@ Four learners share the :class:`LearnerReport` result type:
 * :func:`bounded_oneshot` -- the sign-split variant with weights bounded
   away from zero, solved exactly at desk scale by support enumeration.
 
+``exact`` and ``bounded`` tabulate one best entry per (node, intra
+parent set) and share one subset dynamic program, :func:`_best_dag`
+(Silander & Myllymaki, UAI 2006), to pick the best acyclic combination.
+
 ``report.score`` is always the decomposable structure score that
 rescoring the reported structure from scratch reproduces (the fit kind
 for score-based learners, family log-likelihood for the continuous
@@ -39,10 +43,7 @@ from .core import (
     SizeGuardError, OptimizerError, TrajectoryDataset, canonical_parents, is_acyclic,
     parents_of,
 )
-from .scoring import (
-    BgeHyper, DirichletPrior, FamilyScorer, count_transitions, fit_linear_gaussian,
-    mle_cpt,
-)
+from .scoring import BgeHyper, DirichletPrior, FamilyScorer, fit_structure_params
 from .simulate import substream
 
 
@@ -171,28 +172,30 @@ def _jsonable(v):
         return v.tolist()
     if isinstance(v, dict):
         return {k: _jsonable(x) for k, x in v.items()}
-    if isinstance(v, float):
-        return v
     return v
 
 
-def _fit_params(dataset: TrajectoryDataset, structure: DbnStructure) -> ParameterSet:
-    """Plug-in maximum-likelihood parameters on a learned structure."""
-    fams = []
-    for i in range(structure.n_x):
-        family = parents_of(structure, i)
-        if dataset.domain.discrete:
-            fams.append(mle_cpt(count_transitions(dataset, family)))
-        else:
-            fams.append(fit_linear_gaussian(dataset, i, family)[0])
-    return ParameterSet(families=tuple(fams))
+def _finish(learner: str, dataset: TrajectoryDataset, structure: DbnStructure,
+            scorer: FamilyScorer, t_start: float, seed: int, trace: tuple | None = None,
+            **fields) -> LearnerReport:
+    """Report of a learned structure: rescored by ``scorer``, refit, wall time stamped.
+
+    The trace defaults to one step at the rescored value.
+    """
+    total = float(scorer.structure_score(structure))
+    report = LearnerReport(
+        learner=learner, structure=structure,
+        params=fit_structure_params(dataset, structure, smoothing=None), score=total,
+        trace=({"step": 0, "score": total},) if trace is None else trace, seed=seed, **fields)
+    report.wall_ms = (time.perf_counter() - t_start) * 1e3
+    return report
 
 
 # ---------------------------------------------------------------------------
 # Exact search
 
 
-def _class_subsets(candidates: Sequence[Parent], limit: int):
+def _class_subsets(candidates: Sequence, limit: int):
     """All subsets of a candidate list up to ``limit``, by (size, lexicographic) order."""
     out = [()]
     for size in range(1, min(limit, len(candidates)) + 1):
@@ -244,7 +247,38 @@ def exact_search(dataset: TrajectoryDataset, score: str = "bde",
             deadline.check()
         completions.append(table)
 
-    # g[i][mask] = best completion score of node i with intra parents inside mask
+    _, chosen = _best_dag(completions, deadline)
+    intra = np.zeros((n, n), dtype=bool)
+    inter = np.zeros((n, n), dtype=bool)
+    auto_lags = [() for _ in range(n)]
+    static = np.zeros((dataset.n_z, n), dtype=bool)
+    for v, (_, parents) in enumerate(chosen):
+        for par in parents:
+            if par.kind == "intra":
+                intra[par.index, v] = True
+            elif par.kind == "inter":
+                inter[par.index, v] = True
+            elif par.kind == "auto":
+                auto_lags[v] = auto_lags[v] + (par.index,)
+            else:
+                static[par.index, v] = True
+
+    structure = DbnStructure(n_x=n, n_z=dataset.n_z, p=config.p, intra=intra,
+                             inter=inter, auto_lags=tuple(auto_lags), static_edges=static)
+    return _finish("exact", dataset, structure, scorer, t_start, config.seed,
+                   extras={"cache_entries": len(scorer.cache)})
+
+
+def _best_dag(tables: list[dict], deadline: Deadline) -> tuple[float, list]:
+    """Best acyclic choice of one table entry per node, by DP over node subsets.
+
+    ``tables[i]`` maps a frozenset of intra parents of node ``i`` to an
+    entry whose first item is the value to maximize.  Returns the best
+    total and the chosen entry per node; on ties the candidate met first
+    is kept.
+    """
+    n = len(tables)
+    # g[i][mask] = best table value of node i with intra parents inside mask
     full = (1 << n) - 1
     g = [dict() for _ in range(n)]
     pick = [dict() for _ in range(n)]
@@ -254,8 +288,8 @@ def exact_search(dataset: TrajectoryDataset, score: str = "bde",
                 continue
             members = frozenset(j for j in range(n) if mask & (1 << j))
             best, chosen = -np.inf, None
-            if members in completions[i]:
-                best, chosen = completions[i][members][0], members
+            if members in tables[i]:
+                best, chosen = tables[i][members][0], members
             for j in range(n):
                 if mask & (1 << j):
                     sub = mask & ~(1 << j)
@@ -264,7 +298,7 @@ def exact_search(dataset: TrajectoryDataset, score: str = "bde",
             g[i][mask] = best
             pick[i][mask] = chosen
 
-    # order DP: f[mask] = best score of the subnetwork on `mask`
+    # order DP: f[mask] = best total of the subnetwork on `mask`
     f = {0: 0.0}
     choice = {}
     for mask in range(1, full + 1):
@@ -279,37 +313,17 @@ def exact_search(dataset: TrajectoryDataset, score: str = "bde",
                 best, best_v = value, v
         f[mask] = best
         choice[mask] = best_v
+    if f[full] == -np.inf:
+        raise DataError("no acyclic structure has a finite score (data too large for floats?)")
 
-    intra = np.zeros((n, n), dtype=bool)
-    inter = np.zeros((n, n), dtype=bool)
-    auto_lags = [() for _ in range(n)]
-    static = np.zeros((dataset.n_z, n), dtype=bool)
+    entries = [None] * n
     mask = full
     while mask:
         v = choice[mask]
         sub = mask & ~(1 << v)
-        intra_set = pick[v][sub]
-        _, parents = completions[v][intra_set]
-        for par in parents:
-            if par.kind == "intra":
-                intra[par.index, v] = True
-            elif par.kind == "inter":
-                inter[par.index, v] = True
-            elif par.kind == "auto":
-                auto_lags[v] = auto_lags[v] + (par.index,)
-            else:
-                static[par.index, v] = True
+        entries[v] = tables[v][pick[v][sub]]
         mask = sub
-
-    structure = DbnStructure(n_x=n, n_z=dataset.n_z, p=config.p, intra=intra,
-                             inter=inter, auto_lags=tuple(auto_lags), static_edges=static)
-    total = scorer.structure_score(structure)
-    report = LearnerReport(
-        learner="exact", structure=structure, params=_fit_params(dataset, structure),
-        score=total, trace=({"step": 0, "score": total},), seed=config.seed,
-        extras={"cache_entries": len(scorer.cache)})
-    report.wall_ms = (time.perf_counter() - t_start) * 1e3
-    return report
+    return f[full], entries
 
 
 # ---------------------------------------------------------------------------
@@ -487,13 +501,8 @@ def hill_climb(dataset: TrajectoryDataset, score: str = "bic",
         if current > best_score:
             best_structure, best_score, best_trace = structure, current, tuple(trace)
 
-    report = LearnerReport(
-        learner="hill", structure=best_structure,
-        params=_fit_params(dataset, best_structure), score=best_score,
-        trace=best_trace, seed=config.seed,
-        extras={"cache_entries": len(scorer.cache), "moves": moves_used})
-    report.wall_ms = (time.perf_counter() - t_start) * 1e3
-    return report
+    return _finish("hill", dataset, best_structure, scorer, t_start, config.seed, best_trace,
+                   extras={"cache_entries": len(scorer.cache), "moves": moves_used})
 
 
 # ---------------------------------------------------------------------------
@@ -617,32 +626,69 @@ def continuous_oneshot(dataset: TrajectoryDataset, config: ContinuousConfig | No
         n_x=n, n_z=dataset.n_z, p=config.max_lag, intra=support, inter=inter,
         auto_lags=tuple(auto), static_edges=np.zeros((dataset.n_z, n), dtype=bool))
 
-    scorer = FamilyScorer(dataset, "ll")
-    total = scorer.structure_score(structure)
-    report = LearnerReport(
-        learner="dynotears", structure=structure,
-        params=_fit_params(dataset, structure), score=total, trace=tuple(trace),
-        seed=config.seed, flags={"converged": converged},
+    return _finish(
+        "dynotears", dataset, structure, FamilyScorer(dataset, "ll"), t_start, config.seed,
+        tuple(trace), flags={"converged": converged},
         extras={"w": w_final, "a": np.vstack(a_blocks) if a_blocks else a,
                 "objective": trace[-1]["objective"], "h": trace[-1]["h"]})
-    report.wall_ms = (time.perf_counter() - t_start) * 1e3
-    return report
 
 
 # ---------------------------------------------------------------------------
 # Bounded-weight one-shot
 
 
+def _price_support(target: np.ndarray, cols: list, n_intra: int,
+                   config: BoundedConfig) -> tuple[float, np.ndarray]:
+    """Min over sign patterns of SSE + sign-class L0 penalties on one support.
+
+    ``cols`` holds the support's intra columns, then its lagged ones.  Each
+    sign pattern is a bound-constrained least squares (weights at least
+    ``b_w`` / ``b_a`` in magnitude with that sign) priced with one penalty
+    per weight from its sign class.  Only when the penalties do not depend
+    on the sign does an unconstrained optimum clearing every bound settle
+    the support without enumerating patterns.  Returns the cost and the
+    weights in ``cols`` order.
+    """
+    if not cols:
+        return float(np.dot(target, target)), np.empty(0)
+    design = np.column_stack(cols)
+    k = design.shape[1]
+    req = np.array([config.b_w] * n_intra + [config.b_a] * (k - n_intra))
+    pos = [config.lambda_w_pos] * n_intra + [config.lambda_a_pos] * (k - n_intra)
+    neg = [config.lambda_w_neg] * n_intra + [config.lambda_a_neg] * (k - n_intra)
+
+    def cost(weights):
+        resid = target - design @ weights
+        return float(np.dot(resid, resid)) + sum(
+            p if w > 0 else q for w, p, q in zip(weights, pos, neg))
+
+    if config.lambda_w_pos == config.lambda_w_neg and config.lambda_a_pos == config.lambda_a_neg:
+        beta, *_ = np.linalg.lstsq(design, target, rcond=None)
+        if np.all(np.abs(beta) >= req):
+            return cost(beta), beta
+    best = None
+    for signs in itertools.product((1.0, -1.0), repeat=k):
+        lo = np.where(np.asarray(signs) > 0, req, -np.inf)
+        hi = np.where(np.asarray(signs) > 0, np.inf, -req)
+        sol = scipy.optimize.lsq_linear(design, target, bounds=(lo, hi), method="bvls")
+        value = cost(sol.x)
+        if best is None or value < best[0]:
+            best = (value, sol.x)
+    return best
+
+
 def bounded_oneshot(dataset: TrajectoryDataset, config: BoundedConfig | None = None,
                     deadline: Deadline | None = None) -> LearnerReport:
     """Exact sign-split bounded-weight learner at desk scale (lag 1 only).
 
-    Every candidate support (intra DAG x inter set) and sign assignment
-    is solved as a bound-constrained least squares (weights at least
-    ``b_w`` / ``b_a`` in magnitude; at most one sign per edge), plus L0
-    penalties per sign class; the per-node tables then feed the same
-    subset DP as the exact search, so the returned support is the global
-    minimizer.  Every active edge satisfies its bound by construction.
+    Every candidate support (intra DAG x inter set) is priced by
+    :func:`_price_support`: the minimum over sign assignments of a
+    bound-constrained least squares (weights at least ``b_w`` / ``b_a``
+    in magnitude; at most one sign per edge) plus L0 penalties per sign
+    class.  The per-node tables then feed the same subset DP as the exact
+    search, so the returned support is the global minimizer for any
+    penalties ``lambda_*_pos`` / ``lambda_*_neg``.  Every active edge
+    satisfies its bound by construction.
     The penalty is L0 per edge on summed SSE, unlike the L1 penalty on a
     (1/2M)-scaled SSE of ``continuous_oneshot``, so the two supports
     coincide only where the data pin the support down, not where several
@@ -671,101 +717,29 @@ def bounded_oneshot(dataset: TrajectoryDataset, config: BoundedConfig | None = N
             inter = [j for j in inter if keep(x_prev[:, j])]
         return intra, inter
 
-    def solve_family(i, intra_js, inter_js):
-        """Min SSE + L0 penalties over sign assignments for one support."""
-        cols = [y[:, j] for j in intra_js] + [x_prev[:, j] for j in inter_js]
-        if not cols:
-            sse = float(np.dot(y[:, i], y[:, i]))
-            return sse, np.empty(0)
-        design = np.column_stack(cols)
-        k = design.shape[1]
-        # interior shortcut: an unconstrained optimum clearing every bound is optimal
-        beta, *_ = np.linalg.lstsq(design, y[:, i], rcond=None)
-        req = np.array([config.b_w] * len(intra_js) + [config.b_a] * len(inter_js))
-        if np.all(np.abs(beta) >= req):
-            resid = y[:, i] - design @ beta
-            return float(np.dot(resid, resid)), beta
-        best = None
-        for signs in itertools.product((1.0, -1.0), repeat=k):
-            lo = np.where(np.asarray(signs) > 0, req, -np.inf)
-            hi = np.where(np.asarray(signs) > 0, np.inf, -req)
-            sol = scipy.optimize.lsq_linear(design, y[:, i], bounds=(lo, hi), method="bvls")
-            resid = y[:, i] - design @ sol.x
-            sse = float(np.dot(resid, resid))
-            if best is None or sse < best[0]:
-                best = (sse, sol.x)
-        return best
-
-    def sign_penalty(weights, intra_js, inter_js):
-        pen = 0.0
-        for idx in range(len(intra_js)):
-            pen += config.lambda_w_pos if weights[idx] > 0 else config.lambda_w_neg
-        for idx in range(len(inter_js)):
-            w = weights[len(intra_js) + idx]
-            pen += config.lambda_a_pos if w > 0 else config.lambda_a_neg
-        return pen
-
-    tables = []  # per node: {intra frozenset -> (cost, intra_js, inter_js, weights)}
+    tables = []  # per node: {intra frozenset -> (-cost, intra_js, inter_js, weights)}
     for i in range(n):
         intra_cand, inter_cand = node_candidates(i)
         table = {}
-        for r in range(len(intra_cand) + 1):
-            for intra_js in itertools.combinations(intra_cand, r):
-                deadline.check()
-                best = None
-                for s in range(len(inter_cand) + 1):
-                    for inter_js in itertools.combinations(inter_cand, s):
-                        sse, weights = solve_family(i, intra_js, inter_js)
-                        cost = sse + sign_penalty(weights, intra_js, inter_js)
-                        if best is None or cost < best[0]:
-                            best = (cost, intra_js, inter_js, weights)
-                table[frozenset(intra_js)] = best
+        for intra_js in _class_subsets(intra_cand, len(intra_cand)):
+            deadline.check()
+            best = None
+            for inter_js in _class_subsets(inter_cand, len(inter_cand)):
+                cols = [y[:, j] for j in intra_js] + [x_prev[:, j] for j in inter_js]
+                cost, weights = _price_support(y[:, i], cols, len(intra_js), config)
+                if best is None or -cost > best[0]:
+                    best = (-cost, intra_js, inter_js, weights)
+            table[frozenset(intra_js)] = best
         tables.append(table)
 
-    # subset DP (maximize negative cost) over intra acyclicity
-    full = (1 << n) - 1
-    g = [dict() for _ in range(n)]
-    pick = [dict() for _ in range(n)]
-    for i in range(n):
-        for mask in range(1 << n):
-            if mask & (1 << i):
-                continue
-            members = frozenset(j for j in range(n) if mask & (1 << j))
-            best, chosen = -np.inf, None
-            if members in tables[i]:
-                best, chosen = -tables[i][members][0], members
-            for j in range(n):
-                if mask & (1 << j):
-                    sub = mask & ~(1 << j)
-                    if g[i][sub] > best:
-                        best, chosen = g[i][sub], pick[i][sub]
-            g[i][mask] = best
-            pick[i][mask] = chosen
-    f = {0: 0.0}
-    choice = {}
-    for mask in range(1, full + 1):
-        best, best_v = -np.inf, None
-        for v in range(n):
-            if mask & (1 << v):
-                sub = mask & ~(1 << v)
-                value = f[sub] + g[v][sub]
-                if value > best:
-                    best, best_v = value, v
-        f[mask] = best
-        choice[mask] = best_v
-
+    total, chosen = _best_dag(tables, deadline)
     w_mat = np.zeros((n, n))
     a_mat = np.zeros((n, n))
-    mask = full
-    while mask:
-        v = choice[mask]
-        sub = mask & ~(1 << v)
-        cost, intra_js, inter_js, weights = tables[v][pick[v][sub]]
+    for v, (_, intra_js, inter_js, weights) in enumerate(chosen):
         for idx, j in enumerate(intra_js):
             w_mat[j, v] = weights[idx]
         for idx, j in enumerate(inter_js):
             a_mat[j, v] = weights[len(intra_js) + idx]
-        mask = sub
 
     intra = w_mat != 0.0
     inter = a_mat != 0.0
@@ -774,16 +748,11 @@ def bounded_oneshot(dataset: TrajectoryDataset, config: BoundedConfig | None = N
     structure = DbnStructure(
         n_x=n, n_z=dataset.n_z, p=1, intra=intra, inter=inter, auto_lags=auto,
         static_edges=np.zeros((dataset.n_z, n), dtype=bool))
-    scorer = FamilyScorer(dataset, "ll")
-    total = scorer.structure_score(structure)
-    report = LearnerReport(
-        learner="bounded", structure=structure,
-        params=_fit_params(dataset, structure), score=total,
-        trace=({"step": 0, "objective": -f[full]},), seed=config.seed,
-        extras={"w": w_mat, "a": a_mat, "objective": -f[full],
+    return _finish(
+        "bounded", dataset, structure, FamilyScorer(dataset, "ll"), t_start, config.seed,
+        ({"step": 0, "objective": -total},),
+        extras={"w": w_mat, "a": a_mat, "objective": -total,
                 "empty_objective": float(sum(np.dot(y[:, i], y[:, i]) for i in range(n)))})
-    report.wall_ms = (time.perf_counter() - t_start) * 1e3
-    return report
 
 
 # ---------------------------------------------------------------------------

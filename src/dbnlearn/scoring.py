@@ -67,6 +67,16 @@ class CountTable:
         return int(self.counts.sum())
 
 
+def _config_index(parents: np.ndarray, arities: Sequence[int]) -> np.ndarray:
+    """Row-wise :func:`~dbnlearn.core.configuration_index` of an (M, k) value matrix."""
+    idx = np.zeros(parents.shape[0], dtype=np.int64)
+    base = 1
+    for k, a in enumerate(arities):
+        idx += parents[:, k].astype(np.int64) * base
+        base *= a
+    return idx
+
+
 def count_transitions(dataset: TrajectoryDataset, family: FamilySpec) -> CountTable:
     """Tally every usable transition by parent configuration and child value.
 
@@ -79,19 +89,9 @@ def count_transitions(dataset: TrajectoryDataset, family: FamilySpec) -> CountTa
     arities = dataset.family_arities(family)
     child_arity = dataset.domain.x_arities[family.node]
     n_cfg = n_configurations(arities)
-    t0 = dataset.first_usable_t(family)
-    counts = np.zeros((n_cfg, child_arity), dtype=np.int64)
-    if t0 <= dataset.T:
-        ts = np.arange(t0, dataset.T + 1)
-        pcols = dataset.parent_columns(family, ts)
-        child = dataset.x[:, ts, family.node]
-        idx = np.zeros((dataset.N, ts.size), dtype=np.int64)
-        base = 1
-        for k, a in enumerate(arities):
-            idx += pcols[:, :, k].astype(np.int64) * base
-            base *= a
-        flat = idx * child_arity + child
-        counts = np.bincount(flat.ravel(), minlength=n_cfg * child_arity).reshape(n_cfg, child_arity)
+    child, pcols = dataset.family_rows(family)
+    flat = _config_index(pcols, arities) * child_arity + child
+    counts = np.bincount(flat, minlength=n_cfg * child_arity).reshape(n_cfg, child_arity)
     return CountTable(node=family.node, family=family, arities=arities,
                       child_arity=child_arity, counts=counts)
 
@@ -144,19 +144,10 @@ def mle_factored(dataset: TrajectoryDataset, node: int,
             return np.empty(0)
         arities = dataset.family_arities(fam)
         n_cfg = n_configurations(arities)
-        ones = np.zeros(n_cfg)
-        total = np.zeros(n_cfg)
-        if t0 <= dataset.T:
-            ts = np.arange(t0, dataset.T + 1)
-            pcols = dataset.parent_columns(fam, ts)
-            child = dataset.x[:, ts, node]
-            idx = np.zeros((dataset.N, ts.size), dtype=np.int64)
-            base = 1
-            for k, a in enumerate(arities):
-                idx += pcols[:, :, k].astype(np.int64) * base
-                base *= a
-            ones = np.bincount(idx.ravel(), weights=child.ravel().astype(float), minlength=n_cfg)
-            total = np.bincount(idx.ravel(), minlength=n_cfg).astype(float)
+        child, pcols = dataset.family_rows(fam, t0)
+        idx = _config_index(pcols, arities)
+        ones = np.bincount(idx, weights=child.astype(float), minlength=n_cfg)
+        total = np.bincount(idx, minlength=n_cfg).astype(float)
         out = np.full(n_cfg, 0.5)
         seen = total > 0
         out[seen] = ones[seen] / total[seen]
@@ -212,14 +203,8 @@ def loglik_cpt(dataset: TrajectoryDataset, structure: DbnStructure, params: Para
 
 def logistic_design(dataset: TrajectoryDataset, family: FamilySpec) -> tuple[np.ndarray, np.ndarray]:
     """Design matrix (with leading intercept column) and binary targets of a family."""
-    t0 = dataset.first_usable_t(family)
-    if t0 > dataset.T:
-        return np.empty((0, 1 + len(family.parents))), np.empty(0)
-    ts = np.arange(t0, dataset.T + 1)
-    y = dataset.x[:, ts, family.node].astype(float).ravel()
-    pcols = dataset.parent_columns(family, ts).astype(float).reshape(y.size, len(family.parents))
-    design = np.hstack([np.ones((len(y), 1)), pcols])
-    return design, y
+    child, pcols = dataset.family_rows(family)
+    return np.hstack([np.ones((child.size, 1)), pcols.astype(float)]), child.astype(float)
 
 
 def logistic_objective(beta: np.ndarray, design: np.ndarray, y: np.ndarray,
@@ -303,13 +288,8 @@ _SIGMA2_FLOOR = 1e-300  # keeps exact fits representable (sigma2 must stay posit
 def gaussian_design(dataset: TrajectoryDataset, family: FamilySpec) -> tuple[np.ndarray, np.ndarray]:
     if dataset.domain.discrete:
         raise DomainMismatchError("gaussian design needs a continuous dataset")
-    t0 = dataset.first_usable_t(family)
-    if t0 > dataset.T:
-        return np.empty((0, 1 + len(family.parents))), np.empty(0)
-    ts = np.arange(t0, dataset.T + 1)
-    y = dataset.x[:, ts, family.node].ravel()
-    pcols = dataset.parent_columns(family, ts).reshape(y.size, len(family.parents))
-    return np.hstack([np.ones((len(y), 1)), pcols]), y
+    child, pcols = dataset.family_rows(family)
+    return np.hstack([np.ones((child.size, 1)), pcols]), child
 
 
 def fit_linear_gaussian(dataset: TrajectoryDataset, node: int,
@@ -332,6 +312,24 @@ def fit_linear_gaussian(dataset: TrajectoryDataset, node: int,
     sigma2 = max(float(np.dot(resid, resid)) / m, _SIGMA2_FLOOR)
     loglik = -0.5 * m * math.log(2.0 * math.pi * sigma2) - 0.5 * float(np.dot(resid, resid)) / sigma2
     return LinearGaussian(beta0=float(beta[0]), beta=beta[1:], sigma2=sigma2), loglik
+
+
+def fit_structure_params(dataset: TrajectoryDataset, structure: DbnStructure,
+                         smoothing: "DirichletPrior | None") -> ParameterSet:
+    """Per-family parameter fit of a structure: the learners' refit and hold-out scoring.
+
+    Discrete families use the Dirichlet posterior mean when a prior is
+    given (so unseen test configurations keep finite likelihood) and the
+    raw count ratios otherwise; continuous families use least squares.
+    """
+    fams = []
+    for i in range(structure.n_x):
+        family = parents_of(structure, i)
+        if dataset.domain.discrete:
+            fams.append(mle_cpt(count_transitions(dataset, family), smoothing=smoothing))
+        else:
+            fams.append(fit_linear_gaussian(dataset, i, family)[0])
+    return ParameterSet(families=tuple(fams))
 
 
 # ---------------------------------------------------------------------------
@@ -470,15 +468,18 @@ def _exact_moments(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column means and centered scatter, order-independent to the last bit.
 
     Sums use ``math.fsum`` (correctly rounded), so permuting rows cannot
-    change the result.
+    change the result.  Products too large for a float raise :class:`DataError`.
     """
     m, d = rows.shape
-    mean = np.array([math.fsum(rows[:, j]) / m for j in range(d)])
     scatter = np.empty((d, d))
-    for j in range(d):
-        for k in range(j, d):
-            s = math.fsum((rows[:, j] * rows[:, k]).tolist()) - m * mean[j] * mean[k]
-            scatter[j, k] = scatter[k, j] = s
+    try:
+        mean = np.array([math.fsum(rows[:, j]) / m for j in range(d)])
+        for j in range(d):
+            for k in range(j, d):
+                s = math.fsum((rows[:, j] * rows[:, k]).tolist()) - m * mean[j] * mean[k]
+                scatter[j, k] = scatter[k, j] = s
+    except (ValueError, OverflowError) as e:
+        raise DataError(f"data moments overflow a float: {e}") from e
     return mean, scatter
 
 
@@ -529,13 +530,8 @@ def bge_family_score(dataset: TrajectoryDataset, node: int, family: FamilySpec,
     hyper = hyper or BgeHyper()
     d = 1 + len(family.parents)
     alpha_w, t_prec, nu = hyper.resolved(d)
-    t0 = dataset.first_usable_t(family)
-    if t0 > dataset.T:
-        return 0.0
-    ts = np.arange(t0, dataset.T + 1)
-    child = dataset.x[:, ts, node].reshape(-1, 1)
-    pcols = dataset.parent_columns(family, ts).reshape(child.shape[0], len(family.parents))
-    rows = np.hstack([child, pcols])
+    child, pcols = dataset.family_rows(family)
+    rows = np.hstack([child[:, None], pcols])
     joint = log_nw_marginal(rows, hyper.alpha_mu, alpha_w, t_prec, nu)
     if len(family.parents) == 0:
         return joint

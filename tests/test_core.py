@@ -61,8 +61,12 @@ class TestTopologicalOrder:
                 pos = {v: k for k, v in enumerate(order)}
                 assert all(pos[j] < pos[i] for j, i in zip(*np.nonzero(a)))
             else:
-                with pytest.raises(CycleError):
+                with pytest.raises(CycleError) as err:
                     topological_order(a)
+                cycle = err.value.cycle
+                assert cycle[0] == cycle[-1]
+                assert all(a[j, i] for j, i in zip(cycle, cycle[1:]))
+                assert len(set(cycle[1:])) == len(cycle) - 1
 
 
 class TestConfigurationIndex:

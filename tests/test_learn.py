@@ -10,13 +10,13 @@ from dbnlearn.core import (
 from dbnlearn.learn import (
     BoundedConfig, CellTimeout, ContinuousConfig, Deadline, SearchConfig,
     bounded_oneshot, continuous_oneshot, exact_search, hill_climb, run_learner,
-    _legal_moves, _structure_with, _affected_nodes,
+    _legal_moves, _price_support, _structure_with, _affected_nodes,
 )
 from dbnlearn.scoring import FamilyScorer
 from dbnlearn.simulate import EdgeProbs, GeneratorConfig, sample_random_dbn, sample_trajectories
 
 from conftest import continuous_dataset, discrete_dataset
-from oracle_utils import brute_force_best_score
+from oracle_utils import bounded_support_objective, brute_force_best_score, lag1_design
 
 
 def discrete_instance(seed, n=3, n_traj=30, horizon=10, sharpen=3.0, n_z=0, static=0.0):
@@ -247,6 +247,46 @@ class TestBoundedOneshot:
         ds = continuous_dataset(np.random.default_rng(0).normal(size=(4, 6, 5)))
         with pytest.raises(SizeGuardError):
             bounded_oneshot(ds, BoundedConfig(max_nodes=4))
+
+    def test_support_price_matches_oracle_for_sign_dependent_penalties(self):
+        # each support costs the minimum over signs of SSE + its sign-class penalties
+        rng = np.random.default_rng(7)
+        for trial in range(400):
+            _, ds = continuous_instance(trial + 300, n_traj=5, horizon=10)
+            y, x_prev = lag1_design(ds)
+            n = y.shape[1]
+            i = int(rng.integers(n))
+            intra_mask = np.zeros((n, n), dtype=bool)
+            lag_mask = np.zeros((n, n), dtype=bool)
+            intra_mask[:, i] = rng.random(n) < 0.5
+            intra_mask[i, i] = False
+            lag_mask[:, i] = rng.random(n) < 0.5
+            cfg = BoundedConfig(b_w=rng.uniform(0.05, 0.5), b_a=rng.uniform(0.05, 0.5),
+                                lambda_w_pos=rng.uniform(0, 0.2), lambda_w_neg=rng.uniform(0, 3),
+                                lambda_a_pos=rng.uniform(0, 0.2), lambda_a_neg=rng.uniform(0, 3))
+            intra_js = np.flatnonzero(intra_mask[:, i])
+            cols = [y[:, j] for j in intra_js] + [x_prev[:, j] for j in np.flatnonzero(lag_mask[:, i])]
+            cost, _ = _price_support(y[:, i], cols, len(intra_js), cfg)
+            others = sum(float(np.dot(y[:, j], y[:, j])) for j in range(n) if j != i)
+            expected = bounded_support_objective(y, x_prev, intra_mask, lag_mask, cfg)
+            assert cost + others == pytest.approx(expected, rel=1e-12), trial
+
+
+class TestOverflowingData:
+    """Finite data whose squares overflow a float fail with a typed error."""
+
+    @pytest.fixture
+    def huge(self):
+        return continuous_dataset(np.random.default_rng(0).standard_normal((10, 21, 3)) * 1e200)
+
+    def test_bounded_raises_data_error(self, huge):
+        with pytest.raises(DataError):
+            run_learner("bounded", huge)
+
+    @pytest.mark.parametrize("learner", ["hill", "exact"])
+    def test_bge_raises_data_error(self, huge, learner):
+        with pytest.raises(DataError):
+            run_learner(learner, huge, score="bge")
 
 
 class TestRegistry:

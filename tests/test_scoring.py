@@ -9,7 +9,7 @@ import dbnlearn.scoring as sc
 from dbnlearn.core import (
     Cpt, DataError, DbnStructure, DomainMismatchError, FamilySpec, ModelError,
     ParameterSet, Parent, TrajectoryDataset, UnderdeterminedError,
-    canonical_parents, parents_of,
+    canonical_parents, configuration_index, parents_of,
 )
 from dbnlearn.simulate import EdgeProbs, GeneratorConfig, sample_random_dbn, sample_trajectories
 
@@ -61,6 +61,15 @@ class TestCountTransitions:
         ds = discrete_dataset([[[0, 0], [1, 1], [0, 1], [1, 1]]])
         ct = sc.count_transitions(ds, family(0, Parent("inter", 1)))
         assert ct.counts.tolist() == [[0, 1], [1, 1]]
+
+    def test_vectorised_index_matches_scalar_index(self, rng):
+        # counts and the sampler must agree on which row a configuration is
+        for _ in range(20):
+            arities = tuple(int(a) for a in rng.integers(2, 5, size=int(rng.integers(0, 4))))
+            values = np.array([[int(rng.integers(a)) for a in arities] for _ in range(30)],
+                              dtype=np.int64).reshape(30, len(arities))
+            expected = [configuration_index(row, arities) for row in values]
+            assert sc._config_index(values, arities).tolist() == expected
 
 
 class TestMleCpt:
