@@ -13,7 +13,11 @@ A self lag-1 dependence can be spelled either as an inter self edge or
 as auto lag 1 but never both at once; everything this package generates
 uses the auto-lag spelling, and the metrics treat the two as the same
 edge.  All types are immutable after construction and safe to share
-across threads; the operations in this module are pure functions.
+across threads; the operations in this module are pure functions.  The
+one piece of state, a :class:`TrajectoryDataset`'s column bank, fills
+lazily with read-only copies of its own data: two threads filling the
+same column build equal arrays and the last write wins, the same rule as
+the score cache in :mod:`dbnlearn.scoring`.
 """
 
 from __future__ import annotations
@@ -402,6 +406,15 @@ class Domain:
         return self.kind == "discrete"
 
 
+def _source(node: int, par: Parent) -> tuple[int | None, int]:
+    """(lag, variable) a parent of ``node`` reads; lag ``None`` names a static covariate."""
+    if par.kind == "static":
+        return None, par.index
+    if par.kind == "auto":
+        return par.index, node
+    return (1 if par.kind == "inter" else 0), par.index
+
+
 @dataclass(frozen=True)
 class TrajectoryDataset:
     """N trajectories of T+1 time slices over n_x dynamic and n_z static variables.
@@ -409,6 +422,14 @@ class TrajectoryDataset:
     ``x`` has shape (N, T+1, n_x) and ``z`` shape (N, n_z).  ``burn_in``
     marks leading transitions excluded from every count/likelihood (used
     by temporal hold-out to carry lag context without double scoring).
+
+    Every count, design and likelihood reads its rows from a column bank
+    (:meth:`family_columns`): one flat, read-only copy per (first target
+    time, lag, variable), built on first use and kept for the dataset's
+    lifetime, in the spirit of the cached sufficient statistics of Moore &
+    Lee (JAIR 8, 1998).  It holds at most ``(1 + p) n_x + n_z`` columns per
+    first target time.  The bank is a plain attribute, not a field, so
+    equality and repr ignore it.
     """
 
     domain: Domain
@@ -447,6 +468,7 @@ class TrajectoryDataset:
         z.setflags(write=False)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "z", z)
+        object.__setattr__(self, "_bank", {})
 
     @property
     def N(self) -> int:
@@ -478,25 +500,45 @@ class TrajectoryDataset:
         # filled in C order, so that merging the leading axes is a view
         out = np.empty((self.N, len(t), len(family.parents)), dtype=self.x.dtype)
         for c, par in enumerate(family.parents):
-            if par.kind == "inter":
-                out[:, :, c] = self.x[:, t - 1, par.index]
-            elif par.kind == "intra":
-                out[:, :, c] = self.x[:, t, par.index]
-            elif par.kind == "auto":
-                out[:, :, c] = self.x[:, t - par.index, family.node]
-            else:
-                out[:, :, c] = self.z[:, par.index][:, None]
+            lag, j = _source(family.node, par)
+            out[:, :, c] = self.z[:, j][:, None] if lag is None else self.x[:, t - lag, j]
         return out
 
-    def family_rows(self, family: FamilySpec, t0: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Child values (M,) and parent columns (M, k) of every target time ``t0..T``.
+    def _column(self, t0: int, lag: int | None, j: int) -> np.ndarray:
+        """Bank column: ``x[:, t - lag, j]`` (``z[:, j]`` for ``lag=None``) over targets ``t0..T``."""
+        key = (t0, lag, j)
+        col = self._bank.get(key)
+        if col is None:
+            m = max(0, self.T + 1 - t0)
+            if lag is None:
+                col = np.repeat(self.z[:, j], m)
+            else:
+                col = np.ascontiguousarray(self.x[:, t0 - lag:t0 - lag + m, j]).reshape(-1)
+            col.setflags(write=False)
+            self._bank[key] = col
+        return col
+
+    def family_columns(self, family: FamilySpec,
+                       t0: int | None = None) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """Child column (M,) and one column (M,) per parent over target times ``t0..T``.
 
         ``t0`` defaults to the family's first usable time; rows run over
-        trajectories, then time.
+        trajectories, then time.  The columns are the bank's shared,
+        read-only arrays.
         """
-        ts = np.arange(self.first_usable_t(family) if t0 is None else t0, self.T + 1)
-        child = self.x[:, ts, family.node].reshape(-1)
-        return child, self.parent_columns(family, ts).reshape(child.size, len(family.parents))
+        t0 = self.first_usable_t(family) if t0 is None else t0
+        if t0 < family.min_time:
+            raise DataError(f"target time {t0} precedes the family's first observable time {family.min_time}")
+        cols = tuple(self._column(t0, *_source(family.node, par)) for par in family.parents)
+        return self._column(t0, 0, family.node), cols
+
+    def family_rows(self, family: FamilySpec, t0: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Child values (M,) and parent matrix (M, k) of :meth:`family_columns`."""
+        child, cols = self.family_columns(family, t0)
+        pcols = np.empty((child.size, len(cols)), dtype=self.x.dtype)
+        for c, col in enumerate(cols):
+            pcols[:, c] = col
+        return child, pcols
 
     def family_arities(self, family: FamilySpec) -> tuple[int, ...]:
         if not self.domain.discrete:

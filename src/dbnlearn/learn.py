@@ -37,10 +37,10 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.optimize
 
-from .acyclicity import h_expm, h_expm_grad, threshold_and_repair
+from .acyclicity import _reachability, h_expm, h_expm_grad, threshold_and_repair
 from .core import (
     DataError, DbnError, DbnStructure, DomainMismatchError, Parent, ParameterSet,
-    SizeGuardError, OptimizerError, TrajectoryDataset, canonical_parents, is_acyclic,
+    SizeGuardError, OptimizerError, TrajectoryDataset, canonical_parents,
     parents_of,
 )
 from .scoring import BgeHyper, DirichletPrior, FamilyScorer, fit_structure_params
@@ -362,29 +362,32 @@ def _structure_with(structure: DbnStructure, move) -> DbnStructure:
 
 
 def _legal_moves(structure: DbnStructure, config: SearchConfig):
-    """Deterministically ordered move list; intra additions/reversals are cycle-rejecting."""
+    """Deterministically ordered move list; intra additions/reversals are cycle-rejecting.
+
+    One transitive closure of the intra graph decides every candidate:
+    adding ``j -> i`` closes a cycle iff ``i`` already reaches ``j``;
+    reversing ``j -> i`` does iff ``j`` reaches ``i`` through some other
+    child ``k`` of ``j``.  Auto lag 1 is not offered to a node with an
+    inter self edge, which already is that dependence.
+    """
     n = structure.n_x
     moves = []
     intra_in = structure.intra.sum(axis=0)
     inter_in = structure.inter.sum(axis=0)
     static_in = structure.static_edges.sum(axis=0)
+    reach = _reachability(structure.intra)
+    # via[j, i]: j reaches i through a child of j other than i itself
+    via = (structure.intra.astype(np.int64) @ reach.astype(np.int64)) > 0
     for j in range(n):
         for i in range(n):
             if i == j:
                 continue
             if structure.intra[j, i]:
                 moves.append(("del_intra", j, i))
-                if intra_in[j] < config.max_intra:
-                    trial = structure.intra.copy()
-                    trial[j, i] = False
-                    trial[i, j] = True
-                    if is_acyclic(trial):
-                        moves.append(("rev_intra", j, i))
-            elif intra_in[i] < config.max_intra:
-                trial = structure.intra.copy()
-                trial[j, i] = True
-                if is_acyclic(trial):
-                    moves.append(("add_intra", j, i))
+                if intra_in[j] < config.max_intra and not via[j, i]:
+                    moves.append(("rev_intra", j, i))
+            elif intra_in[i] < config.max_intra and not reach[i, j]:
+                moves.append(("add_intra", j, i))
             if structure.inter[j, i]:
                 moves.append(("del_inter", j, i))
             elif inter_in[i] < config.max_inter:
@@ -394,7 +397,7 @@ def _legal_moves(structure: DbnStructure, config: SearchConfig):
         for tau in range(1, config.p + 1):
             if tau in lags:
                 moves.append(("del_auto", i, tau))
-            elif len(lags) < config.max_auto:
+            elif len(lags) < config.max_auto and not (tau == 1 and structure.inter[i, i]):
                 moves.append(("add_auto", i, tau))
     for j in range(structure.static_edges.shape[0]):
         for i in range(n):
@@ -405,13 +408,21 @@ def _legal_moves(structure: DbnStructure, config: SearchConfig):
     return moves
 
 
-def _affected_nodes(move) -> tuple[int, ...]:
-    kind = move[0]
-    if kind == "rev_intra":
-        return (move[2], move[1])
-    if kind in ("add_auto", "del_auto"):
-        return (move[1],)
-    return (move[2],)
+def _moved_families(families: list, move) -> tuple:
+    """(node, new parent tuple) of each family a move changes, in delta summation order.
+
+    ``families[v]`` is node ``v``'s canonical parent tuple; a reversal
+    ``j -> i`` changes ``i`` first, then ``j``.
+    """
+    op, cls = move[0].split("_")
+    node, par = (move[1], Parent("auto", move[2])) if cls == "auto" else (move[2], Parent(cls, move[1]))
+    if op == "add":
+        return ((node, canonical_parents(families[node] + (par,))),)
+    kept = tuple(q for q in families[node] if q != par)
+    if op == "del":
+        return ((node, kept),)
+    j = move[1]
+    return ((node, kept), (j, canonical_parents(families[j] + (Parent("intra", node),))))
 
 
 def _random_start(dataset: TrajectoryDataset, config: SearchConfig,
@@ -459,9 +470,10 @@ def hill_climb(dataset: TrajectoryDataset, score: str = "bic",
 
     Moves: add/delete/reverse intra edge (cycle-rejecting), add/delete
     inter edge, auto lag, static edge.  Deltas rescore only the affected
-    families through the shared cache.  Restart 0 starts from ``initial``
-    (the empty graph by default), later restarts from random structures
-    (edge probability 0.2).
+    families, whose parent tuples follow from the move itself, through the
+    shared cache; only the chosen move builds a new structure.  Restart 0
+    starts from ``initial`` (the empty graph by default), later restarts
+    from random structures (edge probability 0.2).
     """
     t_start = time.perf_counter()
     config = config or SearchConfig(score=score)
@@ -477,24 +489,24 @@ def hill_climb(dataset: TrajectoryDataset, score: str = "bic",
                 else DbnStructure.empty(dataset.n_x, dataset.n_z, config.p)
         else:
             structure = _random_start(dataset, config, substream(config.seed, "restart", restart))
-        node_scores = [scorer(i, parents_of(structure, i).parents) for i in range(dataset.n_x)]
+        families = [parents_of(structure, i).parents for i in range(dataset.n_x)]
+        node_scores = [scorer(i, families[i]) for i in range(dataset.n_x)]
         current = float(sum(node_scores))
         trace = [{"restart": restart, "step": 0, "score": current}]
         for step in range(1, config.move_budget + 1):
             deadline.check()
             best_move, best_delta = None, 0.0
             for move in _legal_moves(structure, config):
-                trial = _structure_with(structure, move)
-                delta = sum(
-                    scorer(v, parents_of(trial, v).parents) - node_scores[v]
-                    for v in _affected_nodes(move))
+                delta = sum(scorer(v, parents) - node_scores[v]
+                            for v, parents in _moved_families(families, move))
                 if delta > best_delta + 1e-12:
                     best_move, best_delta = move, delta
             if best_move is None:
                 break
             structure = _structure_with(structure, best_move)
-            for v in _affected_nodes(best_move):
-                node_scores[v] = scorer(v, parents_of(structure, v).parents)
+            for v, parents in _moved_families(families, best_move):
+                families[v] = parents
+                node_scores[v] = scorer(v, parents)
             current = float(sum(node_scores))
             trace.append({"restart": restart, "step": step, "score": current})
             moves_used += 1

@@ -67,13 +67,19 @@ class CountTable:
         return int(self.counts.sum())
 
 
-def _config_index(parents: np.ndarray, arities: Sequence[int]) -> np.ndarray:
-    """Row-wise :func:`~dbnlearn.core.configuration_index` of an (M, k) value matrix."""
-    idx = np.zeros(parents.shape[0], dtype=np.int64)
-    base = 1
-    for k, a in enumerate(arities):
-        idx += parents[:, k].astype(np.int64) * base
-        base *= a
+def _config_index(columns: Sequence[np.ndarray], arities: Sequence[int]) -> np.ndarray:
+    """Row-wise :func:`~dbnlearn.core.configuration_index` of k >= 1 int64 value columns.
+
+    Horner form ``c_1 + a_1 (c_2 + a_2 (c_3 + ...))``: the first column is
+    the least significant digit.  A single column is returned as is.
+    """
+    if len(columns) == 1:
+        return columns[0]
+    idx = columns[-1] * arities[-2]  # the one new array; the rest works in place
+    idx += columns[-2]
+    for col, a in zip(columns[-3::-1], arities[-3::-1]):
+        idx *= a
+        idx += col
     return idx
 
 
@@ -89,8 +95,8 @@ def count_transitions(dataset: TrajectoryDataset, family: FamilySpec) -> CountTa
     arities = dataset.family_arities(family)
     child_arity = dataset.domain.x_arities[family.node]
     n_cfg = n_configurations(arities)
-    child, pcols = dataset.family_rows(family)
-    flat = _config_index(pcols, arities) * child_arity + child
+    child, cols = dataset.family_columns(family)
+    flat = _config_index((child, *cols), (child_arity, *arities))
     counts = np.bincount(flat, minlength=n_cfg * child_arity).reshape(n_cfg, child_arity)
     return CountTable(node=family.node, family=family, arities=arities,
                       child_arity=child_arity, counts=counts)
@@ -144,8 +150,8 @@ def mle_factored(dataset: TrajectoryDataset, node: int,
             return np.empty(0)
         arities = dataset.family_arities(fam)
         n_cfg = n_configurations(arities)
-        child, pcols = dataset.family_rows(fam, t0)
-        idx = _config_index(pcols, arities)
+        child, cols = dataset.family_columns(fam, t0)
+        idx = _config_index(cols, arities)
         ones = np.bincount(idx, weights=child.astype(float), minlength=n_cfg)
         total = np.bincount(idx, minlength=n_cfg).astype(float)
         out = np.full(n_cfg, 0.5)
@@ -298,7 +304,8 @@ def fit_linear_gaussian(dataset: TrajectoryDataset, node: int,
 
     Normal equations carry a tiny ridge for rank safety; the noise
     variance is the mean squared residual (floored at a representable
-    minimum so exact fits stay valid).
+    minimum so exact fits stay valid).  Data whose products overflow a
+    float raise :class:`DataError`.
     """
     if family.node != node:
         raise ModelError("family spec does not belong to the requested node")
@@ -306,11 +313,15 @@ def fit_linear_gaussian(dataset: TrajectoryDataset, node: int,
     m, k = design.shape
     if m < k:
         raise UnderdeterminedError(f"{m} usable transitions for {k} parameters")
-    gram = design.T @ design + _LSTSQ_RIDGE * np.eye(k)
-    beta = np.linalg.solve(gram, design.T @ y)
-    resid = y - design @ beta
-    sigma2 = max(float(np.dot(resid, resid)) / m, _SIGMA2_FLOOR)
-    loglik = -0.5 * m * math.log(2.0 * math.pi * sigma2) - 0.5 * float(np.dot(resid, resid)) / sigma2
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = design.T @ design + _LSTSQ_RIDGE * np.eye(k)
+        beta = np.linalg.solve(gram, design.T @ y)
+        resid = y - design @ beta
+        rss = float(np.dot(resid, resid))
+    if not (math.isfinite(rss) and np.all(np.isfinite(beta))):
+        raise DataError("least-squares fit overflows a float (data too large?)")
+    sigma2 = max(rss / m, _SIGMA2_FLOOR)
+    loglik = -0.5 * m * math.log(2.0 * math.pi * sigma2) - 0.5 * rss / sigma2
     return LinearGaussian(beta0=float(beta[0]), beta=beta[1:], sigma2=sigma2), loglik
 
 
@@ -468,18 +479,21 @@ def _exact_moments(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column means and centered scatter, order-independent to the last bit.
 
     Sums use ``math.fsum`` (correctly rounded), so permuting rows cannot
-    change the result.  Products too large for a float raise :class:`DataError`.
+    change the result.  Moments too large for a float raise :class:`DataError`.
     """
     m, d = rows.shape
     scatter = np.empty((d, d))
     try:
-        mean = np.array([math.fsum(rows[:, j]) / m for j in range(d)])
-        for j in range(d):
-            for k in range(j, d):
-                s = math.fsum((rows[:, j] * rows[:, k]).tolist()) - m * mean[j] * mean[k]
-                scatter[j, k] = scatter[k, j] = s
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = np.array([math.fsum(rows[:, j]) / m for j in range(d)])
+            for j in range(d):
+                for k in range(j, d):
+                    s = math.fsum((rows[:, j] * rows[:, k]).tolist()) - m * mean[j] * mean[k]
+                    scatter[j, k] = scatter[k, j] = s
     except (ValueError, OverflowError) as e:
         raise DataError(f"data moments overflow a float: {e}") from e
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(scatter))):
+        raise DataError("data moments overflow a float")
     return mean, scatter
 
 

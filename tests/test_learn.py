@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from dbnlearn.core import (
-    DataError, DbnStructure, DomainMismatchError, SizeGuardError, is_acyclic,
+    DataError, DbnStructure, DomainMismatchError, FamilySpec, SizeGuardError, is_acyclic,
     parents_of,
 )
 from dbnlearn.learn import (
     BoundedConfig, CellTimeout, ContinuousConfig, Deadline, SearchConfig,
     bounded_oneshot, continuous_oneshot, exact_search, hill_climb, run_learner,
-    _legal_moves, _price_support, _structure_with, _affected_nodes,
+    _legal_moves, _moved_families, _price_support, _random_start, _structure_with,
 )
-from dbnlearn.scoring import FamilyScorer
+from dbnlearn.scoring import FamilyScorer, bge_family_score, family_score
+from dbnlearn.simulate import substream
 from dbnlearn.simulate import EdgeProbs, GeneratorConfig, sample_random_dbn, sample_trajectories
 
 from conftest import continuous_dataset, discrete_dataset
@@ -99,6 +100,47 @@ def _all_non_intra_sets(ds, node, cfg):
                 yield a + b + c
 
 
+def rebuilt_legal_moves(structure, config):
+    """Move list built by trying each intra addition or reversal on a copy and checking it for cycles."""
+    n = structure.n_x
+    moves = []
+    intra_in = structure.intra.sum(axis=0)
+    inter_in = structure.inter.sum(axis=0)
+    static_in = structure.static_edges.sum(axis=0)
+    for j in range(n):
+        for i in range(n):
+            if i == j:
+                continue
+            if structure.intra[j, i]:
+                moves.append(("del_intra", j, i))
+                trial = structure.intra.copy()
+                trial[j, i], trial[i, j] = False, True
+                if intra_in[j] < config.max_intra and is_acyclic(trial):
+                    moves.append(("rev_intra", j, i))
+            elif intra_in[i] < config.max_intra:
+                trial = structure.intra.copy()
+                trial[j, i] = True
+                if is_acyclic(trial):
+                    moves.append(("add_intra", j, i))
+            if structure.inter[j, i]:
+                moves.append(("del_inter", j, i))
+            elif inter_in[i] < config.max_inter:
+                moves.append(("add_inter", j, i))
+    for i in range(n):
+        for tau in range(1, config.p + 1):
+            if tau in structure.auto_lags[i]:
+                moves.append(("del_auto", i, tau))
+            elif len(structure.auto_lags[i]) < config.max_auto:
+                moves.append(("add_auto", i, tau))
+    for j in range(structure.n_z):
+        for i in range(n):
+            if structure.static_edges[j, i]:
+                moves.append(("del_static", j, i))
+            elif static_in[i] < config.max_static:
+                moves.append(("add_static", j, i))
+    return moves
+
+
 class TestHillClimb:
     def test_terminates_immediately_at_optimum(self):
         _, ds = discrete_instance(6, n_traj=40)
@@ -135,13 +177,49 @@ class TestHillClimb:
         report = hill_climb(ds, "bic", cfg)
         scorer = FamilyScorer(ds, "bic")
         base = report.score
+        n = report.structure.n_x
         for move in _legal_moves(report.structure, cfg):
             trial = _structure_with(report.structure, move)
             delta = sum(
                 scorer(v, parents_of(trial, v).parents)
                 - scorer(v, parents_of(report.structure, v).parents)
-                for v in _affected_nodes(move))
+                for v in range(n) if parents_of(trial, v) != parents_of(report.structure, v))
             assert delta <= 1e-9, (move, delta, base)
+
+    def test_family_tuple_moves_match_structure_rebuilds(self):
+        # the move list and every delta, bit for bit, against validating a
+        # whole structure and running a cycle check per candidate move
+        for seed in range(12):
+            n_z = seed % 3
+            _, ds = discrete_instance(seed, n=4 + seed % 3, n_traj=10, horizon=6, n_z=n_z, static=0.3)
+            cfg = SearchConfig(score="bic", max_intra=1 + seed % 3, max_inter=1 + seed % 2,
+                               max_auto=1 + seed % 2, p=1 + seed % 3, max_static=1)
+            scorer = FamilyScorer(ds, "bic")
+            for k, edge_prob in enumerate((0.2, 0.4, 0.6, 0.9)):
+                structure = _random_start(ds, cfg, substream(seed, "moves", k), edge_prob)
+                families = [parents_of(structure, v).parents for v in range(ds.n_x)]
+                node_scores = [scorer(v, families[v]) for v in range(ds.n_x)]
+                moves = _legal_moves(structure, cfg)
+                assert moves == rebuilt_legal_moves(structure, cfg)
+                for move in moves:
+                    moved = _moved_families(families, move)
+                    trial = _structure_with(structure, move)
+                    kind, a, b = move
+                    order = (b, a) if kind == "rev_intra" else (a,) if kind.endswith("auto") else (b,)
+                    assert [v for v, _ in moved] == list(order)
+                    assert [parents for _, parents in moved] == [parents_of(trial, v).parents for v in order]
+                    new = sum(scorer(v, parents) - node_scores[v] for v, parents in moved)
+                    old = sum(scorer(v, parents_of(trial, v).parents) - node_scores[v] for v in order)
+                    assert new == old
+
+    def test_inter_self_edge_is_not_offered_auto_lag_one(self):
+        # the inter self edge already is the lag-1 self dependence
+        _, ds = discrete_instance(3)
+        initial = DbnStructure.empty(3).replace(inter=np.eye(3, dtype=bool))
+        cfg = SearchConfig(score="bic", restarts=1)
+        assert ("add_auto", 0, 1) not in _legal_moves(initial, cfg)
+        report = hill_climb(ds, "bic", cfg, initial=initial)
+        assert report.score == pytest.approx(FamilyScorer(ds, "bic").structure_score(report.structure))
 
     def test_deterministic_given_seed(self):
         _, ds = discrete_instance(8)
@@ -287,6 +365,20 @@ class TestOverflowingData:
     def test_bge_raises_data_error(self, huge, learner):
         with pytest.raises(DataError):
             run_learner(learner, huge, score="bge")
+
+    @pytest.mark.parametrize("kind", ["ll", "bic", "aic"])
+    def test_linear_gaussian_family_scores_raise_data_error(self, huge, kind):
+        with pytest.raises(DataError):
+            family_score(huge, 0, (), kind)
+
+    def test_empty_family_bge_raises_data_error(self, huge):
+        with pytest.raises(DataError):
+            bge_family_score(huge, 0, FamilySpec(0, ()))
+
+    @pytest.mark.parametrize("learner", ["hill", "exact"])
+    def test_bic_raises_data_error(self, huge, learner):
+        with pytest.raises(DataError):
+            run_learner(learner, huge, score="bic")
 
 
 class TestRegistry:

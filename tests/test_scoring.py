@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 import dbnlearn.scoring as sc
@@ -11,6 +13,7 @@ from dbnlearn.core import (
     ParameterSet, Parent, TrajectoryDataset, UnderdeterminedError,
     canonical_parents, configuration_index, parents_of,
 )
+from dbnlearn.evaluate import temporal_split
 from dbnlearn.simulate import EdgeProbs, GeneratorConfig, sample_random_dbn, sample_trajectories
 
 from conftest import continuous_dataset, discrete_dataset
@@ -63,13 +66,19 @@ class TestCountTransitions:
         assert ct.counts.tolist() == [[0, 1], [1, 1]]
 
     def test_vectorised_index_matches_scalar_index(self, rng):
-        # counts and the sampler must agree on which row a configuration is
+        # counts and the sampler must agree on which row a configuration is;
+        # count_transitions indexes the child as the least significant digit
         for _ in range(20):
             arities = tuple(int(a) for a in rng.integers(2, 5, size=int(rng.integers(0, 4))))
             values = np.array([[int(rng.integers(a)) for a in arities] for _ in range(30)],
                               dtype=np.int64).reshape(30, len(arities))
             expected = [configuration_index(row, arities) for row in values]
-            assert sc._config_index(values, arities).tolist() == expected
+            if arities:
+                assert sc._config_index(list(values.T), arities).tolist() == expected
+            child_arity = int(rng.integers(2, 5))
+            child = rng.integers(child_arity, size=30)
+            flat = sc._config_index([child, *values.T], (child_arity, *arities))
+            assert flat.tolist() == [c + child_arity * e for c, e in zip(child.tolist(), expected)]
 
 
 class TestMleCpt:
@@ -204,6 +213,120 @@ class TestMleFactored:
         ds = discrete_dataset([[[0], [1], [2]]], x_arities=(3,))
         with pytest.raises(ModelError):
             sc.mle_factored(ds, 0, family(0), family(0))
+
+
+def tally_counts(x, z, x_arities, z_arities, node, parents, start):
+    """Transition counts of one family, tallied row by row from the raw arrays."""
+    arities = [z_arities[p.index] if p.kind == "static"
+               else x_arities[node] if p.kind == "auto" else x_arities[p.index]
+               for p in parents]
+    counts = np.zeros((math.prod(arities), x_arities[node]), dtype=np.int64)
+    for n in range(x.shape[0]):
+        for t in range(start, x.shape[1]):
+            idx, base = 0, 1
+            for p, a in zip(parents, arities):
+                if p.kind == "inter":
+                    v = x[n, t - 1, p.index]
+                elif p.kind == "intra":
+                    v = x[n, t, p.index]
+                elif p.kind == "auto":
+                    v = x[n, t - p.index, node]
+                else:
+                    v = z[n, p.index]
+                idx += int(v) * base
+                base *= a
+            counts[idx, x[n, t, node]] += 1
+    return counts
+
+
+def tally_ratios(counts):
+    """Per-configuration share of child value 1; 0.5 where a configuration is unseen."""
+    totals = counts.sum(axis=1)
+    return [c[1] / tot if tot else 0.5 for c, tot in zip(counts.tolist(), totals.tolist())]
+
+
+@st.composite
+def bank_cases(draw):
+    """A small discrete dataset (lags up to 3, static covariates) and a family of one node."""
+    n_x = draw(st.integers(1, 3))
+    n_z = draw(st.integers(0, 2))
+    n_traj = draw(st.integers(1, 3))
+    horizon = draw(st.integers(1, 8))
+    x_ar = tuple(draw(st.lists(st.integers(2, 3), min_size=n_x, max_size=n_x)))
+    z_ar = tuple(draw(st.lists(st.integers(2, 3), min_size=n_z, max_size=n_z)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    x = np.stack([rng.integers(a, size=(n_traj, horizon + 1)) for a in x_ar], axis=2)
+    z = np.stack([rng.integers(a, size=n_traj) for a in z_ar], axis=1) if n_z \
+        else np.zeros((n_traj, 0), dtype=np.int64)
+    burn_in = draw(st.integers(0, horizon))
+    node = draw(st.integers(0, n_x - 1))
+    flags = st.lists(st.booleans(), min_size=n_x, max_size=n_x)
+    parents = [Parent("inter", j) for j, on in enumerate(draw(flags)) if on]
+    parents += [Parent("intra", j) for j, on in enumerate(draw(flags)) if on and j != node]
+    parents += [Parent("auto", tau) for tau in sorted(draw(st.sets(st.integers(1, 3), max_size=2)))]
+    parents += [Parent("static", j) for j in sorted(draw(st.sets(st.integers(0, max(n_z - 1, 0)), max_size=n_z)))]
+    ds = discrete_dataset(x, z, x_arities=x_ar, z_arities=z_ar, burn_in=burn_in)
+    return ds, FamilySpec(node=node, parents=canonical_parents(parents))
+
+
+def check_against_tally(ds, fam):
+    x, z, xa, za = ds.x, ds.z, ds.domain.x_arities, ds.domain.z_arities
+    lags = [p.index for p in fam.parents if p.kind == "auto"]
+    start = max([1, ds.burn_in + 1] + lags)
+    assert sc.count_transitions(ds, fam).counts.tolist() == \
+        tally_counts(x, z, xa, za, fam.node, fam.parents, start).tolist()
+    if xa[fam.node] != 2:
+        return
+    dyn = FamilySpec(fam.node, tuple(p for p in fam.parents if p.kind != "static"))
+    stat = FamilySpec(fam.node, tuple(p for p in fam.parents if p.kind == "static"))
+    fc = sc.mle_factored(ds, fam.node, dyn, stat)  # both tallies start where both are usable
+    for part, table in ((dyn, fc.table_dyn), (stat, fc.table_stat)):
+        expected = tally_ratios(tally_counts(x, z, xa, za, fam.node, part.parents, start)) \
+            if part.parents else []
+        assert table.tolist() == expected
+
+
+class TestColumnBank:
+    """Counts and factored ratios read from the column bank against a row-by-row tally."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(bank_cases())
+    def test_counts_and_factored_ratios_match_raw_tally(self, case):
+        ds, fam = case
+        check_against_tally(ds, fam)
+        if ds.T >= 3:
+            for side in temporal_split(ds):  # the test side carries a burn-in
+                check_against_tally(side, fam)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(bank_cases(), st.integers(0, 4))
+    def test_family_rows_are_parent_columns(self, case, later):
+        ds, fam = case
+        t0 = ds.first_usable_t(fam) + later
+        ts = np.arange(t0, ds.T + 1)
+        child, pcols = ds.family_rows(fam, t0)
+        assert child.tolist() == ds.x[:, ts, fam.node].reshape(-1).tolist()
+        assert np.array_equal(pcols, ds.parent_columns(fam, ts).reshape(child.size, len(fam.parents)))
+
+    def test_columns_are_memoised_read_only_and_contiguous(self):
+        ds = discrete_dataset(np.arange(24).reshape(2, 4, 3) % 2, z=[[0], [1]])
+        fam = family(0, Parent("inter", 1), Parent("intra", 2), Parent("auto", 2), Parent("static", 0))
+        child, cols = ds.family_columns(fam)
+        again_child, again = ds.family_columns(fam)
+        assert again_child is child and all(a is b for a, b in zip(again, cols))
+        for col in (child, *cols):
+            assert col.shape == (ds.N * (ds.T - 1),)
+            assert col.flags.c_contiguous and not col.flags.writeable
+            with pytest.raises(ValueError):
+                col[0] = 1
+        assert [f.name for f in dataclasses.fields(ds)] == ["domain", "x", "z", "burn_in"]
+        assert "_bank" not in repr(ds)
+
+    def test_target_time_before_the_lags_rejected(self):
+        ds = discrete_dataset(np.zeros((1, 5, 1), dtype=int))
+        with pytest.raises(DataError):
+            ds.family_columns(family(0, Parent("auto", 2)), 1)
 
 
 class TestLoglikCpt:
