@@ -2,12 +2,14 @@
 
 Commands are idempotent: identical inputs and seeds produce byte-identical
 outputs (timing measurements are kept out of the deterministic artifacts;
-benchmark wall times go to a ``timings.csv`` sidecar).
+benchmark wall times go to a ``timings.csv`` sidecar, and each cell's
+status with the reason it failed to a ``cells.jsonl`` sidecar).
 
 Exit codes:
   0  success
   2  usage error or config schema violation
-  3  data error (malformed dataset, wrong domain, bad split)
+  3  data error (malformed dataset, wrong domain, bad split, fewer usable
+     rows than parameters)
   4  model error (inconsistent structure/parameters, size guard, cycles)
   5  optimizer failure or cell time limit
   1  unexpected failure
@@ -27,7 +29,7 @@ import numpy as np
 from .core import (
     CycleError, DataError, DbnError, DbnStructure, DimensionError,
     DomainMismatchError, ModelError, OptimizerError, Parent, SizeGuardError,
-    SplitError,
+    SplitError, UnderdeterminedError,
 )
 from .evaluate import run_benchmark
 from .io import (
@@ -268,6 +270,7 @@ def cmd_benchmark(args) -> int:
     out_root.mkdir(parents=True, exist_ok=True)
     (out_root / "results.csv").write_text(result.to_csv())
     (out_root / "timings.csv").write_text(result.timings_csv())
+    (out_root / "cells.jsonl").write_text(result.cells_jsonl())
     sys.stdout.write(result.text_tables())
     return 0
 
@@ -389,7 +392,7 @@ def main(argv=None) -> int:
     except SchemaError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (DataError, DomainMismatchError, SplitError) as e:
+    except (DataError, DomainMismatchError, SplitError, UnderdeterminedError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
     except (ModelError, DimensionError, CycleError, SizeGuardError) as e:

@@ -23,6 +23,7 @@ the score cache in :mod:`dbnlearn.scoring`.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -415,6 +416,12 @@ def _source(node: int, par: Parent) -> tuple[int | None, int]:
     return (1 if par.kind == "inter" else 0), par.index
 
 
+def _key_rank(key: tuple) -> tuple[int, int, int]:
+    """Total order on bank keys: a static column (lag ``None``) ranks before lag 0."""
+    t0, lag, j = key
+    return t0, -1 if lag is None else lag, j
+
+
 @dataclass(frozen=True)
 class TrajectoryDataset:
     """N trajectories of T+1 time slices over n_x dynamic and n_z static variables.
@@ -428,8 +435,13 @@ class TrajectoryDataset:
     time, lag, variable), built on first use and kept for the dataset's
     lifetime, in the spirit of the cached sufficient statistics of Moore &
     Lee (JAIR 8, 1998).  It holds at most ``(1 + p) n_x + n_z`` columns per
-    first target time.  The bank is a plain attribute, not a field, so
-    equality and repr ignore it.
+    first target time.  Next to the columns the dataset keeps their exact
+    sums (:meth:`column_sum`): one correctly rounded ``math.fsum`` per
+    column and per unordered pair of columns, filled the same way, from
+    which the BGe score assembles every family's moments.  Both are plain
+    attributes, not fields, so equality and repr ignore them.  Every entry
+    is a deterministic function of the data, so concurrent fills are
+    benign: the last write stores the same value.
     """
 
     domain: Domain
@@ -469,6 +481,14 @@ class TrajectoryDataset:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "_bank", {})
+        object.__setattr__(self, "_sums", {})
+
+    def __eq__(self, other):
+        """Same domain, burn-in and data; the column and sum banks play no part."""
+        if not isinstance(other, TrajectoryDataset):
+            return NotImplemented
+        return (self.domain == other.domain and self.burn_in == other.burn_in
+                and np.array_equal(self.x, other.x) and np.array_equal(self.z, other.z))
 
     @property
     def N(self) -> int:
@@ -518,6 +538,39 @@ class TrajectoryDataset:
             self._bank[key] = col
         return col
 
+    def column_sum(self, a: tuple, b: tuple | None = None) -> float:
+        """Exact sum of bank column ``a``, or of its elementwise product with column ``b``.
+
+        ``a`` and ``b`` are bank keys from :meth:`family_keys`.  Each sum is
+        one correctly rounded ``math.fsum``, computed on first use and kept;
+        a pair is stored once, whatever its order.  Sums that overflow a
+        float raise :class:`DataError`.
+        """
+        if b is not None and _key_rank(b) < _key_rank(a):
+            a, b = b, a
+        key = a if b is None else (a, b)
+        s = self._sums.get(key)
+        if s is None:
+            col = self._column(*a)
+            try:
+                with np.errstate(over="ignore"):
+                    s = math.fsum((col if b is None else col * self._column(*b)).tolist())
+            except (ValueError, OverflowError) as e:  # inf - inf, or an intermediate overflow
+                raise DataError(f"column sums overflow a float: {e}") from e
+            self._sums[key] = s
+        return s
+
+    def family_keys(self, family: FamilySpec, t0: int | None = None) -> tuple[tuple, ...]:
+        """Bank keys ``(t0, lag, variable)`` of the child, then of each parent.
+
+        ``t0`` defaults to the family's first usable time.
+        """
+        t0 = self.first_usable_t(family) if t0 is None else t0
+        if t0 < family.min_time:
+            raise DataError(f"target time {t0} precedes the family's first observable time {family.min_time}")
+        return ((t0, 0, family.node),
+                *((t0, *_source(family.node, par)) for par in family.parents))
+
     def family_columns(self, family: FamilySpec,
                        t0: int | None = None) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """Child column (M,) and one column (M,) per parent over target times ``t0..T``.
@@ -526,11 +579,8 @@ class TrajectoryDataset:
         trajectories, then time.  The columns are the bank's shared,
         read-only arrays.
         """
-        t0 = self.first_usable_t(family) if t0 is None else t0
-        if t0 < family.min_time:
-            raise DataError(f"target time {t0} precedes the family's first observable time {family.min_time}")
-        cols = tuple(self._column(t0, *_source(family.node, par)) for par in family.parents)
-        return self._column(t0, 0, family.node), cols
+        child, *cols = (self._column(*key) for key in self.family_keys(family, t0))
+        return child, tuple(cols)
 
     def family_rows(self, family: FamilySpec, t0: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Child values (M,) and parent matrix (M, k) of :meth:`family_columns`."""

@@ -10,6 +10,7 @@ convention.
 
 from __future__ import annotations
 
+import json
 import math
 import time
 import warnings
@@ -239,6 +240,7 @@ class EvalReport:
     train_loglik: float | None = None
     test_loglik: float | None = None
     wall_ms: float = 0.0
+    error: str = ""  # "<exception type>: <message>" of a failed cell
 
     def __post_init__(self):
         if self.auroc is not None and not 0.0 <= self.auroc <= 1.0:
@@ -276,6 +278,13 @@ class BenchmarkResult:
             lines.append(f"{r.regime},{r.n},{r.n_traj},{r.horizon},{r.learner},"
                          f"{r.replicate},{r.wall_ms:.3f}")
         return "\n".join(lines) + "\n"
+
+    def cells_jsonl(self) -> str:
+        """One JSON object per cell: its key, status and failure reason (empty when none)."""
+        return "".join(json.dumps({
+            "regime": r.regime, "n": r.n, "N": r.n_traj, "T": r.horizon,
+            "learner": r.learner, "replicate": r.replicate, "seed": r.seed,
+            "status": r.status, "error": r.error}) + "\n" for r in self.rows)
 
     def aggregate(self) -> dict:
         """mean +- sample sd (ddof=1) per (learner, triple, metric) over OK replicates."""
@@ -358,15 +367,16 @@ def _benchmark_cell(args) -> EvalReport:
             shd=cell_shd, auroc=cell_auroc, train_loglik=result.train_loglik,
             test_loglik=result.test_loglik,
             wall_ms=(time.perf_counter() - t_start) * 1e3)
-    except CellTimeout:
-        status = "TL"
-    except MemoryError:
-        status = "OOM"
-    except Exception:
-        status = "E"
+    except CellTimeout as e:
+        status, error = "TL", e
+    except MemoryError as e:
+        status, error = "OOM", e
+    except Exception as e:
+        status, error = "E", e
     return EvalReport(regime=regime_label, n=n, n_traj=n_traj, horizon=horizon,
                       learner=learner_label, replicate=rep, seed=seed, status=status,
-                      wall_ms=(time.perf_counter() - t_start) * 1e3)
+                      wall_ms=(time.perf_counter() - t_start) * 1e3,
+                      error=f"{type(error).__name__}: {error}")
 
 
 def run_benchmark(regime: RegimeSpec, learners: Sequence[tuple[str, str, dict]],
@@ -380,7 +390,8 @@ def run_benchmark(regime: RegimeSpec, learners: Sequence[tuple[str, str, dict]],
     Each cell learns on the temporal training window, then reports SHD
     and AUROC against the generating truth plus train/test
     log-likelihood.  Failures never abort the sweep; they are recorded
-    as TL (time limit), OOM, or E in the status column.  Cell seeds are
+    as TL (time limit), OOM, or E in the status column, with the
+    exception's type and message in the report's ``error``.  Cell seeds are
     derived from (seed, triple, replicate), and rows come back in a
     fixed order regardless of worker scheduling.
     """

@@ -475,43 +475,46 @@ def _log_wishart_norm(d: int, alpha: float) -> float:
     )
 
 
-def _exact_moments(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column means and centered scatter, order-independent to the last bit.
+def _exact_moments(dataset: TrajectoryDataset, family: FamilySpec) -> tuple[int, np.ndarray, np.ndarray]:
+    """Row count, column means and centered scatter of the family's rows, child first.
 
-    Sums use ``math.fsum`` (correctly rounded), so permuting rows cannot
-    change the result.  Moments too large for a float raise :class:`DataError`.
+    Assembled from the dataset's exact-sum bank
+    (:meth:`~dbnlearn.core.TrajectoryDataset.column_sum`):
+    ``mean_j = S_j / m`` and ``scatter_jk = S_jk - m mean_j mean_k``, where
+    every ``S`` is a correctly rounded ``math.fsum``, so permuting rows
+    cannot change the result.  Moments too large for a float raise
+    :class:`DataError`.
     """
-    m, d = rows.shape
+    keys = dataset.family_keys(family)
+    m = dataset.usable_transitions(family)
+    d = len(keys)
+    if m == 0:
+        return 0, np.zeros(d), np.zeros((d, d))
+    mean = np.array([dataset.column_sum(a) / m for a in keys])
     scatter = np.empty((d, d))
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = np.array([math.fsum(rows[:, j]) / m for j in range(d)])
-            for j in range(d):
-                for k in range(j, d):
-                    s = math.fsum((rows[:, j] * rows[:, k]).tolist()) - m * mean[j] * mean[k]
-                    scatter[j, k] = scatter[k, j] = s
-    except (ValueError, OverflowError) as e:
-        raise DataError(f"data moments overflow a float: {e}") from e
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(d):
+            for k in range(j, d):
+                s = dataset.column_sum(keys[j], keys[k]) - m * mean[j] * mean[k]
+                scatter[j, k] = scatter[k, j] = s
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(scatter))):
         raise DataError("data moments overflow a float")
-    return mean, scatter
+    return m, mean, scatter
 
 
-def log_nw_marginal(rows: np.ndarray, alpha_mu: float, alpha_w: float,
-                    t_prec: np.ndarray, nu: np.ndarray) -> float:
-    """Log marginal likelihood of exchangeable rows under a normal-Wishart prior.
+def log_nw_marginal(m: int, mean: np.ndarray, scatter: np.ndarray, alpha_mu: float,
+                    alpha_w: float, t_prec: np.ndarray, nu: np.ndarray) -> float:
+    """Log marginal likelihood of ``m`` exchangeable rows under a normal-Wishart prior.
 
+    The rows enter only through their column ``mean`` and centered
+    ``scatter`` (see :func:`_exact_moments`):
     ``(2 pi)^{-Md/2} (a_mu / (a_mu + M))^{d/2} c(d, a_w) |T|^{a_w/2}
     / (c(d, a_w + M) |R|^{(a_w + M)/2})`` with
     ``R = T + S + a_mu M / (a_mu + M) (mean - nu)(mean - nu)^T``.
     """
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2:
-        raise ModelError("rows must be a 2-d matrix")
-    m, d = rows.shape
+    d = len(mean)
     if m == 0 or d == 0:
         return 0.0
-    mean, scatter = _exact_moments(rows)
     shift = mean - nu
     r = t_prec + scatter + (alpha_mu * m / (alpha_mu + m)) * np.outer(shift, shift)
     sign_t, logdet_t = np.linalg.slogdet(t_prec)
@@ -531,11 +534,12 @@ def bge_family_score(dataset: TrajectoryDataset, node: int, family: FamilySpec,
                      hyper: BgeHyper | None = None) -> float:
     """Log marginal likelihood of a Gaussian child-given-parents family.
 
-    All usable transitions are stacked as exchangeable rows
-    ``(child, parents...)``; the conditional score is the joint
-    normal-Wishart marginal minus the marginal of the parent block (with
-    the matching sub-blocks of the prior precision and mean).  Row order
-    never affects the value.
+    All usable transitions are exchangeable rows ``(child, parents...)``;
+    the conditional score is the joint normal-Wishart marginal minus the
+    marginal of the parent block (with the matching sub-blocks of the
+    prior precision and mean).  Both read one set of moments, assembled
+    from the dataset's exact column sums by :func:`_exact_moments`, so
+    row order never affects the value.
     """
     if dataset.domain.discrete:
         raise DomainMismatchError("bge_family_score needs a continuous dataset")
@@ -544,13 +548,12 @@ def bge_family_score(dataset: TrajectoryDataset, node: int, family: FamilySpec,
     hyper = hyper or BgeHyper()
     d = 1 + len(family.parents)
     alpha_w, t_prec, nu = hyper.resolved(d)
-    child, pcols = dataset.family_rows(family)
-    rows = np.hstack([child[:, None], pcols])
-    joint = log_nw_marginal(rows, hyper.alpha_mu, alpha_w, t_prec, nu)
+    m, mean, scatter = _exact_moments(dataset, family)
+    joint = log_nw_marginal(m, mean, scatter, hyper.alpha_mu, alpha_w, t_prec, nu)
     if len(family.parents) == 0:
         return joint
-    parents_ml = log_nw_marginal(rows[:, 1:], hyper.alpha_mu, alpha_w, t_prec[1:, 1:], nu[1:])
-    return joint - parents_ml
+    return joint - log_nw_marginal(m, mean[1:], scatter[1:, 1:], hyper.alpha_mu,
+                                   alpha_w, t_prec[1:, 1:], nu[1:])
 
 
 # ---------------------------------------------------------------------------

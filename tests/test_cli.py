@@ -131,6 +131,15 @@ class TestLearnCommand:
 
 
 class TestScoreAndCheck:
+    def test_underdetermined_fit_maps_to_data_error(self, tmp_path, capsys):
+        # 2 usable transitions for intercept + 2 slopes + variance
+        ds = continuous_dataset(np.random.default_rng(0).normal(size=(1, 3, 3)))
+        write_dataset(ds, tmp_path / "data.csv")
+        code = main(["score", "--data", str(tmp_path / "data.csv"), "--node", "0",
+                     "--parents", "inter:1,inter:2", "--kind", "bic"])
+        assert code == 3
+        assert "data error: 2 usable transitions" in capsys.readouterr().err
+
     def test_score_prints_value(self, generated, capsys):
         _, cell = generated
         assert main(["score", "--data", str(cell / "data.csv"), "--node", "0",
@@ -167,6 +176,27 @@ class TestBenchmarkCommand:
         rows = (tmp_path / "out" / "results.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 2 * 2 * 2  # header + learners x triples x reps
         assert (tmp_path / "out" / "timings.csv").exists()
+
+    def test_failed_cell_reason_in_sidecar(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        # BGe on the CPT generator's discrete data fails in every cell of that learner
+        write_config(cfg, replicates=1, regime={"label": "mini", "triples": [[2, 6, 6]]},
+                     learners=[{"name": "hill", "score": "bic"},
+                               {"name": "hill", "score": "bge", "label": "hill-bge"}])
+        assert main(["benchmark", "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        results = out / "results.csv"
+        header = results.read_text().splitlines()[0]
+        assert header == "regime,n,N,T,learner,replicate,seed,shd,auroc,train_ll,test_ll,status"
+        assert "Error" not in results.read_text()
+        cells = [json.loads(line) for line in (out / "cells.jsonl").read_text().splitlines()]
+        assert len(cells) == 2
+        ok, failed = cells
+        assert ok["status"] == "OK" and ok["error"] == ""
+        assert failed["status"] == "E" and failed["learner"] == "hill-bge"
+        assert failed["error"] == "DomainMismatchError: bge_family_score needs a continuous dataset"
+        assert {k: failed[k] for k in ("regime", "n", "N", "T", "replicate")} == \
+            {"regime": "mini", "n": 2, "N": 6, "T": 6, "replicate": 0}
 
     def test_eval_alias(self, tmp_path):
         cfg = tmp_path / "c.json"

@@ -9,6 +9,8 @@ from dbnlearn.core import (
     parents_of, topological_order,
 )
 
+from conftest import continuous_dataset, discrete_dataset
+
 
 def adj(n, edges):
     a = np.zeros((n, n), dtype=bool)
@@ -191,3 +193,33 @@ class TestParentsOf:
         for _ in range(5):
             again = DbnStructure.from_json_dict(s.to_json_dict())
             assert [parents_of(again, i).parents for i in range(3)] == reference
+
+
+class TestDatasetEquality:
+    def test_separately_built_discrete_datasets_equal(self):
+        a = np.arange(24).reshape(2, 4, 3) % 2
+        assert discrete_dataset(a, z=[[0], [1]]) == discrete_dataset(a, z=[[0], [1]])
+
+    def test_separately_built_continuous_datasets_equal(self):
+        a = np.random.default_rng(0).normal(size=(2, 4, 3))
+        assert continuous_dataset(a) == continuous_dataset(a.copy())
+
+    def test_unequal_pairs(self):
+        a = np.arange(24).reshape(2, 4, 3) % 2
+        base = discrete_dataset(a)
+        assert base != discrete_dataset(1 - a)
+        assert base != discrete_dataset(a, burn_in=1)
+        assert base != discrete_dataset(a, x_arities=(2, 3, 2))
+        assert base != discrete_dataset(a, z=[[0], [1]])
+        assert base != discrete_dataset(a[:1])
+        assert base != continuous_dataset(a)
+        assert base != "dataset"
+
+    def test_filled_banks_play_no_part(self):
+        a = np.random.default_rng(1).normal(size=(2, 5, 2))
+        used, fresh = continuous_dataset(a), continuous_dataset(a)
+        keys = used.family_keys(FamilySpec(0, (Parent("inter", 1),)))
+        used.family_columns(FamilySpec(0, (Parent("inter", 1),)))
+        used.column_sum(*keys)
+        assert used._bank and used._sums and not fresh._bank
+        assert used == fresh

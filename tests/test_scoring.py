@@ -329,6 +329,123 @@ class TestColumnBank:
             ds.family_columns(family(0, Parent("auto", 2)), 1)
 
 
+def raw_family_rows(ds, fam):
+    """Rows ``(child, parents...)`` of every usable transition, read straight from ``x``/``z``."""
+    start = max([1, ds.burn_in + 1] + [p.index for p in fam.parents if p.kind == "auto"])
+    rows = []
+    for n in range(ds.N):
+        for t in range(start, ds.T + 1):
+            row = [ds.x[n, t, fam.node]]
+            for p in fam.parents:
+                row.append(ds.x[n, t - 1, p.index] if p.kind == "inter"
+                           else ds.x[n, t, p.index] if p.kind == "intra"
+                           else ds.x[n, t - p.index, fam.node] if p.kind == "auto"
+                           else ds.z[n, p.index])
+            rows.append(row)
+    return np.array(rows, dtype=float).reshape(len(rows), 1 + len(fam.parents))
+
+
+def oracle_moments(rows):
+    """Means and centered scatter of ``rows``, one ``math.fsum`` per entry."""
+    m, d = rows.shape
+    mean = np.array([math.fsum(rows[:, j].tolist()) / m for j in range(d)])
+    scatter = np.empty((d, d))
+    for j in range(d):
+        for k in range(j, d):
+            scatter[j, k] = scatter[k, j] = \
+                math.fsum((rows[:, j] * rows[:, k]).tolist()) - m * mean[j] * mean[k]
+    return mean, scatter
+
+
+def oracle_bge(ds, fam, hyper):
+    """BGe with the joint and the parent block each summed from scratch over its own rows."""
+    alpha_w, t_prec, nu = hyper.resolved(1 + len(fam.parents))
+    rows = raw_family_rows(ds, fam)
+    m = rows.shape[0]
+    if m == 0:
+        return 0.0
+    joint = sc.log_nw_marginal(m, *oracle_moments(rows), hyper.alpha_mu, alpha_w, t_prec, nu)
+    if not fam.parents:
+        return joint
+    return joint - sc.log_nw_marginal(m, *oracle_moments(rows[:, 1:]), hyper.alpha_mu,
+                                      alpha_w, t_prec[1:, 1:], nu[1:])
+
+
+@st.composite
+def continuous_cases(draw):
+    """A small continuous dataset (lags up to 3, static covariates) and a family of one node."""
+    ds, fam = draw(bank_cases())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    x = rng.normal(size=ds.x.shape) * scale + rng.normal() * 10
+    z = rng.normal(size=ds.z.shape) * scale
+    return continuous_dataset(x, z, burn_in=ds.burn_in), fam
+
+
+class TestSumBank:
+    """BGe moments assembled from the exact-sum bank against sums over the raw rows."""
+
+    @staticmethod
+    def check_against_oracle(ds, fam, alpha_mu):
+        rows = raw_family_rows(ds, fam)
+        m, mean, scatter = sc._exact_moments(ds, fam)
+        assert m == rows.shape[0]
+        if m:
+            want_mean, want_scatter = oracle_moments(rows)
+            assert mean.tolist() == want_mean.tolist()
+            assert scatter.tolist() == want_scatter.tolist()
+        hyper = sc.BgeHyper(alpha_mu=alpha_mu)
+        assert sc.bge_family_score(ds, fam.node, fam, hyper) == oracle_bge(ds, fam, hyper)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(continuous_cases(), st.sampled_from([0.5, 1.0, 3.0]))
+    def test_moments_and_score_match_raw_sums(self, case, alpha_mu):
+        ds, fam = case
+        self.check_against_oracle(ds, fam, alpha_mu)
+        if ds.T >= 3:
+            for side in temporal_split(ds):  # the test side carries a burn-in
+                self.check_against_oracle(side, fam, alpha_mu)
+
+    def test_static_and_dynamic_parents_together(self, rng):
+        ds = continuous_dataset(rng.normal(size=(3, 6, 2)), z=rng.normal(size=(3, 2)))
+        fam = family(0, Parent("inter", 1), Parent("intra", 1), Parent("auto", 2),
+                     Parent("static", 0), Parent("static", 1))
+        self.check_against_oracle(ds, fam, 1.0)
+        static, dynamic = (2, None, 0), (2, 1, 1)
+        assert ds.column_sum(static, dynamic) == ds.column_sum(dynamic, static)
+
+    def test_no_usable_rows_scores_zero(self, rng):
+        ds = continuous_dataset(rng.normal(size=(2, 4, 2)), burn_in=3)
+        fam = family(0, Parent("auto", 3), Parent("inter", 1))
+        assert ds.usable_transitions(fam) == 0
+        assert sc.bge_family_score(ds, 0, fam) == 0.0
+        short = continuous_dataset(rng.normal(size=(2, 3, 2)))
+        assert sc.bge_family_score(short, 0, family(0, Parent("auto", 3))) == 0.0
+
+    def test_overflowing_sums_raise_data_error(self):
+        ds = continuous_dataset(np.array([[[1e200, 1e200], [-1e200, 1e200], [1e200, 1e200]]]))
+        child, parent = ds.family_keys(family(0, Parent("intra", 1)))
+        assert ds.column_sum(child, child) == math.inf
+        with pytest.raises(DataError):  # +inf and -inf products
+            ds.column_sum(child, parent)
+        with pytest.raises(DataError):
+            sc.bge_family_score(ds, 0, family(0))
+
+    def test_sums_are_memoised_and_hidden(self, rng, monkeypatch):
+        ds = continuous_dataset(rng.normal(size=(3, 7, 3)), z=rng.normal(size=(3, 1)))
+        fam = family(0, Parent("inter", 1), Parent("intra", 2), Parent("static", 0))
+        first = sc.bge_family_score(ds, 0, fam)
+        assert len(ds._sums) == 4 + 4 * 5 // 2  # columns, then unordered pairs
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda xs: calls.append(1) or fsum(xs))
+        assert sc.bge_family_score(ds, 0, fam) == first
+        sc.bge_family_score(ds, 0, family(0, Parent("inter", 1)))  # every sum is banked
+        assert calls == []
+        assert "_sums" not in repr(ds) and "_bank" not in repr(ds)
+        assert ds == continuous_dataset(ds.x, ds.z)
+
+
 class TestLoglikCpt:
     @staticmethod
     def chain_structure():
