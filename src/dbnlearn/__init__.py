@@ -1,12 +1,12 @@
 """Dynamic Bayesian network structure and parameter learning toolkit."""
 
 from .core import (
-    Cpt, CycleError, DbnError, DbnStructure, Domain, FactoredCpt, FamilySpec,
+    ConfigError, Cpt, CycleError, DbnError, DbnStructure, Domain, FactoredCpt, FamilySpec,
     LinearGaussian, Logistic, NoisyOr, ParameterSet, Parent, TrajectoryDataset,
     configuration_index, configuration_values, is_acyclic, parents_of,
     topological_order,
 )
-from .acyclicity import h_expm, h_expm_grad, h_poly, threshold_and_repair
+from .acyclicity import h_expm, h_expm_and_grad, h_expm_grad, h_poly, threshold_and_repair
 from .scoring import (
     BgeHyper, CountTable, DirichletPrior, FamilyScorer, ScoreCache,
     bde_family_score, bge_family_score, cached_family_score, count_transitions,

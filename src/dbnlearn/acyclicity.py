@@ -28,18 +28,21 @@ def _square_zero_diag(w) -> np.ndarray:
     return a
 
 
+def h_expm_and_grad(w: np.ndarray) -> tuple[float, np.ndarray]:
+    """:func:`h_expm` and :func:`h_expm_grad` from one matrix exponential."""
+    a = _square_zero_diag(w)
+    e = scipy.linalg.expm(a * a)
+    return float(np.trace(e) - a.shape[0]), 2.0 * e.T * a
+
+
 def h_expm(w: np.ndarray) -> float:
     """tr exp(W o W) - d; zero iff the support of W is acyclic, else > 0."""
-    a = _square_zero_diag(w)
-    d = a.shape[0]
-    return float(np.trace(scipy.linalg.expm(a * a)) - d)
+    return h_expm_and_grad(w)[0]
 
 
 def h_expm_grad(w: np.ndarray) -> np.ndarray:
     """Gradient of :func:`h_expm`: 2 * exp(W o W)^T o W."""
-    a = _square_zero_diag(w)
-    e = scipy.linalg.expm(a * a)
-    return 2.0 * e.T * a
+    return h_expm_and_grad(w)[1]
 
 
 def h_poly(w: np.ndarray, mu: float) -> tuple[float, np.ndarray]:

@@ -7,7 +7,8 @@ status with the reason it failed to a ``cells.jsonl`` sidecar).
 
 Exit codes:
   0  success
-  2  usage error or config schema violation
+  2  usage error, config schema violation, or an unknown learner, score
+     kind or hyperparameter or a setting out of range (``ConfigError``)
   3  data error (malformed dataset, wrong domain, bad split, fewer usable
      rows than parameters)
   4  model error (inconsistent structure/parameters, size guard, cycles)
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    CycleError, DataError, DbnError, DbnStructure, DimensionError,
+    ConfigError, CycleError, DataError, DbnError, DbnStructure, DimensionError,
     DomainMismatchError, ModelError, OptimizerError, Parent, SizeGuardError,
     SplitError, UnderdeterminedError,
 )
@@ -389,7 +390,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SchemaError as e:
+    except (SchemaError, ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (DataError, DomainMismatchError, SplitError, UnderdeterminedError) as e:

@@ -37,6 +37,14 @@ class DbnError(Exception):
     """Base class for all toolkit errors."""
 
 
+class ConfigError(DbnError, ValueError):
+    """An unknown learner, score kind or hyperparameter, or a setting out of range.
+
+    Also a :class:`ValueError`, so that ``except ValueError`` handlers keep
+    catching it.
+    """
+
+
 class DimensionError(DbnError):
     """Array shapes inconsistent with the declared structure."""
 
@@ -422,6 +430,18 @@ def _key_rank(key: tuple) -> tuple[int, int, int]:
     return t0, -1 if lag is None else lag, j
 
 
+def _sorted_groups(keys: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Stable order sorting items by equal-length key arrays (first key first), and
+    the positions in that order where each run of items with equal keys starts."""
+    order = np.lexsort(keys[::-1])
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for key in keys:  # one key at a time: no sorted copy of all of them
+        ordered = key[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    return order, np.flatnonzero(new)
+
+
 @dataclass(frozen=True)
 class TrajectoryDataset:
     """N trajectories of T+1 time slices over n_x dynamic and n_z static variables.
@@ -570,6 +590,19 @@ class TrajectoryDataset:
             raise DataError(f"target time {t0} precedes the family's first observable time {family.min_time}")
         return ((t0, 0, family.node),
                 *((t0, *_source(family.node, par)) for par in family.parents))
+
+    def distinct_rows(self, keys: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct rows of the bank columns ``keys`` and the number of times each occurs.
+
+        Returns ``(values, counts)``: ``values[c]`` holds column ``keys[c]``
+        over the distinct rows, shape ``(len(keys), U)``, and ``counts`` the
+        multiplicity of each row, shape ``(U,)``.  Every key must share one
+        first target time, so that the columns have one length.
+        """
+        columns = [self._column(*key) for key in keys]
+        order, starts = _sorted_groups(columns)
+        first = order[starts]
+        return np.stack([col[first] for col in columns]), np.diff(starts, append=order.size)
 
     def family_columns(self, family: FamilySpec,
                        t0: int | None = None) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:

@@ -37,9 +37,9 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.optimize
 
-from .acyclicity import _reachability, h_expm, h_expm_grad, threshold_and_repair
+from .acyclicity import _reachability, h_expm_and_grad, threshold_and_repair
 from .core import (
-    DataError, DbnError, DbnStructure, DomainMismatchError, Parent, ParameterSet,
+    ConfigError, DataError, DbnError, DbnStructure, DomainMismatchError, Parent, ParameterSet,
     SizeGuardError, OptimizerError, TrajectoryDataset, canonical_parents,
     parents_of,
 )
@@ -85,9 +85,11 @@ class SearchConfig:
 
     def __post_init__(self):
         if min(self.max_intra, self.max_inter, self.max_auto, self.max_static) < 0:
-            raise ValueError("max parents must be >= 0")
+            raise ConfigError("max parents must be >= 0")
+        if self.p < 1:
+            raise ConfigError("the largest auto lag p must be >= 1")
         if self.move_budget <= 0 or self.restarts < 1:
-            raise ValueError("need a positive move budget and at least one restart")
+            raise ConfigError("need a positive move budget and at least one restart")
 
 
 @dataclass(frozen=True)
@@ -108,12 +110,14 @@ class ContinuousConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lambda_w < 0 or self.lambda_a < 0:
-            raise ValueError("L1 strengths must be >= 0")
+        if not (self.lambda_w >= 0 and self.lambda_a >= 0):
+            raise ConfigError("L1 strengths must be >= 0")
         if not (self.rho0 > 0 and self.h_tol > 0 and self.rho_growth > 1):
-            raise ValueError("need rho0 > 0, tolerance > 0, growth > 1")
-        if self.max_lag < 1:
-            raise ValueError("max_lag must be >= 1")
+            raise ConfigError("need rho0 > 0, tolerance > 0, growth > 1")
+        if self.max_lag < 1 or self.max_outer < 1:
+            raise ConfigError("max_lag and max_outer must be >= 1")
+        if not self.w_threshold >= 0:
+            raise ConfigError("w_threshold must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -132,7 +136,7 @@ class BoundedConfig:
 
     def __post_init__(self):
         if not (self.b_w > 0 and self.b_a > 0):
-            raise ValueError("weight bounds must be positive")
+            raise ConfigError("weight bounds must be positive")
 
 
 @dataclass
@@ -215,6 +219,8 @@ def exact_search(dataset: TrajectoryDataset, score: str = "bde",
     dynamic programming over node subsets then maximizes the total score
     subject to same-slice acyclicity.  Ties go to the parent sets
     enumerated first, i.e. smaller then lexicographically earlier sets.
+    Each node's whole lattice is scored by one
+    :meth:`~dbnlearn.scoring.FamilyScorer.many` call.
     """
     t_start = time.perf_counter()
     config = config or SearchConfig(score=score)
@@ -233,18 +239,15 @@ def exact_search(dataset: TrajectoryDataset, score: str = "bde",
         auto_sets = _class_subsets([Parent("auto", t) for t in range(1, config.p + 1)], config.max_auto)
         static_sets = _class_subsets([Parent("static", j) for j in range(dataset.n_z)], config.max_static)
         intra_sets = _class_subsets([Parent("intra", j) for j in range(n) if j != i], config.max_intra)
+        # concatenating the classes in this order already gives canonical tuples
+        lattice = [inter + intra + auto + stat for intra in intra_sets for inter in inter_sets
+                   for auto in auto_sets for stat in static_sets]
+        values = scorer.many(i, lattice, deadline.check).reshape(len(intra_sets), -1)
+        width = values.shape[1]
+        # argmax keeps the first of equal values, as the enumeration order promises
         table = {}
-        for intra in intra_sets:
-            best = None
-            for inter in inter_sets:
-                for auto in auto_sets:
-                    for stat in static_sets:
-                        parents = canonical_parents(inter + intra + auto + stat)
-                        value = scorer(i, parents)
-                        if best is None or value > best[0]:
-                            best = (value, parents)
-            table[frozenset(p.index for p in intra)] = best
-            deadline.check()
+        for b, (intra, k) in enumerate(zip(intra_sets, values.argmax(axis=1).tolist())):
+            table[frozenset(p.index for p in intra)] = (float(values[b, k]), lattice[b * width + k])
         completions.append(table)
 
     _, chosen = _best_dag(completions, deadline)
@@ -573,9 +576,9 @@ def continuous_oneshot(dataset: TrajectoryDataset, config: ContinuousConfig | No
         # overshooting trial steps may overflow; backtracking rejects them
         with np.errstate(over="ignore", invalid="ignore"):
             resid = y - y @ wm - lag_cols @ am
-            h = h_expm(wm)
+            h, h_grad = h_expm_and_grad(wm)
             value = 0.5 / m * float(np.sum(resid * resid)) + alpha * h + 0.5 * rho * h * h
-            gw = -(y.T @ resid) / m + (alpha + rho * h) * h_expm_grad(wm)
+            gw = -(y.T @ resid) / m + (alpha + rho * h) * h_grad
             ga = -(lag_cols.T @ resid) / m
         return value, gw, ga, h
 
@@ -775,7 +778,7 @@ def _config_from(cls, seed, hyper, defaults=None):
     allowed = set(cls.__dataclass_fields__) - {"seed"}
     unknown = set(hyper) - allowed
     if unknown:
-        raise ValueError(f"unknown hyperparameters for this learner: {sorted(unknown)}")
+        raise ConfigError(f"unknown hyperparameters for this learner: {sorted(unknown)}")
     kwargs = dict(defaults or {})
     kwargs.update(hyper)
     return cls(seed=seed, **kwargs)
@@ -811,5 +814,5 @@ def run_learner(name: str, dataset: TrajectoryDataset, seed: int = 0,
                 deadline: Deadline | None = None, **hyper) -> LearnerReport:
     """Dispatch by learner name; unknown names list the valid ones."""
     if name not in LEARNERS:
-        raise ValueError(f"unknown learner {name!r}; valid names: {', '.join(sorted(LEARNERS))}")
+        raise ConfigError(f"unknown learner {name!r}; valid names: {', '.join(sorted(LEARNERS))}")
     return LEARNERS[name](dataset, seed, deadline or _NO_DEADLINE, **hyper)

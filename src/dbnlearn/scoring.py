@@ -20,17 +20,19 @@ Effective sample sizes count usable transitions only: targets from
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import gammaln
 
 from .core import (
-    Cpt, DataError, DbnStructure, DomainMismatchError, FactoredCpt, FamilySpec,
-    LinearGaussian, Logistic, ModelError, Parent, ParameterSet, TrajectoryDataset,
-    UnderdeterminedError, canonical_parents, n_configurations, parents_of,
+    ConfigError, Cpt, DataError, DbnStructure, DomainMismatchError, FactoredCpt, FamilySpec,
+    LinearGaussian, Logistic, ModelError, Parent, ParameterSet, SizeGuardError,
+    TrajectoryDataset, UnderdeterminedError, _sorted_groups, _source, canonical_parents,
+    n_configurations, parents_of,
 )
 
 SCORE_KINDS = ("ll", "aic", "aicc", "bic", "bde", "bge")
@@ -168,13 +170,22 @@ def mle_factored(dataset: TrajectoryDataset, node: int,
     return FactoredCpt(table_dyn=table_dyn, table_stat=table_stat, clipped=clipped)
 
 
+def _loglik_scores(counts: np.ndarray) -> np.ndarray:
+    """Plug-in log-likelihood of each family in a block; ``counts`` is (F, n_configs, arity).
+
+    Each family's terms are summed in one row-wise reduction, so a block
+    of one gives :func:`family_loglik_from_counts` and any block gives the
+    same bits per family.
+    """
+    totals = counts.sum(axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(counts > 0, counts / np.maximum(totals, 1.0)[:, :, None], 1.0)
+    return (counts * np.log(ratio)).reshape(len(counts), -1).sum(axis=1)
+
+
 def family_loglik_from_counts(counts: CountTable) -> float:
     """Plug-in log-likelihood at the count-ratio maximum: sum N log(N / N_xi)."""
-    c = counts.counts.astype(float)
-    totals = c.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(c > 0, c / np.maximum(totals, 1.0)[:, None], 1.0)
-    return float(np.sum(c * np.log(ratio)))
+    return float(_loglik_scores(counts.counts.astype(float)[None])[0])
 
 
 def loglik_cpt(dataset: TrajectoryDataset, structure: DbnStructure, params: ParameterSet) -> float:
@@ -364,7 +375,7 @@ def information_criterion(loglik: float, k: int, n_eff: int, kind: str) -> float
     elif kind == "bic":
         c = k * math.log(max(n_eff, 1))
     else:
-        raise ValueError(f"unknown criterion kind {kind!r}")
+        raise ConfigError(f"unknown criterion kind {kind!r}")
     return -2.0 * loglik + c
 
 
@@ -409,14 +420,22 @@ def bde_family_score(counts: CountTable, prior: DirichletPrior | None = None) ->
     with ``A = sum_k a_k``.  Zero data gives score 0; the structure score
     is the sum of family scores over nodes.
     """
+    return float(_bde_scores(counts.counts.astype(float)[None], prior)[0])
+
+
+def _bde_scores(counts: np.ndarray, prior: DirichletPrior | None) -> np.ndarray:
+    """:func:`bde_family_score` of each family in a block; ``counts`` is (F, n_configs, arity).
+
+    Both sums of the formula run as row-wise reductions, one row per
+    family, so every family scores the same bits in a block of any size.
+    """
     prior = prior or DirichletPrior(1.0)
-    alpha = prior.pseudo_counts(counts.counts.shape[0], counts.counts.shape[1])
-    n = counts.counts.astype(float)
+    n_fam, n_cfg, arity = counts.shape
+    alpha = prior.pseudo_counts(n_cfg, arity)
     a_tot = alpha.sum(axis=1)
-    return float(
-        np.sum(gammaln(a_tot) - gammaln(a_tot + n.sum(axis=1)))
-        + np.sum(gammaln(alpha + n) - gammaln(alpha))
-    )
+    per_config = gammaln(a_tot) - gammaln(a_tot + counts.sum(axis=2))
+    per_cell = gammaln(alpha + counts) - gammaln(alpha)
+    return per_config.sum(axis=1) + per_cell.reshape(n_fam, -1).sum(axis=1)
 
 
 def dirichlet_posterior(counts: CountTable, prior: DirichletPrior | None = None) -> np.ndarray:
@@ -574,7 +593,7 @@ def family_score(dataset: TrajectoryDataset, node: int, parents: Sequence[Parent
     """Higher-is-better score of one family; see the module docstring for kinds."""
     kind = kind.lower()
     if kind not in SCORE_KINDS:
-        raise ValueError(f"unknown score kind {kind!r}; expected one of {SCORE_KINDS}")
+        raise ConfigError(f"unknown score kind {kind!r}; expected one of {SCORE_KINDS}")
     family = FamilySpec(node=node, parents=canonical_parents(parents))
     if kind == "bde":
         return bde_family_score(count_transitions(dataset, family), prior)
@@ -616,13 +635,37 @@ def cached_family_score(cache: ScoreCache, dataset: TrajectoryDataset, node: int
     """Like :func:`family_score` but memoized; parent order never matters."""
     kind = (kind or cache.kind).lower()
     if kind != cache.kind.lower():
-        raise ValueError(f"cache holds {cache.kind!r} scores, not {kind!r}")
+        raise ConfigError(f"cache holds {cache.kind!r} scores, not {kind!r}")
     key = cache.key(node, parents)
     hit = cache.entries.get(key)
     if hit is None:
         hit = family_score(dataset, node, list(key[1]), kind, prior=prior, hyper=hyper)
         cache.entries[key] = hit
     return hit
+
+
+_COUNTED_KINDS = ("ll", "aic", "aicc", "bic", "bde")
+_BATCH_ELEMENTS = 1 << 15  # cap on families x max(distinct rows, cells) per counting step
+
+
+def _block_counts(cols: np.ndarray, radix: np.ndarray, distinct: np.ndarray,
+                  weights: np.ndarray) -> np.ndarray:
+    """Counts (F, n_configs, child arity) of F families over weighted distinct rows.
+
+    ``cols[f]`` names the rows of ``distinct`` that family ``f`` reads,
+    child first; ``radix`` holds their arities.  Indices are built in
+    ``distinct``'s integer type, so they must fit it.
+    """
+    n_fam, n_digits = cols.shape
+    n_cells = int(np.prod(radix))
+    flat = distinct[cols[:, -1]]
+    for d in range(n_digits - 2, -1, -1):
+        flat *= radix[d]
+        flat += distinct[cols[:, d]]
+    flat += (np.arange(n_fam, dtype=flat.dtype) * n_cells)[:, None]
+    counts = np.bincount(flat.reshape(-1), weights=np.tile(weights, n_fam),
+                         minlength=n_fam * n_cells)
+    return counts.reshape(n_fam, n_cells // radix[0], radix[0])
 
 
 class FamilyScorer:
@@ -635,10 +678,118 @@ class FamilyScorer:
         self.prior = prior
         self.hyper = hyper
         self.cache = ScoreCache(kind=self.kind)
+        self._rows = {}  # (first target time, largest lag) -> dataset.distinct_rows
 
     def __call__(self, node: int, parents: Sequence[Parent]) -> float:
         return cached_family_score(self.cache, self.dataset, node, parents,
                                    self.kind, prior=self.prior, hyper=self.hyper)
+
+    def many(self, node: int, parent_sets: Sequence[tuple[Parent, ...]],
+             check: Callable[[], None] | None = None) -> np.ndarray:
+        """Scores of ``node`` with each parent tuple, in order, every one left in the cache.
+
+        Bit for bit what one call per tuple returns, with the same cache
+        entries.  The tuples must be canonical
+        (:func:`~dbnlearn.core.canonical_parents`), the order the cache keys
+        them by.  On discrete data the count-based kinds count every family
+        not yet cached in blocks (:meth:`_counted_scores`); other kinds score
+        one family at a time.  ``check`` (a deadline's ``check``) runs before
+        every counting step, or every family.
+        """
+        check = check or (lambda: None)
+        keys = [(node, tuple(parents)) for parents in parent_sets]
+        entries = self.cache.entries
+        todo = [key for key in keys if key not in entries]  # a repeat is scored twice, alike
+        if self.dataset.domain.discrete and self.kind in _COUNTED_KINDS:
+            entries.update(zip(todo, self._counted_scores(node, [k[1] for k in todo], check)))
+        else:
+            for _, parents in todo:
+                check()
+                self(node, parents)
+        return np.fromiter(map(entries.__getitem__, keys), dtype=float, count=len(keys))
+
+    def _counted_scores(self, node: int, families: list, check: Callable[[], None]) -> list:
+        """Count-based scores of ``node`` with each canonical parent tuple, in order.
+
+        The bank columns of one first target time are compressed once into
+        their distinct rows and multiplicities (:meth:`_distinct_rows`).
+        Families with one first target time and one arity tuple form a
+        block.  Each step of a block builds every family's configuration
+        index over the distinct rows as one (families, rows) Horner array,
+        child as the lowest digit as in :func:`_config_index`, and tallies
+        it with one weighted ``bincount``; integer weights sum exactly, so
+        the counts are those of :func:`count_transitions`.  The block
+        formulas then give each family the bits of its per-family score,
+        and the criteria come from :func:`information_criterion`, family by
+        family in order.
+        """
+        ds = self.dataset
+        n_x, n_z = ds.n_x, ds.n_z
+        # every distinct parent, in canonical order, then a padding slot of
+        # arity 1, which adds no digit: its column among the distinct rows
+        # (statics, then lag 0, 1, ... of every variable), lag and arity
+        sources = sorted(set(itertools.chain.from_iterable(families)), key=Parent.sort_key)
+        slot = {par: s for s, par in enumerate(sources)}
+        column, lag, arity = [], [], []
+        for par in sources:
+            par_lag, var = _source(node, par)
+            if not (0 <= var < (n_z if par_lag is None else n_x) and (par_lag or 0) >= 0):
+                raise ModelError(f"parent {par} of node {node} is not in the data")
+            column.append(var if par_lag is None else n_z + par_lag * n_x + var)
+            lag.append(par_lag or 0)
+            arity.append(ds.domain.z_arities[var] if par_lag is None else ds.domain.x_arities[var])
+        column, lag, arity = (np.array([*a, pad], dtype=np.int64)
+                              for a, pad in ((column, 0), (lag, 0), (arity, 1)))
+
+        n_parents = np.fromiter(map(len, families), dtype=np.int64, count=len(families))
+        filled = np.arange(n_parents.max(initial=0)) < n_parents[:, None]
+        slots = np.full(filled.shape, len(sources))
+        slots[filled] = np.fromiter(map(slot.__getitem__, itertools.chain.from_iterable(families)),
+                                    dtype=np.int64, count=int(n_parents.sum()))
+        if np.any((slots[:, 1:] <= slots[:, :-1]) & filled[:, 1:]):
+            raise ModelError("parent tuples must be canonical, without repeats")
+        fam_lag = lag[slots].max(axis=1, initial=0)
+        t_first = np.maximum(ds.burn_in + 1, fam_lag)  # inter lag 1 never moves it
+        cols = np.column_stack([np.full(len(families), n_z + node), column[slots]])
+        radices = np.column_stack([np.full(len(families), ds.domain.x_arities[node]), arity[slots]])
+
+        values = np.empty(len(families))
+        n_params = np.empty(len(families), dtype=np.int64)
+        n_eff = np.empty(len(families), dtype=np.int64)
+        order, starts = _sorted_groups(np.vstack([t_first, radices.T]))
+        for members in np.split(order, starts[1:]):
+            t0 = int(t_first[members[0]])
+            radix = radices[members[0]]
+            n_cells = int(np.prod(radix))
+            if n_cells >= 1 << 31:
+                raise SizeGuardError(f"a family of node {node} has {n_cells} count cells")
+            distinct, weights = self._distinct_rows(t0, int(fam_lag[t_first == t0].max()))
+            n_params[members] = n_cells // radix[0] * (radix[0] - 1)
+            n_eff[members] = ds.N * max(0, ds.T - t0 + 1)
+            digits = np.flatnonzero(radix > 1)
+            block = cols[members][:, digits]
+            step = max(1, _BATCH_ELEMENTS // max(weights.size, n_cells))
+            for begin in range(0, members.size, step):
+                check()
+                counts = _block_counts(block[begin:begin + step], radix[digits], distinct, weights)
+                values[members[begin:begin + step]] = _bde_scores(counts, self.prior) \
+                    if self.kind == "bde" else _loglik_scores(counts)
+        if self.kind in ("bde", "ll"):
+            return values.tolist()
+        return [-information_criterion(ll, k, m, self.kind)
+                for ll, k, m in zip(values.tolist(), n_params.tolist(), n_eff.tolist())]
+
+    def _distinct_rows(self, t0: int, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct rows (int32) of every static and every lag-0..``max_lag`` column at ``t0``, kept."""
+        hit = self._rows.get((t0, max_lag))
+        if hit is None:
+            ds = self.dataset
+            keys = [(t0, None, j) for j in range(ds.n_z)]
+            keys += [(t0, lag, j) for lag in range(max_lag + 1) for j in range(ds.n_x)]
+            distinct, mult = ds.distinct_rows(keys)
+            hit = (np.ascontiguousarray(distinct, dtype=np.int32), mult.astype(float))
+            self._rows[(t0, max_lag)] = hit
+        return hit
 
     def structure_score(self, structure: DbnStructure) -> float:
         return sum(self(i, parents_of(structure, i).parents) for i in range(structure.n_x))

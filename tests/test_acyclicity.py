@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from dbnlearn.acyclicity import h_expm, h_expm_grad, h_poly, threshold_and_repair
+import dbnlearn.acyclicity as acyclicity
+from dbnlearn.acyclicity import h_expm, h_expm_and_grad, h_expm_grad, h_poly, threshold_and_repair
 from dbnlearn.core import DimensionError, is_acyclic
 
 
@@ -83,6 +85,22 @@ class TestGradients:
             _, ana = h_poly(w, 0.1)
             num = central_difference(lambda m: h_poly(m, 0.1)[0], w)
             assert np.allclose(ana, num, rtol=1e-6, atol=1e-7)
+
+
+class TestOneExpm:
+    def test_value_and_gradient_from_one_exponential(self, rng, monkeypatch):
+        w = rng.normal(size=(6, 6))
+        a = w.copy()
+        np.fill_diagonal(a, 0.0)
+        e = scipy.linalg.expm(a * a)
+        calls = []
+        expm = scipy.linalg.expm
+        monkeypatch.setattr(acyclicity.scipy.linalg, "expm", lambda m: calls.append(1) or expm(m))
+        h, grad = h_expm_and_grad(w)
+        assert len(calls) == 1
+        # the separate formulas, bit for bit
+        assert h == float(np.trace(e) - 6) == h_expm(w)
+        assert np.array_equal(grad, 2.0 * e.T * a) and np.array_equal(grad, h_expm_grad(w))
 
 
 class TestHPoly:

@@ -131,6 +131,19 @@ class TestLearnCommand:
 
 
 class TestScoreAndCheck:
+    def test_config_error_is_usage_error(self, generated, monkeypatch, capsys):
+        import dbnlearn.cli as cli
+        from dbnlearn.core import ConfigError
+
+        def refuse(*args, **kwargs):
+            raise ConfigError("unknown score kind 'zap'")
+
+        monkeypatch.setattr(cli, "family_score", refuse)
+        _, cell = generated
+        code = main(["score", "--data", str(cell / "data.csv"), "--node", "0", "--kind", "bic"])
+        assert code == 2
+        assert "unknown score kind" in capsys.readouterr().err
+
     def test_underdetermined_fit_maps_to_data_error(self, tmp_path, capsys):
         # 2 usable transitions for intercept + 2 slopes + variance
         ds = continuous_dataset(np.random.default_rng(0).normal(size=(1, 3, 3)))

@@ -2,17 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dbnlearn.core import (
-    DataError, DbnStructure, DomainMismatchError, FamilySpec, SizeGuardError, is_acyclic,
-    parents_of,
+    ConfigError, DataError, DbnError, DbnStructure, DomainMismatchError, FamilySpec,
+    SizeGuardError, is_acyclic, parents_of,
 )
 from dbnlearn.learn import (
-    BoundedConfig, CellTimeout, ContinuousConfig, Deadline, SearchConfig,
+    LEARNERS, BoundedConfig, CellTimeout, ContinuousConfig, Deadline, SearchConfig,
     bounded_oneshot, continuous_oneshot, exact_search, hill_climb, run_learner,
     _legal_moves, _moved_families, _price_support, _random_start, _structure_with,
 )
-from dbnlearn.scoring import FamilyScorer, bge_family_score, family_score
+import dbnlearn.learn as learn
+from dbnlearn.evaluate import temporal_split
+from dbnlearn.scoring import (
+    SCORE_KINDS, DirichletPrior, FamilyScorer, ScoreCache, bge_family_score,
+    cached_family_score, dump_scores, family_score, information_criterion,
+)
 from dbnlearn.simulate import substream
 from dbnlearn.simulate import EdgeProbs, GeneratorConfig, sample_random_dbn, sample_trajectories
 
@@ -86,6 +92,45 @@ class TestExactSearch:
         a = exact_search(ds, "bde", SearchConfig(score="bde", seed=9)).to_json()
         b = exact_search(ds, "bde", SearchConfig(score="bde", seed=9)).to_json()
         assert a == b
+
+    @pytest.mark.parametrize("kind", ["bde", "bic", "ll"])
+    def test_batched_cache_equals_per_family_fill(self, kind, monkeypatch):
+        # static covariates, auto lags up to 2 and a burn-in (the test side)
+        _, ds = discrete_instance(6, n_traj=12, horizon=12, n_z=2, static=0.3)
+        scorers = []
+        monkeypatch.setattr(learn, "FamilyScorer",
+                            lambda *a, **k: scorers.append(FamilyScorer(*a, **k)) or scorers[-1])
+        cfg = SearchConfig(score=kind, p=2, max_auto=2)
+        for side in (ds, temporal_split(ds)[1]):
+            report = exact_search(side, kind, cfg, prior=DirichletPrior(3.0))
+            batched = scorers[-1].cache
+            one_by_one = FamilyScorer(side, kind, prior=DirichletPrior(3.0))
+            for node, parents in batched.entries:
+                one_by_one(node, parents)
+            assert dump_scores(batched) == dump_scores(one_by_one.cache)
+            assert report.extras["cache_entries"] == len(one_by_one.cache)
+
+    def test_respects_deadline(self):
+        _, ds = discrete_instance(9, n_traj=50, horizon=30)
+        with pytest.raises(CellTimeout):
+            exact_search(ds, "bde", deadline=Deadline(0.0))
+
+    def test_deadline_checked_inside_batched_scoring(self):
+        class Countdown(Deadline):
+            def __init__(self, checks):
+                super().__init__(None)
+                self.checks = checks
+
+            def check(self):
+                self.checks -= 1
+                if self.checks < 0:
+                    raise CellTimeout("learner exceeded its time budget")
+
+        _, ds = discrete_instance(9, n_traj=50, horizon=30)
+        deadline = Countdown(1)  # the check before node 0 passes, the first counting step's fails
+        with pytest.raises(CellTimeout):
+            exact_search(ds, "bde", deadline=deadline)
+        assert deadline.checks == -1
 
 
 def _all_non_intra_sets(ds, node, cfg):
@@ -391,3 +436,64 @@ class TestRegistry:
         _, ds = discrete_instance(12)
         with pytest.raises(ValueError, match="unknown hyperparameters"):
             run_learner("hill", ds, seed=0, nonsense=1)
+
+
+TINY = discrete_dataset(np.zeros((2, 3, 2), dtype=int))
+
+# every setting a config validator refuses: (learner, hyperparameter, bad values)
+BAD_SETTINGS = (
+    [(name, key, st.integers(-5, -1)) for name in ("exact", "hill")
+     for key in ("max_intra", "max_inter", "max_auto", "max_static")]
+    + [(name, key, st.integers(-5, 0)) for name in ("exact", "hill")
+       for key in ("move_budget", "restarts", "p")]
+    + [("dynotears", key, st.floats(-1e6, -1e-9) | st.just(math.nan))
+       for key in ("lambda_w", "lambda_a", "w_threshold")]
+    + [("dynotears", key, st.floats(-1e6, 0.0) | st.just(math.nan)) for key in ("rho0", "h_tol")]
+    + [("dynotears", "rho_growth", st.floats(-1e6, 1.0)),
+       ("dynotears", "max_lag", st.integers(-5, 0)), ("dynotears", "max_outer", st.integers(-5, 0))]
+    + [("bounded", key, st.floats(-1e6, 0.0) | st.just(math.nan)) for key in ("b_w", "b_a")]
+)
+
+
+@st.composite
+def bad_calls(draw):
+    """One call into the scoring or learner surface with a bad name or kind."""
+    word = st.text(min_size=1, max_size=12)
+    what = draw(st.sampled_from(["learner", "hyperparameter", "score", "search score",
+                                 "criterion", "cache"]))
+    if what == "learner":
+        name = draw(word.filter(lambda w: w not in LEARNERS))
+        return lambda: run_learner(name, TINY)
+    if what == "hyperparameter":
+        name = draw(st.sampled_from(sorted(LEARNERS)))
+        key = draw(word.filter(lambda w: all(w not in cfg.__dataclass_fields__ for cfg in
+                                             (SearchConfig, ContinuousConfig, BoundedConfig))))
+        return lambda: run_learner(name, TINY, **{key: 1})
+    kind = draw(word.filter(lambda w: w.lower() not in SCORE_KINDS))
+    if what == "score":
+        return lambda: family_score(TINY, 0, [], kind)
+    if what == "search score":
+        name = draw(st.sampled_from(["exact", "hill"]))
+        return lambda: run_learner(name, TINY, score=kind)
+    if what == "criterion":
+        crit = draw(word.filter(lambda w: w.lower() not in ("aic", "aicc", "bic")))
+        return lambda: information_criterion(-1.0, 2, 10, crit)
+    held, asked = draw(st.permutations(list(SCORE_KINDS)))[:2]
+    return lambda: cached_family_score(ScoreCache(kind=held), TINY, 0, [], asked)
+
+
+class TestTypedErrors:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(bad_calls())
+    def test_bad_names_and_kinds_raise_config_errors(self, call):
+        with pytest.raises(DbnError) as caught:
+            call()
+        assert isinstance(caught.value, ConfigError) and isinstance(caught.value, ValueError)
+
+    @pytest.mark.parametrize("name, key, values", BAD_SETTINGS,
+                             ids=[f"{name}-{key}" for name, key, _ in BAD_SETTINGS])
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_settings_out_of_range_raise_config_errors(self, name, key, values, data):
+        with pytest.raises(ConfigError):
+            run_learner(name, TINY, **{key: data.draw(values)})

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
+from scipy.special import gammaln
 
 import dbnlearn.scoring as sc
 from dbnlearn.core import (
@@ -17,6 +18,7 @@ from dbnlearn.evaluate import temporal_split
 from dbnlearn.simulate import EdgeProbs, GeneratorConfig, sample_random_dbn, sample_trajectories
 
 from conftest import continuous_dataset, discrete_dataset
+from oracle_utils import class_subsets
 
 
 def family(node, *parents):
@@ -245,9 +247,8 @@ def tally_ratios(counts):
     return [c[1] / tot if tot else 0.5 for c, tot in zip(counts.tolist(), totals.tolist())]
 
 
-@st.composite
-def bank_cases(draw):
-    """A small discrete dataset (lags up to 3, static covariates) and a family of one node."""
+def draw_discrete_arrays(draw):
+    """Up to 3 trajectories of 2-9 slices over 1-3 variables and 0-2 covariates, arities 2-3."""
     n_x = draw(st.integers(1, 3))
     n_z = draw(st.integers(0, 2))
     n_traj = draw(st.integers(1, 3))
@@ -259,6 +260,14 @@ def bank_cases(draw):
     x = np.stack([rng.integers(a, size=(n_traj, horizon + 1)) for a in x_ar], axis=2)
     z = np.stack([rng.integers(a, size=n_traj) for a in z_ar], axis=1) if n_z \
         else np.zeros((n_traj, 0), dtype=np.int64)
+    return x, z, x_ar, z_ar
+
+
+@st.composite
+def bank_cases(draw):
+    """A small discrete dataset (lags up to 3, static covariates) and a family of one node."""
+    x, z, x_ar, z_ar = draw_discrete_arrays(draw)
+    n_x, n_z, horizon = len(x_ar), len(z_ar), x.shape[1] - 1
     burn_in = draw(st.integers(0, horizon))
     node = draw(st.integers(0, n_x - 1))
     flags = st.lists(st.booleans(), min_size=n_x, max_size=n_x)
@@ -787,6 +796,146 @@ class TestScoreCacheAndDump:
         cache = sc.ScoreCache(kind="bde")
         with pytest.raises(ValueError):
             sc.cached_family_score(cache, ds, 0, [], "bic")
+
+
+COUNTED_KINDS = ("ll", "aic", "aicc", "bic", "bde")
+
+
+@st.composite
+def lattice_cases(draw):
+    """A small discrete dataset and one node's exact-search lattice (auto lags up to 2)."""
+    x, z, x_ar, z_ar = draw_discrete_arrays(draw)
+    n_x, n_z = len(x_ar), len(z_ar)
+    ds = discrete_dataset(x, z, x_arities=x_ar, z_arities=z_ar)
+    node = draw(st.integers(0, n_x - 1))
+    p = draw(st.integers(1, 2))
+    caps = draw(st.lists(st.integers(0, 2), min_size=4, max_size=4))
+    others = [j for j in range(n_x) if j != node]
+    lattice = [inter + intra + auto + stat
+               for intra in class_subsets([Parent("intra", j) for j in others], caps[0])
+               for inter in class_subsets([Parent("inter", j) for j in range(n_x)], caps[1])
+               for auto in class_subsets([Parent("auto", t) for t in range(1, p + 1)], caps[2])
+               for stat in class_subsets([Parent("static", j) for j in range(n_z)], caps[3])]
+    return ds, node, lattice
+
+
+def per_family_scores(ds, node, lattice, kind, prior):
+    """Scores of one call per family, or the error type the first failing family raises."""
+    try:
+        return [sc.family_score(ds, node, parents, kind, prior=prior) for parents in lattice]
+    except DataError:
+        return DataError
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+@st.composite
+def count_blocks(draw):
+    """A block of count tables of one shape, sparse enough to leave empty cells."""
+    n_cfg, arity, n_fam = draw(st.integers(1, 100)), draw(st.integers(2, 3)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    counts = rng.integers(0, 9, size=(n_fam, n_cfg, arity)) * (rng.random((n_fam, n_cfg, arity)) < 0.6)
+    return counts, draw(st.sampled_from([0.5, 1.0, 7.5]))
+
+
+def written_out_bde(counts, ess):
+    """The BDe sums over one (n_configs, arity) table, as written before the block form."""
+    alpha = np.full(counts.shape, ess / counts.size)
+    n = counts.astype(float)
+    a_tot = alpha.sum(axis=1)
+    return float(np.sum(gammaln(a_tot) - gammaln(a_tot + n.sum(axis=1)))
+                 + np.sum(gammaln(alpha + n) - gammaln(alpha)))
+
+
+def written_out_loglik(counts):
+    c = counts.astype(float)
+    totals = c.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(c > 0, c / np.maximum(totals, 1.0)[:, None], 1.0)
+    return float(np.sum(c * np.log(ratio)))
+
+
+class TestBlockFormulas:
+    """The block BDe and log-likelihood against the per-table sums, bit for bit."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(count_blocks())
+    def test_each_row_of_a_block_matches_the_table_sums(self, case):
+        block, ess = case
+        prior = sc.DirichletPrior(ess)
+        want_bde = [written_out_bde(c, ess) for c in block]
+        want_ll = [written_out_loglik(c) for c in block]
+        assert bits(sc._bde_scores(block.astype(float), prior)) == bits(want_bde)
+        assert bits(sc._loglik_scores(block.astype(float))) == bits(want_ll)
+        fam = FamilySpec(0, (Parent("inter", 0),))
+        tables = [sc.CountTable(0, fam, (block.shape[1],), block.shape[2], c) for c in block]
+        assert bits([sc.bde_family_score(t, prior) for t in tables]) == bits(want_bde)
+        assert bits([sc.family_loglik_from_counts(t) for t in tables]) == bits(want_ll)
+
+
+class TestBatchedScorer:
+    """``FamilyScorer.many`` against one ``family_score`` call per family, bit for bit."""
+
+    @staticmethod
+    def check_lattice(ds, node, lattice, prior):
+        for kind in COUNTED_KINDS:
+            want = per_family_scores(ds, node, lattice, kind, prior)
+            scorer = sc.FamilyScorer(ds, kind, prior=prior)
+            if want is DataError:  # AICc with n_eff <= k + 2
+                with pytest.raises(DataError):
+                    scorer.many(node, lattice)
+                continue
+            got = scorer.many(node, lattice)
+            assert got.dtype == np.float64 and bits(got) == bits(want)
+            one_by_one = sc.FamilyScorer(ds, kind, prior=prior)
+            for parents in lattice:
+                one_by_one(node, parents)
+            assert sc.dump_scores(scorer.cache) == sc.dump_scores(one_by_one.cache)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(lattice_cases(), st.sampled_from([None, 0.5, 2.0, 7.5]))
+    def test_matches_per_family_scores(self, case, ess):
+        ds, node, lattice = case
+        prior = None if ess is None else sc.DirichletPrior(ess)
+        self.check_lattice(ds, node, lattice, prior)
+        if ds.T >= 3:
+            for side in temporal_split(ds):  # the test side carries a burn-in
+                self.check_lattice(side, node, lattice, prior)
+
+    def test_cached_families_are_kept_and_repeats_share_one_entry(self, rng):
+        ds = discrete_dataset(rng.integers(0, 2, size=(4, 9, 3)))
+        scorer = sc.FamilyScorer(ds, "bde")
+        first = scorer(1, (Parent("inter", 0),))
+        scorer.cache.entries[(1, (Parent("inter", 0),))] = 123.0  # a hit is not rescored
+        got = scorer.many(1, [(), (Parent("inter", 0),), (), (Parent("intra", 2),)])
+        assert first != 123.0 and got[1] == 123.0 and got[0] == got[2]
+        assert len(scorer.cache) == 3
+
+    def test_non_canonical_or_repeated_parents_rejected(self, rng):
+        ds = discrete_dataset(rng.integers(0, 2, size=(2, 5, 3)))
+        scorer = sc.FamilyScorer(ds, "bic")
+        for bad in ((Parent("intra", 1), Parent("inter", 2)),
+                    (Parent("inter", 2), Parent("inter", 2)),
+                    (Parent("static", 0),), (Parent("inter", 3),)):
+            with pytest.raises(ModelError):
+                scorer.many(0, [bad])
+
+    def test_continuous_kinds_score_one_family_at_a_time(self, rng):
+        ds = continuous_dataset(rng.normal(size=(3, 12, 2)))
+        lattice = [(), (Parent("inter", 1),), (Parent("intra", 1), Parent("auto", 1))]
+        for kind in ("bge", "bic"):
+            want = [sc.family_score(ds, 0, parents, kind) for parents in lattice]
+            assert bits(sc.FamilyScorer(ds, kind).many(0, lattice)) == bits(want)
+
+    def test_check_runs_before_every_counting_step(self, rng, monkeypatch):
+        ds = discrete_dataset(rng.integers(0, 2, size=(5, 40, 4)))
+        lattice = [(), (Parent("inter", 1),), (Parent("inter", 2),), (Parent("intra", 3),)]
+        calls = []
+        monkeypatch.setattr(sc, "_BATCH_ELEMENTS", 1)  # one family per step
+        sc.FamilyScorer(ds, "bde").many(0, lattice, lambda: calls.append(1))
+        assert len(calls) == len(lattice)
 
 
 class TestDecomposability:
