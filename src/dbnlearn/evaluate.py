@@ -20,8 +20,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-import scipy.stats
-
 from .core import (
     DbnStructure, DimensionError, ParameterSet, SplitError, TrajectoryDataset,
     parents_of,
@@ -131,6 +129,28 @@ def shd(predicted: DbnStructure, truth: DbnStructure, reversal_cost_one: bool = 
     return dist
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-d array, ties given the mean of their positions.
+
+    The ranks ``scipy.stats.rankdata(values, method="average")`` gives,
+    NaN everywhere when any value is NaN.  A tie group at sorted
+    positions ``start .. end - 1`` shares ``(start + end + 1) / 2``, an
+    exact half, so sums of ranks are exact.
+    """
+    values = np.asarray(values, dtype=float)
+    if np.isnan(values).any():
+        return np.full(values.shape, np.nan)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.ones(values.size, dtype=bool)  # first position of each tie group
+    first[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], values.size)
+    ranks = np.empty(values.size)
+    ranks[order] = ((starts + ends + 1) / 2.0)[np.cumsum(first) - 1]
+    return ranks
+
+
 def auroc(edge_scores: Sequence[float], truth: Sequence[bool]) -> float:
     """Probability a random (true edge, non-edge) pair is ranked correctly; ties count 1/2.
 
@@ -146,7 +166,7 @@ def auroc(edge_scores: Sequence[float], truth: Sequence[bool]) -> float:
     if n_pos == 0 or n_neg == 0:
         warnings.warn("AUROC undefined for degenerate truth; returning 0.5")
         return 0.5
-    ranks = scipy.stats.rankdata(scores, method="average")
+    ranks = _average_ranks(scores)
     return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

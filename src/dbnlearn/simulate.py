@@ -15,10 +15,11 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import (
-    Cpt, DbnStructure, Domain, FactoredCpt, FamilySpec, LinearGaussian, Logistic,
-    ModelError, NoisyOr, ParameterSet, TrajectoryDataset, configuration_index,
-    n_configurations, parents_of, topological_order,
+    ConfigError, Cpt, DbnStructure, Domain, FactoredCpt, FamilySpec, LinearGaussian,
+    Logistic, ModelError, NoisyOr, ParameterSet, TrajectoryDataset, n_configurations,
+    parents_of, topological_order,
 )
+from .scoring import _config_index
 
 MODEL_FAMILIES = ("cpt", "factored", "noisy_or", "logistic", "linear_gaussian")
 
@@ -50,7 +51,7 @@ class EdgeProbs:
         for name in ("intra", "inter", "auto", "static"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
-                raise ValueError(f"edge probability {name}={v} outside [0, 1]")
+                raise ConfigError(f"edge probability {name}={v} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -83,11 +84,11 @@ class GeneratorConfig:
         if self.model not in MODEL_FAMILIES:
             raise ModelError(f"unknown model family {self.model!r}")
         if self.weight_range[0] > self.weight_range[1]:
-            raise ValueError("weight range must satisfy w_lo <= w_hi")
+            raise ConfigError("weight range must satisfy w_lo <= w_hi")
         if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+            raise ConfigError("sigma must be positive")
         if self.stability_radius is not None and not self.stability_radius > 0:
-            raise ValueError("stability radius must be positive")
+            raise ConfigError("stability radius must be positive")
         if self.model in ("factored", "noisy_or", "logistic") and self.x_arity != 2:
             raise ModelError(f"{self.model} kernels need binary dynamic variables")
 
@@ -113,7 +114,7 @@ class RegimeSpec:
     def __post_init__(self):
         for t in self.triples:
             if any(v <= 0 for v in t):
-                raise ValueError(f"regime entries must be positive, got {t}")
+                raise ConfigError(f"regime entries must be positive, got {t}")
 
 
 FAVORABLE_REGIME = RegimeSpec(
@@ -318,6 +319,12 @@ def sample_trajectories(structure: DbnStructure, params: ParameterSet, n_traj: i
     variable's earliest value; those early transitions are exactly the
     ones the scoring drop rule excludes, so the clamp never biases a
     counted statistic.
+
+    Trajectory ``n`` draws from its own substream ``(seed, "traj", n)``:
+    its static covariates and initial slice, then one uniform (discrete
+    kernels) or one standard normal (linear Gaussian) per (t, node) in
+    that order, taken as one block.  All trajectories are then stepped
+    together, so a trajectory does not depend on how many are drawn.
     """
     kinds = {params.kind(i) for i in range(structure.n_x)}
     if len(params) != structure.n_x:
@@ -337,25 +344,26 @@ def sample_trajectories(structure: DbnStructure, params: ParameterSet, n_traj: i
     families = [parents_of(structure, i) for i in range(structure.n_x)]
     _validate_params(structure, params, families, x_ar, z_ar)
     order = topological_order(structure.intra)
-    cdf_tables = [np.cumsum(params[i].table, axis=1) if isinstance(params[i], Cpt) else None
-                  for i in range(structure.n_x)]
+    draws = [_node_sampler(params[i], families[i], x_ar, z_ar) for i in range(structure.n_x)]
 
-    x = np.empty((n_traj, horizon + 1, structure.n_x),
-                 dtype=np.float64 if continuous else np.int64)
+    n_x = structure.n_x
+    x = np.empty((n_traj, horizon + 1, n_x), dtype=np.float64 if continuous else np.int64)
     z = np.empty((n_traj, structure.n_z), dtype=np.float64 if continuous else np.int64)
+    # noise[n, t - 1, m] is trajectory n's draw for node order[m] at time t
+    noise = np.empty((n_traj, horizon, n_x))
     for n in range(n_traj):
         rng = substream(seed, "traj", n)
         if continuous:
             z[n] = rng.standard_normal(structure.n_z)
-            x[n, 0] = rng.standard_normal(structure.n_x)
+            x[n, 0] = rng.standard_normal(n_x)
+            noise[n] = rng.standard_normal((horizon, n_x))
         else:
             z[n] = [rng.integers(a) for a in z_ar] if structure.n_z else []
             x[n, 0] = [rng.integers(a) for a in x_ar]
-        for t in range(1, horizon + 1):
-            for i in order:
-                vals = _parent_values(x[n], z[n], families[i], t)
-                x[n, t, i] = _draw_child(rng, params[i], families[i], vals,
-                                         cdf_tables[i], x_ar, z_ar)
+            noise[n] = rng.random((horizon, n_x))
+    for t in range(1, horizon + 1):
+        for m, i in enumerate(order):
+            x[:, t, i] = draws[i](_parent_rows(x, z, families[i], t), noise[:, t - 1, m])
     return TrajectoryDataset(domain=domain, x=x, z=z)
 
 
@@ -381,6 +389,8 @@ def _validate_params(structure, params, families, x_ar, z_ar):
             if par.table_dyn.size != (2 ** n_dyn if n_dyn else 0) or \
                par.table_stat.size != (2 ** n_stat if n_stat else 0):
                 raise ModelError(f"node {i} factored tables inconsistent with family")
+            if any(a != 2 for a in fam.arities(x_ar, z_ar)):
+                raise ModelError(f"node {i} factored kernel needs binary parents")
         elif isinstance(par, NoisyOr):
             if len(par.lam) != k:
                 raise ModelError(f"node {i} noisy-or needs {k} lambdas, got {len(par.lam)}")
@@ -389,36 +399,53 @@ def _validate_params(structure, params, families, x_ar, z_ar):
                 raise ModelError(f"node {i} kernel needs {k} weights, got {par.beta.size}")
 
 
-def _parent_values(traj: np.ndarray, statics: np.ndarray, family: FamilySpec, t: int) -> list:
-    vals = []
-    for p in family.parents:
+def _parent_rows(x: np.ndarray, z: np.ndarray, family: FamilySpec, t: int) -> np.ndarray:
+    """(parents, N) values of the family's parents at slice ``t`` of every trajectory."""
+    rows = np.empty((len(family.parents), x.shape[0]), dtype=x.dtype)
+    for k, p in enumerate(family.parents):
         if p.kind == "inter":
-            vals.append(traj[t - 1, p.index])
+            rows[k] = x[:, t - 1, p.index]
         elif p.kind == "intra":
-            vals.append(traj[t, p.index])
+            rows[k] = x[:, t, p.index]
         elif p.kind == "auto":
             # lag reaching before time 0: clamp to the earliest observed value
-            vals.append(traj[max(t - p.index, 0), family.node])
+            rows[k] = x[:, max(t - p.index, 0), family.node]
         else:
-            vals.append(statics[p.index])
-    return vals
+            rows[k] = z[:, p.index]
+    return rows
 
 
-def _draw_child(rng, par, family: FamilySpec, vals, cdf, x_ar, z_ar):
+def _categorical(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw of one value per uniform ``u`` from (rows, arity) cumulative rows.
+
+    Counting the entries ``<= u`` is ``searchsorted(side="right")``.  A
+    row may sum to 1 - 1e-12, so a uniform above its last entry is given
+    to the last value, which carries that residual mass.
+    """
+    return np.minimum((cdf <= u[:, None]).sum(axis=1), cdf.shape[-1] - 1)
+
+
+def _node_sampler(par, family: FamilySpec, x_ar, z_ar):
+    """Map (parents, N) parent values and N noise draws to the node's N new values."""
     if isinstance(par, Cpt):
-        idx = configuration_index([int(v) for v in vals], family.arities(x_ar, z_ar))
-        return int(np.searchsorted(cdf[idx], rng.random(), side="right"))
+        cdf = np.cumsum(par.table, axis=1)
+        arities = family.arities(x_ar, z_ar)
+        if not arities:
+            return lambda values, u: _categorical(cdf[0], u)
+        return lambda values, u: _categorical(cdf[_config_index(values, arities)], u)
     if isinstance(par, FactoredCpt):
-        dyn_vals = [int(v) for v, p in zip(vals, family.parents) if p.kind != "static"]
-        stat_vals = [int(v) for v, p in zip(vals, family.parents) if p.kind == "static"]
-        d_idx = configuration_index(dyn_vals, (2,) * len(dyn_vals)) if dyn_vals else 0
-        s_idx = configuration_index(stat_vals, (2,) * len(stat_vals)) if stat_vals else 0
-        return int(rng.random() < par.prob_one(d_idx, s_idx))
-    if isinstance(par, NoisyOr):
-        return int(rng.random() < par.prob_one([int(v) for v in vals]))
-    if isinstance(par, Logistic):
-        return int(rng.random() < par.prob_one(vals))
-    return par.mean(vals) + np.sqrt(par.sigma2) * rng.standard_normal()
+        dyn = [k for k, p in enumerate(family.parents) if p.kind != "static"]
+        stat = [k for k, p in enumerate(family.parents) if p.kind == "static"]
+
+        def draw(values, u):
+            d_idx = _config_index(values[dyn], (2,) * len(dyn)) if dyn else 0
+            s_idx = _config_index(values[stat], (2,) * len(stat)) if stat else 0
+            return u < par.prob_one(d_idx, s_idx)
+        return draw
+    if isinstance(par, (NoisyOr, Logistic)):
+        return lambda values, u: u < par.prob_one(values)
+    scale = np.sqrt(par.sigma2)
+    return lambda values, u: par.mean(values) + scale * u
 
 
 # ---------------------------------------------------------------------------

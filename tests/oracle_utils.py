@@ -11,8 +11,12 @@ import math
 import numpy as np
 from scipy import optimize, stats
 
-from dbnlearn.core import Parent
+from dbnlearn.core import (
+    Cpt, FactoredCpt, LinearGaussian, Logistic, NoisyOr, Parent, configuration_index,
+    parents_of, topological_order,
+)
 from dbnlearn.scoring import family_score
+from dbnlearn.simulate import substream
 
 
 def permutation_is_dag(support: np.ndarray) -> bool:
@@ -206,3 +210,76 @@ def bounded_support_objective(y, x_prev, intra_mask, lag_mask, config) -> float:
             best = min(best, float(np.dot(resid, resid)) + pen)
         total += best
     return total
+
+
+# ---------------------------------------------------------------------------
+# Trajectory sampler, one draw per (trajectory, t, node)
+
+
+def sample_trajectories_loop(structure, params, n_traj, horizon, seed, x_arities, z_arities):
+    """``(x, z)`` of ``sample_trajectories``, drawn one value at a time.
+
+    The sampler's scalar loop written out: each trajectory's substream
+    gives its statics and initial slice, then one uniform (discrete) or
+    one standard normal (linear Gaussian) per (t, node) in topological
+    order.  Kernel probabilities and means use the scalar formulas with
+    ``np.dot``, not the library's kernel methods.  ``x_arities`` and
+    ``z_arities`` are ``None`` for a continuous model.
+    """
+    continuous = isinstance(params[0], LinearGaussian)
+    families = [parents_of(structure, i) for i in range(structure.n_x)]
+    order = topological_order(structure.intra)
+    dtype = np.float64 if continuous else np.int64
+    x = np.empty((n_traj, horizon + 1, structure.n_x), dtype=dtype)
+    z = np.empty((n_traj, structure.n_z), dtype=dtype)
+    for n in range(n_traj):
+        rng = substream(seed, "traj", n)
+        if continuous:
+            z[n] = rng.standard_normal(structure.n_z)
+            x[n, 0] = rng.standard_normal(structure.n_x)
+        else:
+            z[n] = [rng.integers(a) for a in z_arities] if structure.n_z else []
+            x[n, 0] = [rng.integers(a) for a in x_arities]
+        for t in range(1, horizon + 1):
+            for i in order:
+                fam = families[i]
+                vals = []
+                for p in fam.parents:
+                    if p.kind == "inter":
+                        vals.append(x[n, t - 1, p.index])
+                    elif p.kind == "intra":
+                        vals.append(x[n, t, p.index])
+                    elif p.kind == "auto":
+                        vals.append(x[n, max(t - p.index, 0), i])
+                    else:
+                        vals.append(z[n, p.index])
+                x[n, t, i] = _draw_one(rng, params[i], fam, vals, x_arities, z_arities)
+    return x, z
+
+
+def _draw_one(rng, par, fam, vals, x_arities, z_arities):
+    if isinstance(par, Cpt):
+        idx = configuration_index([int(v) for v in vals], fam.arities(x_arities, z_arities))
+        cdf = np.cumsum(par.table, axis=1)[idx]
+        return int(np.searchsorted(cdf, rng.random(), side="right"))
+    if isinstance(par, FactoredCpt):
+        dyn = [int(v) for v, p in zip(vals, fam.parents) if p.kind != "static"]
+        stat = [int(v) for v, p in zip(vals, fam.parents) if p.kind == "static"]
+        d = par.table_dyn[configuration_index(dyn, (2,) * len(dyn))] if dyn else 1.0
+        s = par.table_stat[configuration_index(stat, (2,) * len(stat))] if stat else 1.0
+        return int(rng.random() < min(1.0, max(0.0, d * s)))
+    if isinstance(par, NoisyOr):
+        q = 1.0 - par.lam0
+        for lam_l, v in zip(par.lam, vals):
+            if v:
+                q *= 1.0 - lam_l
+        return int(rng.random() < 1.0 - q)
+    s = par.beta0 + float(np.dot(par.beta, np.asarray(vals, dtype=float)))
+    if isinstance(par, Logistic):
+        if s >= 0:
+            prob = 1.0 / (1.0 + np.exp(-s))
+        else:
+            e = np.exp(s)
+            prob = e / (1.0 + e)
+        return int(rng.random() < prob)
+    return s + np.sqrt(par.sigma2) * rng.standard_normal()

@@ -55,6 +55,14 @@ class TestConfigSchema:
             parse_experiment_config({"seed": 1, "regime": "favorable",
                                      "generator": {"n_x": 3}})
 
+    def test_edge_probability_out_of_range_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        doc = write_config(cfg)
+        doc["generator"]["edge_probs"]["intra"] = 1.5
+        cfg.write_text(json.dumps(doc))
+        assert main(["generate", "--config", str(cfg)]) == 2
+        assert "edge probability intra=1.5" in capsys.readouterr().err
+
     def test_invalid_json_reports_line(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{\n  \"seed\": 1,\n}")

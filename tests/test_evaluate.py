@@ -1,13 +1,17 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from dbnlearn.core import (
     Cpt, DbnStructure, DimensionError, ParameterSet, SplitError, parents_of,
 )
 from dbnlearn.evaluate import (
-    BenchmarkResult, EdgeUniverse, EvalReport, auroc, holdout_loglik,
+    BenchmarkResult, EdgeUniverse, EvalReport, _average_ranks, auroc, holdout_loglik,
     run_benchmark, shd, temporal_split,
 )
 from dbnlearn.learn import LearnerReport
@@ -109,6 +113,39 @@ class TestAuroc:
     def test_degenerate_truth_flagged(self):
         with pytest.warns(UserWarning):
             assert auroc([0.1, 0.9], [1, 1]) == 0.5
+
+    def test_ranks_equal_scipy_on_ties_and_nan(self, rng):
+        for _ in range(500):
+            n = int(rng.integers(0, 30))
+            values = rng.integers(0, 4, size=n) * rng.choice([1.0, 0.25, -0.5])
+            if n and rng.random() < 0.2:
+                values[rng.integers(n)] = -0.0
+            if n and rng.random() < 0.1:
+                values[rng.integers(n)] = np.nan
+            expected = scipy.stats.rankdata(values, method="average")
+            assert np.array_equal(_average_ranks(values), expected, equal_nan=True)
+
+    def test_auroc_bit_identical_to_scipy_ranks(self, rng):
+        for _ in range(200):
+            scores = rng.integers(0, 5, size=25) / 4.0
+            labels = rng.random(25) < 0.3
+            labels[:2] = (True, False)
+            ranks = scipy.stats.rankdata(scores, method="average")
+            n_pos, n_neg = int(labels.sum()), int((~labels).sum())
+            expected = (ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+            assert auroc(scores, labels) == expected
+
+    def test_nan_score_gives_nan(self):
+        assert math.isnan(auroc([0.9, np.nan, 0.1], [1, 0, 0]))
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        import dbnlearn
+        src = str(Path(dbnlearn.__file__).resolve().parent.parent)
+        code = f"import sys; sys.path.insert(0, {src!r}); import dbnlearn.cli; " \
+               "print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=120)
+        assert out.stdout.strip() == "False"
 
 
 class TestTemporalSplit:
