@@ -8,8 +8,8 @@ from .core import (
 )
 from .acyclicity import h_expm, h_expm_and_grad, h_expm_grad, h_poly, threshold_and_repair
 from .scoring import (
-    BgeHyper, CountTable, DirichletPrior, FamilyScorer, ScoreCache,
-    bde_family_score, bge_family_score, cached_family_score, count_transitions,
+    BgeHyper, CountTable, DirichletPrior, FamilyScorer,
+    bde_family_score, bge_family_score, count_transitions,
     dirichlet_posterior, dump_scores, family_score, fit_linear_gaussian,
     fit_logistic, information_criterion, loglik_cpt, mle_cpt, mle_factored,
 )

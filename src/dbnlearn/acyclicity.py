@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .core import DimensionError
+from .core import ConfigError, DimensionError
 
 
 def _square_zero_diag(w) -> np.ndarray:
@@ -53,7 +53,7 @@ def h_poly(w: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
     cancellation can hide a cycle.
     """
     if not mu > 0:
-        raise ValueError("mu must be positive")
+        raise ConfigError("mu must be positive")
     a = _square_zero_diag(w)
     d = a.shape[0]
     m = np.eye(d) + mu * (a * a)
@@ -71,7 +71,7 @@ def threshold_and_repair(w: np.ndarray, w_threshold: float) -> np.ndarray:
     (row, col) order).  The result always passes ``is_acyclic``.
     """
     if w_threshold < 0:
-        raise ValueError("threshold must be >= 0")
+        raise ConfigError("threshold must be >= 0")
     a = _square_zero_diag(w)
     support = np.abs(a) >= max(w_threshold, np.finfo(float).tiny)
     # a node reaching itself lies on a cycle

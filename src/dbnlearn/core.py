@@ -222,7 +222,7 @@ def configuration_index(values: Sequence[int], arities: Sequence[int]) -> int:
     for v, a in zip(values, arities):
         v = int(v)
         if not 0 <= v < a:
-            raise ValueError(f"value {v} out of range for arity {a}")
+            raise ConfigError(f"value {v} out of range for arity {a}")
         idx += v * base
         base *= int(a)
     return idx
@@ -234,7 +234,7 @@ def configuration_values(index: int, arities: Sequence[int]) -> tuple[int, ...]:
     for a in arities:
         total *= int(a)
     if not 0 <= index < max(total, 1):
-        raise ValueError(f"configuration index {index} out of range for arities {tuple(arities)}")
+        raise ConfigError(f"configuration index {index} out of range for arities {tuple(arities)}")
     out = []
     for a in arities:
         out.append(index % int(a))
@@ -390,6 +390,24 @@ def parents_of(structure: DbnStructure, node: int, slice_time: int | None = None
             for p in parents
         )
     return FamilySpec(node=node, parents=parents, available=available)
+
+
+def structure_from_families(n_x: int, n_z: int, p: int,
+                            families: Sequence[Sequence[Parent]]) -> DbnStructure:
+    """The structure whose node ``v`` has the parents ``families[v]``.
+
+    The inverse of :func:`parents_of`; parent order does not matter.
+    """
+    edges = {"inter": np.zeros((n_x, n_x), dtype=bool), "intra": np.zeros((n_x, n_x), dtype=bool),
+             "static": np.zeros((n_z, n_x), dtype=bool)}
+    for v, parents in enumerate(families):
+        for par in parents:
+            if par.kind != "auto":
+                edges[par.kind][par.index, v] = True
+    auto_lags = tuple(tuple(par.index for par in parents if par.kind == "auto")
+                      for parents in families)
+    return DbnStructure(n_x=n_x, n_z=n_z, p=p, intra=edges["intra"], inter=edges["inter"],
+                        auto_lags=auto_lags, static_edges=edges["static"])
 
 
 # ---------------------------------------------------------------------------

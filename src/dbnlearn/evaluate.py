@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
-    DbnStructure, DimensionError, ParameterSet, SplitError, TrajectoryDataset,
+    ConfigError, DbnStructure, DimensionError, ParameterSet, SplitError, TrajectoryDataset,
     parents_of,
 )
 from .learn import CellTimeout, Deadline, LearnerReport, run_learner
@@ -264,9 +264,9 @@ class EvalReport:
 
     def __post_init__(self):
         if self.auroc is not None and not 0.0 <= self.auroc <= 1.0:
-            raise ValueError("AUROC must lie in [0, 1]")
+            raise ConfigError("AUROC must lie in [0, 1]")
         if self.shd is not None and self.shd < 0:
-            raise ValueError("SHD must be >= 0")
+            raise ConfigError("SHD must be >= 0")
 
 
 CSV_COLUMNS = ("regime", "n", "N", "T", "learner", "replicate", "seed",

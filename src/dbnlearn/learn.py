@@ -41,7 +41,7 @@ from .acyclicity import _reachability, h_expm_and_grad, threshold_and_repair
 from .core import (
     ConfigError, DataError, DbnError, DbnStructure, DomainMismatchError, Parent, ParameterSet,
     SizeGuardError, OptimizerError, TrajectoryDataset, canonical_parents,
-    parents_of,
+    parents_of, structure_from_families,
 )
 from .scoring import BgeHyper, DirichletPrior, FamilyScorer, fit_structure_params
 from .simulate import substream
@@ -131,7 +131,6 @@ class BoundedConfig:
     lambda_a_pos: float = 0.0
     lambda_a_neg: float = 0.0
     max_nodes: int = 4
-    screen_threshold: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -251,25 +250,10 @@ def exact_search(dataset: TrajectoryDataset, score: str = "bde",
         completions.append(table)
 
     _, chosen = _best_dag(completions, deadline)
-    intra = np.zeros((n, n), dtype=bool)
-    inter = np.zeros((n, n), dtype=bool)
-    auto_lags = [() for _ in range(n)]
-    static = np.zeros((dataset.n_z, n), dtype=bool)
-    for v, (_, parents) in enumerate(chosen):
-        for par in parents:
-            if par.kind == "intra":
-                intra[par.index, v] = True
-            elif par.kind == "inter":
-                inter[par.index, v] = True
-            elif par.kind == "auto":
-                auto_lags[v] = auto_lags[v] + (par.index,)
-            else:
-                static[par.index, v] = True
-
-    structure = DbnStructure(n_x=n, n_z=dataset.n_z, p=config.p, intra=intra,
-                             inter=inter, auto_lags=tuple(auto_lags), static_edges=static)
+    families = [parents for _, parents in chosen]
+    structure = structure_from_families(n, dataset.n_z, config.p, families)
     return _finish("exact", dataset, structure, scorer, t_start, config.seed,
-                   extras={"cache_entries": len(scorer.cache)})
+                   extras={"cache_entries": len(scorer.scores)})
 
 
 def _best_dag(tables: list[dict], deadline: Deadline) -> tuple[float, list]:
@@ -331,37 +315,6 @@ def _best_dag(tables: list[dict], deadline: Deadline) -> tuple[float, list]:
 
 # ---------------------------------------------------------------------------
 # Hill climbing
-
-
-def _structure_with(structure: DbnStructure, move) -> DbnStructure:
-    kind = move[0]
-    if kind in ("add_intra", "del_intra", "rev_intra"):
-        intra = structure.intra.copy()
-        _, j, i = move
-        if kind == "add_intra":
-            intra[j, i] = True
-        elif kind == "del_intra":
-            intra[j, i] = False
-        else:
-            intra[j, i] = False
-            intra[i, j] = True
-        return structure.replace(intra=intra)
-    if kind in ("add_inter", "del_inter"):
-        inter = structure.inter.copy()
-        _, j, i = move
-        inter[j, i] = kind == "add_inter"
-        return structure.replace(inter=inter)
-    if kind in ("add_auto", "del_auto"):
-        _, i, tau = move
-        lags = set(structure.auto_lags[i])
-        lags.add(tau) if kind == "add_auto" else lags.discard(tau)
-        auto = list(structure.auto_lags)
-        auto[i] = tuple(sorted(lags))
-        return structure.replace(auto_lags=tuple(auto))
-    _, j, i = move
-    static = structure.static_edges.copy()
-    static[j, i] = kind == "add_static"
-    return structure.replace(static_edges=static)
 
 
 def _legal_moves(structure: DbnStructure, config: SearchConfig):
@@ -474,7 +427,8 @@ def hill_climb(dataset: TrajectoryDataset, score: str = "bic",
     Moves: add/delete/reverse intra edge (cycle-rejecting), add/delete
     inter edge, auto lag, static edge.  Deltas rescore only the affected
     families, whose parent tuples follow from the move itself, through the
-    shared cache; only the chosen move builds a new structure.  Restart 0
+    shared cache.  The chosen move updates the per-node parent tuples, and
+    the structure is rebuilt from them.  Restart 0
     starts from ``initial`` (the empty graph by default), later restarts
     from random structures (edge probability 0.2).
     """
@@ -506,10 +460,10 @@ def hill_climb(dataset: TrajectoryDataset, score: str = "bic",
                     best_move, best_delta = move, delta
             if best_move is None:
                 break
-            structure = _structure_with(structure, best_move)
             for v, parents in _moved_families(families, best_move):
                 families[v] = parents
                 node_scores[v] = scorer(v, parents)
+            structure = structure_from_families(structure.n_x, structure.n_z, structure.p, families)
             current = float(sum(node_scores))
             trace.append({"restart": restart, "step": step, "score": current})
             moves_used += 1
@@ -517,7 +471,7 @@ def hill_climb(dataset: TrajectoryDataset, score: str = "bic",
             best_structure, best_score, best_trace = structure, current, tuple(trace)
 
     return _finish("hill", dataset, best_structure, scorer, t_start, config.seed, best_trace,
-                   extras={"cache_entries": len(scorer.cache), "moves": moves_used})
+                   extras={"cache_entries": len(scorer.scores), "moves": moves_used})
 
 
 # ---------------------------------------------------------------------------
@@ -717,29 +671,13 @@ def bounded_oneshot(dataset: TrajectoryDataset, config: BoundedConfig | None = N
     if n > config.max_nodes:
         raise SizeGuardError(f"bounded search is guarded at {config.max_nodes} nodes, got {n}")
 
-    def node_candidates(i):
-        intra = [j for j in range(n) if j != i]
-        inter = list(range(n))
-        if config.screen_threshold is not None:
-            yc = y[:, i] - y[:, i].mean()
-
-            def keep(col):
-                c = col - col.mean()
-                denom = float(np.linalg.norm(yc) * np.linalg.norm(c))
-                return denom > 0 and abs(float(np.dot(yc, c))) / denom >= config.screen_threshold
-
-            intra = [j for j in intra if keep(y[:, j])]
-            inter = [j for j in inter if keep(x_prev[:, j])]
-        return intra, inter
-
     tables = []  # per node: {intra frozenset -> (-cost, intra_js, inter_js, weights)}
     for i in range(n):
-        intra_cand, inter_cand = node_candidates(i)
         table = {}
-        for intra_js in _class_subsets(intra_cand, len(intra_cand)):
+        for intra_js in _class_subsets([j for j in range(n) if j != i], n - 1):
             deadline.check()
             best = None
-            for inter_js in _class_subsets(inter_cand, len(inter_cand)):
+            for inter_js in _class_subsets(range(n), n):
                 cols = [y[:, j] for j in intra_js] + [x_prev[:, j] for j in inter_js]
                 cost, weights = _price_support(y[:, i], cols, len(intra_js), config)
                 if best is None or -cost > best[0]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -610,40 +610,6 @@ def family_score(dataset: TrajectoryDataset, node: int, parents: Sequence[Parent
     return -information_criterion(loglik, k, n_eff, kind)
 
 
-@dataclass
-class ScoreCache:
-    """Memoized family scores keyed by (node, canonical parent set).
-
-    Values are deterministic functions of (dataset, family), so
-    concurrent last-write-wins insertion is benign.
-    """
-
-    kind: str
-    entries: dict = field(default_factory=dict)
-
-    def key(self, node: int, parents: Sequence[Parent]) -> tuple:
-        return (node, tuple(sorted(parents, key=Parent.sort_key)))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def cached_family_score(cache: ScoreCache, dataset: TrajectoryDataset, node: int,
-                        parents: Sequence[Parent], kind: str | None = None,
-                        prior: DirichletPrior | None = None,
-                        hyper: BgeHyper | None = None) -> float:
-    """Like :func:`family_score` but memoized; parent order never matters."""
-    kind = (kind or cache.kind).lower()
-    if kind != cache.kind.lower():
-        raise ConfigError(f"cache holds {cache.kind!r} scores, not {kind!r}")
-    key = cache.key(node, parents)
-    hit = cache.entries.get(key)
-    if hit is None:
-        hit = family_score(dataset, node, list(key[1]), kind, prior=prior, hyper=hyper)
-        cache.entries[key] = hit
-    return hit
-
-
 _COUNTED_KINDS = ("ll", "aic", "aicc", "bic", "bde")
 _BATCH_ELEMENTS = 1 << 15  # cap on families x max(distinct rows, cells) per counting step
 
@@ -669,20 +635,33 @@ def _block_counts(cols: np.ndarray, radix: np.ndarray, distinct: np.ndarray,
 
 
 class FamilyScorer:
-    """Bound scorer used by the learners: dataset + kind + priors + cache."""
+    """Bound scorer used by the learners: dataset + kind + priors + family score cache.
+
+    ``scores`` maps (node, canonical parent tuple) to the family's score.
+    Values are deterministic functions of (dataset, family), so
+    concurrent last-write-wins insertion is benign.
+    """
 
     def __init__(self, dataset: TrajectoryDataset, kind: str,
                  prior: DirichletPrior | None = None, hyper: BgeHyper | None = None):
         self.dataset = dataset
         self.kind = kind.lower()
+        if self.kind not in SCORE_KINDS:
+            raise ConfigError(f"unknown score kind {kind!r}; expected one of {SCORE_KINDS}")
         self.prior = prior
         self.hyper = hyper
-        self.cache = ScoreCache(kind=self.kind)
+        self.scores: dict[tuple[int, tuple[Parent, ...]], float] = {}
         self._rows = {}  # (first target time, largest lag) -> dataset.distinct_rows
 
     def __call__(self, node: int, parents: Sequence[Parent]) -> float:
-        return cached_family_score(self.cache, self.dataset, node, parents,
-                                   self.kind, prior=self.prior, hyper=self.hyper)
+        """Score of ``node`` with ``parents``, memoized; parent order never matters."""
+        key = (node, canonical_parents(parents))
+        hit = self.scores.get(key)
+        if hit is None:
+            hit = family_score(self.dataset, node, key[1], self.kind,
+                               prior=self.prior, hyper=self.hyper)
+            self.scores[key] = hit
+        return hit
 
     def many(self, node: int, parent_sets: Sequence[tuple[Parent, ...]],
              check: Callable[[], None] | None = None) -> np.ndarray:
@@ -698,7 +677,7 @@ class FamilyScorer:
         """
         check = check or (lambda: None)
         keys = [(node, tuple(parents)) for parents in parent_sets]
-        entries = self.cache.entries
+        entries = self.scores
         todo = [key for key in keys if key not in entries]  # a repeat is scored twice, alike
         if self.dataset.domain.discrete and self.kind in _COUNTED_KINDS:
             entries.update(zip(todo, self._counted_scores(node, [k[1] for k in todo], check)))
@@ -795,10 +774,10 @@ class FamilyScorer:
         return sum(self(i, parents_of(structure, i).parents) for i in range(structure.n_x))
 
 
-def dump_scores(cache: ScoreCache) -> str:
+def dump_scores(scorer: FamilyScorer) -> str:
     """Sorted text dump: ``node<TAB>parents<TAB>kind<TAB>value`` at 17 significant digits."""
     lines = []
-    for (node, parents), value in cache.entries.items():
+    for (node, parents), value in scorer.scores.items():
         tags = "+".join(f"{p.kind}:{p.index}" for p in parents) or "-"
-        lines.append(f"{node}\t{tags}\t{cache.kind}\t{value:.17g}")
+        lines.append(f"{node}\t{tags}\t{scorer.kind}\t{value:.17g}")
     return "\n".join(sorted(lines)) + ("\n" if lines else "")

@@ -89,8 +89,9 @@ class GeneratorConfig:
             raise ConfigError("sigma must be positive")
         if self.stability_radius is not None and not self.stability_radius > 0:
             raise ConfigError("stability radius must be positive")
-        if self.model in ("factored", "noisy_or", "logistic") and self.x_arity != 2:
-            raise ModelError(f"{self.model} kernels need binary dynamic variables")
+        binary = (self.x_arity, self.z_arity) == (2, 2)
+        if self.model in ("factored", "noisy_or", "logistic") and not binary:
+            raise ConfigError(f"{self.model} kernels need binary dynamic and static variables")
 
     @property
     def discrete(self) -> bool:

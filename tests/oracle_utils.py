@@ -12,8 +12,8 @@ import numpy as np
 from scipy import optimize, stats
 
 from dbnlearn.core import (
-    Cpt, FactoredCpt, LinearGaussian, Logistic, NoisyOr, Parent, configuration_index,
-    parents_of, topological_order,
+    Cpt, DbnStructure, FactoredCpt, LinearGaussian, Logistic, NoisyOr, Parent,
+    configuration_index, parents_of, topological_order,
 )
 from dbnlearn.scoring import family_score
 from dbnlearn.simulate import substream
@@ -45,6 +45,38 @@ def class_subsets(candidates, limit):
     for size in range(1, min(limit, len(candidates)) + 1):
         out.extend(itertools.combinations(candidates, size))
     return out
+
+
+def _structure_with(structure: DbnStructure, move) -> DbnStructure:
+    kind = move[0]
+    if kind in ("add_intra", "del_intra", "rev_intra"):
+        intra = structure.intra.copy()
+        _, j, i = move
+        if kind == "add_intra":
+            intra[j, i] = True
+        elif kind == "del_intra":
+            intra[j, i] = False
+        else:
+            intra[j, i] = False
+            intra[i, j] = True
+        return structure.replace(intra=intra)
+    if kind in ("add_inter", "del_inter"):
+        inter = structure.inter.copy()
+        _, j, i = move
+        inter[j, i] = kind == "add_inter"
+        return structure.replace(inter=inter)
+    if kind in ("add_auto", "del_auto"):
+        _, i, tau = move
+        lags = set(structure.auto_lags[i])
+        lags.add(tau) if kind == "add_auto" else lags.discard(tau)
+        auto = list(structure.auto_lags)
+        auto[i] = tuple(sorted(lags))
+        return structure.replace(auto_lags=tuple(auto))
+    _, j, i = move
+    static = structure.static_edges.copy()
+    static[j, i] = kind == "add_static"
+    return structure.replace(static_edges=static)
+
 
 
 def brute_force_best_score(dataset, kind, max_intra=2, max_inter=2, max_auto=1,

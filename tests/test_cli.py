@@ -63,6 +63,11 @@ class TestConfigSchema:
         assert main(["generate", "--config", str(cfg)]) == 2
         assert "edge probability intra=1.5" in capsys.readouterr().err
 
+    def test_ternary_covariate_for_a_binary_kernel_is_schema_error(self):
+        with pytest.raises(SchemaError, match="generator: noisy_or kernels need binary"):
+            parse_experiment_config({"seed": 1, "regime": "favorable",
+                                     "generator": {"model": "noisy_or", "z_arity": 3}})
+
     def test_invalid_json_reports_line(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{\n  \"seed\": 1,\n}")

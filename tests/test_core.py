@@ -2,11 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dbnlearn.core import (
     CycleError, DbnStructure, DimensionError, FamilySpec, ModelError, Parent,
     canonical_parents, configuration_index, configuration_values, is_acyclic,
-    parents_of, topological_order,
+    parents_of, structure_from_families, topological_order,
 )
 
 from conftest import continuous_dataset, discrete_dataset
@@ -193,6 +194,41 @@ class TestParentsOf:
         for _ in range(5):
             again = DbnStructure.from_json_dict(s.to_json_dict())
             assert [parents_of(again, i).parents for i in range(3)] == reference
+
+
+@st.composite
+def structures(draw):
+    """Any valid structure: static covariates, auto lags up to ``p`` and inter self edges."""
+    n_x, n_z, p = draw(st.integers(1, 5)), draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    bits = lambda shape: np.array(draw(st.lists(st.booleans(), min_size=int(np.prod(shape)),
+                                                max_size=int(np.prod(shape))))).reshape(shape)
+    rank = np.array(draw(st.permutations(range(n_x))))
+    intra = bits((n_x, n_x)) & (rank[:, None] < rank[None, :])
+    inter = bits((n_x, n_x))
+    auto = tuple(tuple(t for t in range(1, p + 1)
+                       if draw(st.booleans()) and not (t == 1 and inter[i, i]))
+                 for i in range(n_x))
+    return DbnStructure(n_x=n_x, n_z=n_z, p=p, intra=intra, inter=inter, auto_lags=auto,
+                        static_edges=bits((n_z, n_x)))
+
+
+class TestStructureFromFamilies:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(structures())
+    def test_inverts_parents_of(self, structure):
+        families = [parents_of(structure, v).parents for v in range(structure.n_x)]
+        rebuilt = structure_from_families(structure.n_x, structure.n_z, structure.p, families)
+        assert rebuilt == structure and rebuilt.to_json_dict() == structure.to_json_dict()
+        assert [parents_of(rebuilt, v).parents for v in range(structure.n_x)] == families
+
+    def test_parent_order_does_not_matter(self):
+        s = three_node_structure()
+        families = [parents_of(s, v).parents[::-1] for v in range(3)]
+        assert structure_from_families(s.n_x, s.n_z, s.p, families) == s
+
+    def test_cyclic_families_rejected(self):
+        with pytest.raises(CycleError):
+            structure_from_families(2, 0, 1, [(Parent("intra", 1),), (Parent("intra", 0),)])
 
 
 class TestDatasetEquality:

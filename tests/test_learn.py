@@ -1,29 +1,35 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dbnlearn.acyclicity import h_poly, threshold_and_repair
 from dbnlearn.core import (
     ConfigError, DataError, DbnError, DbnStructure, DomainMismatchError, FamilySpec,
-    SizeGuardError, is_acyclic, parents_of,
+    SizeGuardError, configuration_index, configuration_values, is_acyclic, parents_of,
+    structure_from_families,
 )
 from dbnlearn.learn import (
     LEARNERS, BoundedConfig, CellTimeout, ContinuousConfig, Deadline, SearchConfig,
     bounded_oneshot, continuous_oneshot, exact_search, hill_climb, run_learner,
-    _legal_moves, _moved_families, _price_support, _random_start, _structure_with,
+    _legal_moves, _moved_families, _price_support, _random_start,
 )
 import dbnlearn.learn as learn
-from dbnlearn.evaluate import temporal_split
+from dbnlearn.evaluate import EvalReport, temporal_split
 from dbnlearn.scoring import (
-    SCORE_KINDS, DirichletPrior, FamilyScorer, ScoreCache, bge_family_score,
-    cached_family_score, dump_scores, family_score, information_criterion,
+    SCORE_KINDS, DirichletPrior, FamilyScorer, bge_family_score, dump_scores, family_score,
+    information_criterion,
 )
 from dbnlearn.simulate import substream
 from dbnlearn.simulate import EdgeProbs, GeneratorConfig, sample_random_dbn, sample_trajectories
 
 from conftest import continuous_dataset, discrete_dataset
-from oracle_utils import bounded_support_objective, brute_force_best_score, lag1_design
+from oracle_utils import (
+    _structure_with, bounded_support_objective, brute_force_best_score, lag1_design,
+)
 
 
 def discrete_instance(seed, n=3, n_traj=30, horizon=10, sharpen=3.0, n_z=0, static=0.0):
@@ -103,12 +109,12 @@ class TestExactSearch:
         cfg = SearchConfig(score=kind, p=2, max_auto=2)
         for side in (ds, temporal_split(ds)[1]):
             report = exact_search(side, kind, cfg, prior=DirichletPrior(3.0))
-            batched = scorers[-1].cache
+            batched = scorers[-1]
             one_by_one = FamilyScorer(side, kind, prior=DirichletPrior(3.0))
-            for node, parents in batched.entries:
+            for node, parents in batched.scores:
                 one_by_one(node, parents)
-            assert dump_scores(batched) == dump_scores(one_by_one.cache)
-            assert report.extras["cache_entries"] == len(one_by_one.cache)
+            assert dump_scores(batched) == dump_scores(one_by_one)
+            assert report.extras["cache_entries"] == len(one_by_one.scores)
 
     def test_respects_deadline(self):
         _, ds = discrete_instance(9, n_traj=50, horizon=30)
@@ -256,6 +262,10 @@ class TestHillClimb:
                     new = sum(scorer(v, parents) - node_scores[v] for v, parents in moved)
                     old = sum(scorer(v, parents_of(trial, v).parents) - node_scores[v] for v in order)
                     assert new == old
+                    after = list(families)
+                    for v, parents in moved:
+                        after[v] = parents
+                    assert structure_from_families(ds.n_x, ds.n_z, cfg.p, after) == trial
 
     def test_inter_self_edge_is_not_offered_auto_lag_one(self):
         # the inter self edge already is the lag-1 self dependence
@@ -265,6 +275,15 @@ class TestHillClimb:
         assert ("add_auto", 0, 1) not in _legal_moves(initial, cfg)
         report = hill_climb(ds, "bic", cfg, initial=initial)
         assert report.score == pytest.approx(FamilyScorer(ds, "bic").structure_score(report.structure))
+
+    def test_initial_structure_keeps_its_lag_order(self):
+        # moves rebuild the structure at the initial's p, so a lag the search
+        # does not offer (3 > config p = 1) stays in place
+        _, ds = discrete_instance(3, n_traj=30, horizon=12)
+        initial = DbnStructure.empty(3, 0, 3).replace(auto_lags=((3,), (), ()))
+        report = hill_climb(ds, "bic", SearchConfig(score="bic", restarts=1), initial=initial)
+        assert report.extras["moves"] >= 1
+        assert (report.structure.p, report.structure.auto_lags[0]) == (3, (3,))
 
     def test_deterministic_given_seed(self):
         _, ds = discrete_instance(8)
@@ -395,6 +414,61 @@ class TestBoundedOneshot:
             assert cost + others == pytest.approx(expected, rel=1e-12), trial
 
 
+def _structure_digest(report):
+    return hashlib.sha256(json.dumps(report.structure.to_json_dict(), sort_keys=True)
+                          .encode()).hexdigest()
+
+
+class TestGoldenOutputs:
+    """Learner outputs on small fixed inputs, pinned as the search layer was before its rewrite.
+
+    The discrete reports pin the structure's JSON digest, ``repr(score)``
+    and the cache size; the continuous ones pin the structure only, since
+    their float bits go through LAPACK.
+    """
+
+    @pytest.fixture(scope="class")
+    def discrete(self):
+        cfg = GeneratorConfig(n_x=4, n_z=1, model="cpt", seed=41, sharpen=3.0,
+                              edge_probs=EdgeProbs(intra=0.3, inter=0.4, auto=0.3, static=0.4))
+        structure, params = sample_random_dbn(cfg)
+        return sample_trajectories(structure, params, 20, 12, seed=1041,
+                                   x_arities=(2,) * 4, z_arities=(2,))
+
+    @pytest.fixture(scope="class")
+    def continuous(self):
+        cfg = GeneratorConfig(n_x=3, model="linear_gaussian", seed=42, sigma=0.5,
+                              edge_probs=EdgeProbs(intra=0.3, inter=0.4, auto=0.3))
+        structure, params = sample_random_dbn(cfg)
+        return sample_trajectories(structure, params, 20, 15, seed=2042)
+
+    @pytest.mark.parametrize("learn_fn, kind, digest, score, entries", [
+        (exact_search, "bde", "5b1af5df0938c9251a5d1dc8331c8d0832f79e2a6e6711d1af7a6e122c5dda99",
+         "-101.28625769944063", 1568),
+        (exact_search, "bic", "cb585cbf7953b86c7286e178dbf28ae192fc8da7fc3c4f4d5eb69ac85c52b0df",
+         "-272.72161634445746", 1568),
+        (hill_climb, "bde", "5b1af5df0938c9251a5d1dc8331c8d0832f79e2a6e6711d1af7a6e122c5dda99",
+         "-101.28625769944063", 238),
+        (hill_climb, "bic", "11b666d99a9db809a697d4edbd35e7ed6a5b0d698853aef99845ca8ddc91c415",
+         "-274.67955628177197", 200),
+    ], ids=["exact-bde", "exact-bic", "hill-bde", "hill-bic"])
+    def test_discrete_search(self, discrete, learn_fn, kind, digest, score, entries):
+        report = learn_fn(discrete, kind, SearchConfig(score=kind, p=2, max_auto=2, seed=5))
+        assert (_structure_digest(report), repr(report.score)) == (digest, score)
+        assert report.extras["cache_entries"] == entries
+
+    @pytest.mark.parametrize("learn_fn, digest", [
+        (lambda ds: hill_climb(ds, "bge", SearchConfig(score="bge", seed=5)),
+         "fef2ea9412ded98797cc773e2f3fc5705f92ca518b00f7fc87eead812e9da344"),
+        (lambda ds: continuous_oneshot(ds, ContinuousConfig(max_outer=20)),
+         "fef2ea9412ded98797cc773e2f3fc5705f92ca518b00f7fc87eead812e9da344"),
+        (lambda ds: bounded_oneshot(ds, BoundedConfig(max_nodes=4)),
+         "ab146908c326f5352bc1861e47a97b1bfce25de36e2e17334fb5eca8ec7af4b6"),
+    ], ids=["hill-bge", "dynotears", "bounded"])
+    def test_continuous_structure(self, continuous, learn_fn, digest):
+        assert _structure_digest(learn_fn(continuous)) == digest
+
+
 class TestOverflowingData:
     """Finite data whose squares overflow a float fail with a typed error."""
 
@@ -460,7 +534,7 @@ def bad_calls(draw):
     """One call into the scoring or learner surface with a bad name or kind."""
     word = st.text(min_size=1, max_size=12)
     what = draw(st.sampled_from(["learner", "hyperparameter", "score", "search score",
-                                 "criterion", "cache"]))
+                                 "criterion", "scorer"]))
     if what == "learner":
         name = draw(word.filter(lambda w: w not in LEARNERS))
         return lambda: run_learner(name, TINY)
@@ -478,14 +552,51 @@ def bad_calls(draw):
     if what == "criterion":
         crit = draw(word.filter(lambda w: w.lower() not in ("aic", "aicc", "bic")))
         return lambda: information_criterion(-1.0, 2, 10, crit)
-    held, asked = draw(st.permutations(list(SCORE_KINDS)))[:2]
-    return lambda: cached_family_score(ScoreCache(kind=held), TINY, 0, [], asked)
+    return lambda: FamilyScorer(TINY, kind)
+
+
+@st.composite
+def bad_values(draw):
+    """One call into the acyclicity, configuration-index or report surface, a value out of range."""
+    what = draw(st.sampled_from(["threshold", "mu", "index value", "index", "auroc", "shd"]))
+    negative = st.floats(max_value=-1e-12, allow_nan=False)
+    if what == "threshold":
+        w = np.random.default_rng(draw(st.integers(0, 99))).normal(size=(3, 3))
+        threshold = draw(negative)
+        return lambda: threshold_and_repair(w, threshold)
+    if what == "mu":
+        mu = draw(negative | st.just(0.0) | st.just(math.nan))
+        return lambda: h_poly(np.zeros((2, 2)), mu)
+    arities = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    if what == "index value":
+        values = [draw(st.integers(0, a - 1)) for a in arities]
+        slot = draw(st.integers(0, len(arities) - 1))
+        values[slot] = draw(st.integers(arities[slot], 9) | st.integers(-9, -1))
+        return lambda: configuration_index(values, arities)
+    if what == "index":
+        total = math.prod(arities)
+        index = draw(st.integers(total, total + 9) | st.integers(-9, -1))
+        return lambda: configuration_values(index, arities)
+    cell = dict(regime="r", n=2, n_traj=3, horizon=4, learner="exact", replicate=0, seed=0,
+                status="OK")
+    if what == "auroc":
+        cell["auroc"] = draw(st.floats(1.0 + 1e-9, 1e6) | negative | st.just(math.nan))
+    else:
+        cell["shd"] = draw(st.integers(-99, -1))
+    return lambda: EvalReport(**cell)
 
 
 class TestTypedErrors:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(bad_calls())
     def test_bad_names_and_kinds_raise_config_errors(self, call):
+        with pytest.raises(DbnError) as caught:
+            call()
+        assert isinstance(caught.value, ConfigError) and isinstance(caught.value, ValueError)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(bad_values())
+    def test_values_out_of_range_raise_config_errors(self, call):
         with pytest.raises(DbnError) as caught:
             call()
         assert isinstance(caught.value, ConfigError) and isinstance(caught.value, ValueError)

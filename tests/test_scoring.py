@@ -10,7 +10,7 @@ from scipy.special import gammaln
 
 import dbnlearn.scoring as sc
 from dbnlearn.core import (
-    Cpt, DataError, DbnStructure, DomainMismatchError, FamilySpec, ModelError,
+    ConfigError, Cpt, DataError, DbnStructure, DomainMismatchError, FamilySpec, ModelError,
     ParameterSet, Parent, TrajectoryDataset, UnderdeterminedError,
     canonical_parents, configuration_index, parents_of,
 )
@@ -755,47 +755,59 @@ class TestBgeFamilyScore:
 class TestScoreCacheAndDump:
     def test_permuted_parents_hit_cache(self, rng):
         ds = discrete_dataset((rng.random((5, 8, 3)) < 0.5).astype(int))
-        cache = sc.ScoreCache(kind="bic")
+        scorer = sc.FamilyScorer(ds, "bic")
         parents = [Parent("intra", 1), Parent("inter", 2), Parent("inter", 0)]
-        first = sc.cached_family_score(cache, ds, 0, parents, "bic")
-        flipped = sc.cached_family_score(cache, ds, 0, parents[::-1], "bic")
-        assert first == flipped and len(cache.entries) == 1
+        first = scorer(0, parents)
+        flipped = scorer(0, parents[::-1])
+        assert first == flipped and len(scorer.scores) == 1
+        assert list(scorer.scores) == [(0, canonical_parents(parents))]
 
     def test_distinct_nodes_never_collide(self, rng):
         ds = discrete_dataset((rng.random((5, 8, 2)) < 0.5).astype(int))
-        cache = sc.ScoreCache(kind="ll")
-        sc.cached_family_score(cache, ds, 0, [], "ll")
-        sc.cached_family_score(cache, ds, 1, [], "ll")
-        assert len(cache.entries) == 2
+        scorer = sc.FamilyScorer(ds, "ll")
+        scorer(0, [])
+        scorer(1, [])
+        assert len(scorer.scores) == 2
 
     def test_candidate_pool_entry_count(self, rng):
         # parent sets of size <= 2 from 5 inter + 4 intra candidates per node
         ds = discrete_dataset((rng.random((10, 20, 5)) < 0.5).astype(int))
-        cache = sc.ScoreCache(kind="bic")
+        scorer = sc.FamilyScorer(ds, "bic")
         for node in range(5):
             cands = [Parent("inter", j) for j in range(5)] + \
                     [Parent("intra", j) for j in range(5) if j != node]
             for size in (0, 1, 2):
                 for combo in itertools.combinations(cands, size):
-                    sc.cached_family_score(cache, ds, node, list(combo), "bic")
-        assert len(cache.entries) == 5 * (1 + 9 + 36)
+                    scorer(node, list(combo))
+        assert len(scorer.scores) == 5 * (1 + 9 + 36)
 
     def test_dump_format(self, rng):
         ds = discrete_dataset((rng.random((4, 6, 2)) < 0.5).astype(int))
-        cache = sc.ScoreCache(kind="bde")
-        sc.cached_family_score(cache, ds, 1, [Parent("inter", 0)], "bde")
-        sc.cached_family_score(cache, ds, 0, [], "bde")
-        dump = sc.dump_scores(cache)
+        scorer = sc.FamilyScorer(ds, "BDe")
+        scorer(1, [Parent("inter", 0)])
+        scorer(0, [])
+        dump = sc.dump_scores(scorer)
         lines = dump.strip().split("\n")
         assert lines == sorted(lines)
         assert lines[0].split("\t")[:3] == ["0", "-", "bde"]
         assert lines[1].split("\t")[:3] == ["1", "inter:0", "bde"]
 
-    def test_kind_mismatch_rejected(self, rng):
+    def test_unknown_kind_rejected(self, rng):
         ds = discrete_dataset((rng.random((4, 6, 2)) < 0.5).astype(int))
-        cache = sc.ScoreCache(kind="bde")
-        with pytest.raises(ValueError):
-            sc.cached_family_score(cache, ds, 0, [], "bic")
+        with pytest.raises(ConfigError):
+            sc.FamilyScorer(ds, "foo")
+
+    def test_miss_scores_through_family_score(self, rng, monkeypatch):
+        # a miss calls the module-level family_score, so wrapping it sees every family scored
+        ds = discrete_dataset((rng.random((4, 6, 2)) < 0.5).astype(int))
+        calls = []
+        original = sc.family_score
+        monkeypatch.setattr(sc, "family_score",
+                            lambda *a, **k: calls.append(a[1:3]) or original(*a, **k))
+        scorer = sc.FamilyScorer(ds, "bic")
+        scorer(1, [Parent("intra", 0), Parent("inter", 1)])
+        scorer(1, [Parent("inter", 1), Parent("intra", 0)])
+        assert calls == [(1, (Parent("inter", 1), Parent("intra", 0)))]
 
 
 COUNTED_KINDS = ("ll", "aic", "aicc", "bic", "bde")
@@ -892,7 +904,7 @@ class TestBatchedScorer:
             one_by_one = sc.FamilyScorer(ds, kind, prior=prior)
             for parents in lattice:
                 one_by_one(node, parents)
-            assert sc.dump_scores(scorer.cache) == sc.dump_scores(one_by_one.cache)
+            assert sc.dump_scores(scorer) == sc.dump_scores(one_by_one)
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(lattice_cases(), st.sampled_from([None, 0.5, 2.0, 7.5]))
@@ -908,10 +920,10 @@ class TestBatchedScorer:
         ds = discrete_dataset(rng.integers(0, 2, size=(4, 9, 3)))
         scorer = sc.FamilyScorer(ds, "bde")
         first = scorer(1, (Parent("inter", 0),))
-        scorer.cache.entries[(1, (Parent("inter", 0),))] = 123.0  # a hit is not rescored
+        scorer.scores[(1, (Parent("inter", 0),))] = 123.0  # a hit is not rescored
         got = scorer.many(1, [(), (Parent("inter", 0),), (), (Parent("intra", 2),)])
         assert first != 123.0 and got[1] == 123.0 and got[0] == got[2]
-        assert len(scorer.cache) == 3
+        assert len(scorer.scores) == 3
 
     def test_non_canonical_or_repeated_parents_rejected(self, rng):
         ds = discrete_dataset(rng.integers(0, 2, size=(2, 5, 3)))

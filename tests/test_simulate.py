@@ -351,6 +351,14 @@ class TestTypedConfigErrors:
         with pytest.raises(ConfigError):
             RegimeSpec("bad", (tuple(triple),))
 
+    @pytest.mark.parametrize("model", ["factored", "noisy_or", "logistic"])
+    @pytest.mark.parametrize("arities", [{"z_arity": 3}, {"x_arity": 3},
+                                         {"x_arity": 3, "z_arity": 4}])
+    def test_binary_kernels_refuse_other_arities(self, model, arities):
+        with pytest.raises(ConfigError, match="binary"):
+            GeneratorConfig(n_x=2, n_z=2, model=model, **arities)
+        GeneratorConfig(n_x=2, n_z=2, model=model)  # binary on both sides is accepted
+
     def test_config_error_is_value_error(self):
         with pytest.raises(ValueError):
             EdgeProbs(intra=2.0)
