@@ -93,7 +93,10 @@ class Parent(NamedTuple):
     index: int
 
     def sort_key(self):
-        return (_KIND_RANK[self.kind], self.index)
+        rank = _KIND_RANK.get(self.kind)
+        if rank is None:
+            raise ModelError(f"unknown parent kind {self.kind!r}; expected one of {PARENT_KINDS}")
+        return (rank, self.index)
 
 
 def canonical_parents(parents: Iterable[Parent]) -> tuple[Parent, ...]:

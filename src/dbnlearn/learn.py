@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -429,8 +430,9 @@ def hill_climb(dataset: TrajectoryDataset, score: str = "bic",
     families, whose parent tuples follow from the move itself, through the
     shared cache.  The chosen move updates the per-node parent tuples, and
     the structure is rebuilt from them.  Restart 0
-    starts from ``initial`` (the empty graph by default), later restarts
-    from random structures (edge probability 0.2).
+    starts from ``initial`` (the empty graph by default), its lag order
+    raised to ``config.p`` if smaller, later restarts from random
+    structures (edge probability 0.2).
     """
     t_start = time.perf_counter()
     config = config or SearchConfig(score=score)
@@ -442,11 +444,14 @@ def hill_climb(dataset: TrajectoryDataset, score: str = "bic",
     best_structure, best_score, best_trace, moves_used = None, -np.inf, (), 0
     for restart in range(config.restarts):
         if restart == 0:
-            structure = initial if initial is not None \
+            start = initial if initial is not None \
                 else DbnStructure.empty(dataset.n_x, dataset.n_z, config.p)
         else:
-            structure = _random_start(dataset, config, substream(config.seed, "restart", restart))
-        families = [parents_of(structure, i).parents for i in range(dataset.n_x)]
+            start = _random_start(dataset, config, substream(config.seed, "restart", restart))
+        families = [parents_of(start, i).parents for i in range(dataset.n_x)]
+        # at least config.p, the largest auto lag a move may add
+        structure = structure_from_families(dataset.n_x, dataset.n_z, max(start.p, config.p),
+                                            families)
         node_scores = [scorer(i, families[i]) for i in range(dataset.n_x)]
         current = float(sum(node_scores))
         trace = [{"restart": restart, "step": 0, "score": current}]
@@ -606,8 +611,14 @@ def continuous_oneshot(dataset: TrajectoryDataset, config: ContinuousConfig | No
 # Bounded-weight one-shot
 
 
-def _price_support(target: np.ndarray, cols: list, n_intra: int,
-                   config: BoundedConfig) -> tuple[float, np.ndarray]:
+# Relative slack of the pruning test in :func:`_price_support`, per unit of
+# the design's condition number: far above the rounding of a least-squares
+# cost, so rounding never prunes the pattern a plain enumeration would pick.
+_PRUNE_MARGIN = 1e-9
+
+
+def _price_support(target: np.ndarray, cols: list, n_intra: int, config: BoundedConfig,
+                   cap: float = np.inf, tally: Counter | None = None) -> tuple[float, np.ndarray | None]:
     """Min over sign patterns of SSE + sign-class L0 penalties on one support.
 
     ``cols`` holds the support's intra columns, then its lagged ones.  Each
@@ -617,9 +628,31 @@ def _price_support(target: np.ndarray, cols: list, n_intra: int,
     on the sign does an unconstrained optimum clearing every bound settle
     the support without enumerating patterns.  Returns the cost and the
     weights in ``cols`` order.
+
+    Patterns are pruned by the least-squares lower bound of bounded-variable
+    least squares (Stark & Parker 1995).  With ``beta`` the unconstrained
+    solution, ``SSE0 = ||t - X beta||^2`` and ``sigma`` the design's smallest
+    singular value, every ``w`` in pattern ``s``'s box has ``||t - X w||^2 =
+    SSE0 + ||X (w - beta)||^2 >= SSE0 + sigma^2 dist(beta, box)^2``, so the
+    pattern costs at least ``L_s = SSE0 + sigma^2 sum_i max(0, req_i - s_i
+    beta_i)^2 + pen_s``.  Patterns are solved in increasing ``(L_s,
+    enumeration index)`` order until ``L_s`` less a margin exceeds the
+    smaller of the best cost found and ``cap``.  The margin is
+    ``_PRUNE_MARGIN`` times the design's condition number times ``|L_s| +
+    ||t||^2``, since the rounding of a computed cost grows with both.  A
+    rank-deficient design (whose BVLS weights may drift along its null
+    space, and whose computed costs then carry that drift's rounding) or a
+    non-finite bound never prunes: every pattern is solved, in enumeration
+    order.  On equal costs the pattern enumerated first wins, as in a plain
+    enumeration.  With the default ``cap`` the result is the exact minimum.
+    A support that cannot cost less than a finite ``cap`` may instead
+    return any cost at or above ``cap``, with weights ``None`` when no
+    pattern was solved.  ``tally`` counts ``bvls_calls`` and such
+    ``supports_pruned``.
     """
     if not cols:
         return float(np.dot(target, target)), np.empty(0)
+    tally = Counter() if tally is None else tally
     design = np.column_stack(cols)
     k = design.shape[1]
     req = np.array([config.b_w] * n_intra + [config.b_a] * (k - n_intra))
@@ -631,19 +664,36 @@ def _price_support(target: np.ndarray, cols: list, n_intra: int,
         return float(np.dot(resid, resid)) + sum(
             p if w > 0 else q for w, p, q in zip(weights, pos, neg))
 
+    beta, _, rank, sv = np.linalg.lstsq(design, target, rcond=None)
     if config.lambda_w_pos == config.lambda_w_neg and config.lambda_a_pos == config.lambda_a_neg:
-        beta, *_ = np.linalg.lstsq(design, target, rcond=None)
         if np.all(np.abs(beta) >= req):
             return cost(beta), beta
-    best = None
-    for signs in itertools.product((1.0, -1.0), repeat=k):
-        lo = np.where(np.asarray(signs) > 0, req, -np.inf)
-        hi = np.where(np.asarray(signs) > 0, np.inf, -req)
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=k)))
+    resid = target - design @ beta
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        cond = sv[0] / sv[-1] if rank == k else np.inf
+        gap = np.maximum(0.0, req - signs * beta)
+        bounds = (np.dot(resid, resid) + sv[-1] * sv[-1] * np.sum(gap * gap, axis=1)
+                  + np.where(signs > 0, pos, neg).sum(axis=1))
+        slack = _PRUNE_MARGIN * cond * (np.abs(bounds) + np.dot(target, target))
+    if not np.all(np.isfinite(bounds - slack)):  # rank deficient or overflowing: solve all
+        bounds, slack = np.full(len(signs), -np.inf), np.zeros(len(signs))
+    best = None  # (cost, pattern index, weights)
+    for idx in np.argsort(bounds, kind="stable").tolist():
+        limit = cap if best is None else min(best[0], cap)
+        if bounds[idx] - slack[idx] > limit:
+            break
+        lo = np.where(signs[idx] > 0, req, -np.inf)
+        hi = np.where(signs[idx] > 0, np.inf, -req)
         sol = scipy.optimize.lsq_linear(design, target, bounds=(lo, hi), method="bvls")
+        tally["bvls_calls"] += 1
         value = cost(sol.x)
-        if best is None or value < best[0]:
-            best = (value, sol.x)
-    return best
+        if best is None or value < best[0] or (value == best[0] and idx < best[1]):
+            best = (value, idx, sol.x)
+    if best is None:
+        tally["supports_pruned"] += 1
+        return float(bounds[idx]), None
+    return best[0], best[2]
 
 
 def bounded_oneshot(dataset: TrajectoryDataset, config: BoundedConfig | None = None,
@@ -658,6 +708,14 @@ def bounded_oneshot(dataset: TrajectoryDataset, config: BoundedConfig | None = N
     search, so the returned support is the global minimizer for any
     penalties ``lambda_*_pos`` / ``lambda_*_neg``.  Every active edge
     satisfies its bound by construction.
+    Pruning keeps every choice exact (:func:`_bounded_tables`): sign
+    patterns are solved in order of their least-squares lower bound and
+    skipped once the bound, less a rounding margin, exceeds the best cost
+    found; each support is also capped at the cheapest cost already found
+    for its intra set.  On equal costs the support and the sign pattern
+    enumerated first win.  ``extras`` counts the BVLS solves
+    (``bvls_calls``) and the supports skipped without one
+    (``supports_pruned``).
     The penalty is L0 per edge on summed SSE, unlike the L1 penalty on a
     (1/2M)-scaled SSE of ``continuous_oneshot``, so the two supports
     coincide only where the data pin the support down, not where several
@@ -671,21 +729,8 @@ def bounded_oneshot(dataset: TrajectoryDataset, config: BoundedConfig | None = N
     if n > config.max_nodes:
         raise SizeGuardError(f"bounded search is guarded at {config.max_nodes} nodes, got {n}")
 
-    tables = []  # per node: {intra frozenset -> (-cost, intra_js, inter_js, weights)}
-    for i in range(n):
-        table = {}
-        for intra_js in _class_subsets([j for j in range(n) if j != i], n - 1):
-            deadline.check()
-            best = None
-            for inter_js in _class_subsets(range(n), n):
-                cols = [y[:, j] for j in intra_js] + [x_prev[:, j] for j in inter_js]
-                cost, weights = _price_support(y[:, i], cols, len(intra_js), config)
-                if best is None or -cost > best[0]:
-                    best = (-cost, intra_js, inter_js, weights)
-            table[frozenset(intra_js)] = best
-        tables.append(table)
-
-    total, chosen = _best_dag(tables, deadline)
+    tally = Counter(bvls_calls=0, supports_pruned=0)
+    total, chosen = _best_dag(_bounded_tables(y, x_prev, config, deadline, tally), deadline)
     w_mat = np.zeros((n, n))
     a_mat = np.zeros((n, n))
     for v, (_, intra_js, inter_js, weights) in enumerate(chosen):
@@ -705,7 +750,34 @@ def bounded_oneshot(dataset: TrajectoryDataset, config: BoundedConfig | None = N
         "bounded", dataset, structure, FamilyScorer(dataset, "ll"), t_start, config.seed,
         ({"step": 0, "objective": -total},),
         extras={"w": w_mat, "a": a_mat, "objective": -total,
-                "empty_objective": float(sum(np.dot(y[:, i], y[:, i]) for i in range(n)))})
+                "empty_objective": float(sum(np.dot(y[:, i], y[:, i]) for i in range(n))),
+                **tally})
+
+
+def _bounded_tables(y: np.ndarray, x_prev: np.ndarray, config: BoundedConfig,
+                    deadline: Deadline, tally: Counter) -> list[dict]:
+    """Per node: {intra frozenset -> (-cost, intra_js, inter_js, weights)} of its cheapest support.
+
+    Inter sets are priced in enumeration order, each capped at the cheapest
+    cost found so far for the same intra set, so a support that cannot be
+    strictly cheaper is pruned and the first of equal costs is kept.
+    """
+    n = y.shape[1]
+    tables = []
+    for i in range(n):
+        table = {}
+        for intra_js in _class_subsets([j for j in range(n) if j != i], n - 1):
+            deadline.check()
+            best = None
+            for inter_js in _class_subsets(range(n), n):
+                cols = [y[:, j] for j in intra_js] + [x_prev[:, j] for j in inter_js]
+                cost, weights = _price_support(y[:, i], cols, len(intra_js), config,
+                                               np.inf if best is None else -best[0], tally)
+                if best is None or -cost > best[0]:
+                    best = (-cost, intra_js, inter_js, weights)
+            table[frozenset(intra_js)] = best
+        tables.append(table)
+    return tables
 
 
 # ---------------------------------------------------------------------------

@@ -587,6 +587,27 @@ def _family_k(dataset: TrajectoryDataset, family: FamilySpec) -> int:
     return len(family.parents) + 2  # betas + intercept + sigma2
 
 
+def _check_parents(dataset: TrajectoryDataset, node: int, parents: Sequence[Parent]) -> None:
+    """Refuse a family ``node`` cannot have in ``dataset`` with :class:`ModelError`.
+
+    The node and every inter, intra or static parent must name a variable of
+    the data, an auto lag is at least 1, and no node is its own intra parent.
+    """
+    if not 0 <= node < dataset.n_x:
+        raise ModelError(f"node {node} is not in the data")
+    for par in parents:
+        if par.kind == "auto":
+            valid = par.index >= 1
+        elif par.kind == "static":
+            valid = 0 <= par.index < dataset.n_z
+        elif par.kind in ("inter", "intra"):
+            valid = 0 <= par.index < dataset.n_x and par != Parent("intra", node)
+        else:
+            valid = False
+        if not valid:
+            raise ModelError(f"node {node} cannot have parent {par} in this dataset")
+
+
 def family_score(dataset: TrajectoryDataset, node: int, parents: Sequence[Parent],
                  kind: str, prior: DirichletPrior | None = None,
                  hyper: BgeHyper | None = None) -> float:
@@ -594,6 +615,7 @@ def family_score(dataset: TrajectoryDataset, node: int, parents: Sequence[Parent
     kind = kind.lower()
     if kind not in SCORE_KINDS:
         raise ConfigError(f"unknown score kind {kind!r}; expected one of {SCORE_KINDS}")
+    _check_parents(dataset, node, parents)
     family = FamilySpec(node=node, parents=canonical_parents(parents))
     if kind == "bde":
         return bde_family_score(count_transitions(dataset, family), prior)
@@ -708,12 +730,11 @@ class FamilyScorer:
         # arity 1, which adds no digit: its column among the distinct rows
         # (statics, then lag 0, 1, ... of every variable), lag and arity
         sources = sorted(set(itertools.chain.from_iterable(families)), key=Parent.sort_key)
+        _check_parents(ds, node, sources)
         slot = {par: s for s, par in enumerate(sources)}
         column, lag, arity = [], [], []
         for par in sources:
             par_lag, var = _source(node, par)
-            if not (0 <= var < (n_z if par_lag is None else n_x) and (par_lag or 0) >= 0):
-                raise ModelError(f"parent {par} of node {node} is not in the data")
             column.append(var if par_lag is None else n_z + par_lag * n_x + var)
             lag.append(par_lag or 0)
             arity.append(ds.domain.z_arities[var] if par_lag is None else ds.domain.x_arities[var])

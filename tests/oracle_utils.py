@@ -9,12 +9,14 @@ import itertools
 import math
 
 import numpy as np
+import scipy.optimize
 from scipy import optimize, stats
 
 from dbnlearn.core import (
     Cpt, DbnStructure, FactoredCpt, LinearGaussian, Logistic, NoisyOr, Parent,
     configuration_index, parents_of, topological_order,
 )
+from dbnlearn.learn import BoundedConfig
 from dbnlearn.scoring import family_score
 from dbnlearn.simulate import substream
 
@@ -242,6 +244,72 @@ def bounded_support_objective(y, x_prev, intra_mask, lag_mask, config) -> float:
             best = min(best, float(np.dot(resid, resid)) + pen)
         total += best
     return total
+
+
+def price_support_unpruned(target: np.ndarray, cols: list, n_intra: int,
+                           config: BoundedConfig) -> tuple[float, np.ndarray]:
+    """Min over sign patterns of SSE + sign-class L0 penalties on one support.
+
+    ``cols`` holds the support's intra columns, then its lagged ones.  Each
+    sign pattern is a bound-constrained least squares (weights at least
+    ``b_w`` / ``b_a`` in magnitude with that sign) priced with one penalty
+    per weight from its sign class.  Only when the penalties do not depend
+    on the sign does an unconstrained optimum clearing every bound settle
+    the support without enumerating patterns.  Returns the cost and the
+    weights in ``cols`` order.
+
+    ``dbnlearn.learn._price_support`` before its sign patterns and supports
+    were pruned, kept as the reference that the pruned one must match.
+    """
+    if not cols:
+        return float(np.dot(target, target)), np.empty(0)
+    design = np.column_stack(cols)
+    k = design.shape[1]
+    req = np.array([config.b_w] * n_intra + [config.b_a] * (k - n_intra))
+    pos = [config.lambda_w_pos] * n_intra + [config.lambda_a_pos] * (k - n_intra)
+    neg = [config.lambda_w_neg] * n_intra + [config.lambda_a_neg] * (k - n_intra)
+
+    def cost(weights):
+        resid = target - design @ weights
+        return float(np.dot(resid, resid)) + sum(
+            p if w > 0 else q for w, p, q in zip(weights, pos, neg))
+
+    if config.lambda_w_pos == config.lambda_w_neg and config.lambda_a_pos == config.lambda_a_neg:
+        beta, *_ = np.linalg.lstsq(design, target, rcond=None)
+        if np.all(np.abs(beta) >= req):
+            return cost(beta), beta
+    best = None
+    for signs in itertools.product((1.0, -1.0), repeat=k):
+        lo = np.where(np.asarray(signs) > 0, req, -np.inf)
+        hi = np.where(np.asarray(signs) > 0, np.inf, -req)
+        sol = scipy.optimize.lsq_linear(design, target, bounds=(lo, hi), method="bvls")
+        value = cost(sol.x)
+        if best is None or value < best[0]:
+            best = (value, sol.x)
+    return best
+
+
+def bounded_tables_unpruned(y, x_prev, config, deadline, tally):
+    """``dbnlearn.learn._bounded_tables`` before pruning: every support priced in full.
+
+    Takes the learner's arguments so a test can substitute it; ``tally`` is
+    left untouched.
+    """
+    n = y.shape[1]
+    tables = []  # per node: {intra frozenset -> (-cost, intra_js, inter_js, weights)}
+    for i in range(n):
+        table = {}
+        for intra_js in class_subsets([j for j in range(n) if j != i], n - 1):
+            deadline.check()
+            best = None
+            for inter_js in class_subsets(range(n), n):
+                cols = [y[:, j] for j in intra_js] + [x_prev[:, j] for j in inter_js]
+                cost, weights = price_support_unpruned(y[:, i], cols, len(intra_js), config)
+                if best is None or -cost > best[0]:
+                    best = (-cost, intra_js, inter_js, weights)
+            table[frozenset(intra_js)] = best
+        tables.append(table)
+    return tables
 
 
 # ---------------------------------------------------------------------------

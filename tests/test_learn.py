@@ -1,9 +1,12 @@
 import hashlib
 import json
 import math
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from dbnlearn.acyclicity import h_poly, threshold_and_repair
@@ -28,7 +31,8 @@ from dbnlearn.simulate import EdgeProbs, GeneratorConfig, sample_random_dbn, sam
 
 from conftest import continuous_dataset, discrete_dataset
 from oracle_utils import (
-    _structure_with, bounded_support_objective, brute_force_best_score, lag1_design,
+    _structure_with, bounded_support_objective, bounded_tables_unpruned, brute_force_best_score,
+    lag1_design,
 )
 
 
@@ -285,6 +289,15 @@ class TestHillClimb:
         assert report.extras["moves"] >= 1
         assert (report.structure.p, report.structure.auto_lags[0]) == (3, (3,))
 
+    def test_shorter_initial_is_raised_to_config_lag_order(self):
+        # moves may add auto lags up to config p = 3, so restart 0 starts at
+        # that lag order: the same search as from the default empty start
+        _, ds = discrete_instance(3, n_traj=30, horizon=12)
+        cfg = SearchConfig(score="bic", restarts=1, p=3, max_auto=3)
+        report = hill_climb(ds, "bic", cfg, initial=DbnStructure.empty(3, 0, 1))
+        assert report.structure.p == 3
+        assert report.to_json() == hill_climb(ds, "bic", cfg).to_json()
+
     def test_deterministic_given_seed(self):
         _, ds = discrete_instance(8)
         cfg = SearchConfig(score="bic", restarts=3, seed=123)
@@ -412,6 +425,117 @@ class TestBoundedOneshot:
             others = sum(float(np.dot(y[:, j], y[:, j])) for j in range(n) if j != i)
             expected = bounded_support_objective(y, x_prev, intra_mask, lag_mask, cfg)
             assert cost + others == pytest.approx(expected, rel=1e-12), trial
+
+
+@st.composite
+def bounded_cases(draw):
+    """A small linear dataset and bounded settings.
+
+    Options: asymmetric sign penalties, a noiseless coupling, data scaled
+    by 1e-3 or 1e3, and twin variables.  Exact twins (variable 1 repeats
+    variable 0) make duplicated design columns (a rank-deficient design,
+    sigma = 0) and supports of exactly equal cost; near twins (1e-7 apart)
+    make ill-conditioned designs.
+    """
+    n = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((draw(st.integers(1, 4)), draw(st.integers(2, 10)) + 1, n))
+    coupling = draw(st.sampled_from([0.0, 0.3, 0.8, -1.5]))
+    noise = draw(st.sampled_from([0.0, 0.1, 1.0]))
+    for t in range(1, x.shape[1]):
+        x[:, t, n - 1] = coupling * x[:, t - 1, 0] + noise * x[:, t, n - 1]
+    twin = draw(st.sampled_from([None, 0.0, 1e-7]))
+    if twin is not None:
+        x[..., 1] = x[..., 0] + twin * rng.standard_normal(x.shape[:2])
+    x *= draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    pos = [draw(st.sampled_from([0.0, 0.05, 0.5, 2.0])) for _ in range(2)]
+    neg = pos if draw(st.booleans()) else [draw(st.sampled_from([0.0, 0.3, 3.0])) for _ in range(2)]
+    cfg = BoundedConfig(b_w=draw(st.sampled_from([0.02, 0.2, 0.7])),
+                        b_a=draw(st.sampled_from([0.02, 0.2, 0.7])),
+                        lambda_w_pos=pos[0], lambda_w_neg=neg[0],
+                        lambda_a_pos=pos[1], lambda_a_neg=neg[1])
+    return continuous_dataset(x), cfg
+
+
+def table_bits(tables):
+    return [{key: (entry[0].hex(), entry[1], entry[2], entry[3].tobytes())
+             for key, entry in table.items()} for table in tables]
+
+
+def report_bits(report):
+    return (report.structure.to_json_dict(), report.extras["w"].tobytes(),
+            report.extras["a"].tobytes(), report.extras["objective"].hex())
+
+
+def bounded_outcome(ds, cfg):
+    """``report_bits`` of the bounded learner, or the error its parameter refit raised."""
+    try:
+        return report_bits(bounded_oneshot(ds, cfg))
+    except Exception as err:  # degenerate draws: both sides must fail alike
+        return repr(err)
+
+
+class TestBoundedPruning:
+    """The pruned tables and learner against the unpruned reference, bit for bit."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(bounded_cases())
+    def test_matches_unpruned_reference(self, case):
+        ds, cfg = case
+        y, x_prev = learn._sem_matrices(ds, 1)
+        pruned = learn._bounded_tables(y, x_prev, cfg, Deadline(), Counter())
+        assert table_bits(pruned) == table_bits(
+            bounded_tables_unpruned(y, x_prev, cfg, Deadline(), None))
+        outcome = bounded_outcome(ds, cfg)
+        with mock.patch.object(learn, "_bounded_tables", bounded_tables_unpruned):
+            assert outcome == bounded_outcome(ds, cfg)
+
+    def test_equal_costs_keep_the_first_support(self):
+        # variables 0 and 1 are equal, so node 2's supports on either cost
+        # the same bits; the one enumerated first, on variable 0, is kept
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((4, 30, 3))
+        x[..., 1] = x[..., 0]
+        x[:, 1:, 2] = 0.8 * x[:, :-1, 0] + 0.3 * x[:, 1:, 2]
+        ds = continuous_dataset(x)
+        cfg = BoundedConfig(lambda_w_pos=0.5, lambda_w_neg=0.5, lambda_a_pos=0.5, lambda_a_neg=0.5)
+        y, x_prev = learn._sem_matrices(ds, 1)
+        costs = [_price_support(y[:, 2], [x_prev[:, j]], 0, cfg)[0] for j in (0, 1)]
+        assert costs[0] == costs[1]
+        for tables in (learn._bounded_tables(y, x_prev, cfg, Deadline(), Counter()),
+                       bounded_tables_unpruned(y, x_prev, cfg, Deadline(), None)):
+            assert tables[2][frozenset()][2] == (0,)
+        report = bounded_oneshot(ds, cfg)
+        assert report.structure.inter[0, 2] and not report.structure.inter[1, 2]
+
+    def test_counters_count_solves_and_pruning_fires(self, monkeypatch):
+        _, ds = continuous_instance(5, n_traj=20, horizon=30)
+        calls = []
+        solve = scipy.optimize.lsq_linear
+        monkeypatch.setattr(scipy.optimize, "lsq_linear",
+                            lambda *a, **k: calls.append(1) or solve(*a, **k))
+        report = bounded_oneshot(ds)
+        pruned_calls = len(calls)
+        monkeypatch.setattr(learn, "_bounded_tables", bounded_tables_unpruned)
+        assert report_bits(bounded_oneshot(ds)) == report_bits(report)
+        unpruned_calls = len(calls) - pruned_calls
+        assert report.extras["bvls_calls"] == pruned_calls
+        assert type(report.extras["bvls_calls"]) is type(report.extras["supports_pruned"]) is int
+        assert 0 < pruned_calls < unpruned_calls / 2
+        assert report.extras["supports_pruned"] > 0
+
+    def test_a_finite_cap_prices_a_support_at_or_above_it(self):
+        _, ds = continuous_instance(5, n_traj=10, horizon=20)
+        y, x_prev = lag1_design(ds)
+        cfg = BoundedConfig(b_w=0.3, b_a=0.3, lambda_w_pos=0.1, lambda_w_neg=1.0)
+        cols = [y[:, 0], x_prev[:, 1], x_prev[:, 2]]
+        exact, weights = _price_support(y[:, 2], cols, 1, cfg)
+        for cap in (exact * 0.5, exact, exact * (1 + 1e-6)):
+            cost, capped = _price_support(y[:, 2], cols, 1, cfg, cap)
+            if cap < exact:
+                assert cost >= cap
+            else:
+                assert (cost, capped.tobytes()) == (exact, weights.tobytes())
 
 
 def _structure_digest(report):

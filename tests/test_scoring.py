@@ -934,6 +934,24 @@ class TestBatchedScorer:
             with pytest.raises(ModelError):
                 scorer.many(0, [bad])
 
+    @pytest.mark.parametrize("bad", [Parent("foo", 1), Parent("inter", 5), Parent("auto", 0),
+                                     Parent("intra", 0)],
+                             ids=["unknown-kind", "out-of-range", "auto-lag-0", "intra-self"])
+    @pytest.mark.parametrize("entry", [
+        lambda ds, kind, bad: sc.family_score(ds, 0, (bad,), kind),
+        lambda ds, kind, bad: sc.FamilyScorer(ds, kind)(0, (bad,)),
+        lambda ds, kind, bad: sc.FamilyScorer(ds, kind).many(0, [(bad,)]),
+    ], ids=["family_score", "scorer", "many"])
+    @pytest.mark.parametrize("domain", ["discrete", "continuous"])
+    def test_invalid_parents_raise_model_errors(self, rng, bad, entry, domain):
+        x = rng.integers(0, 2, size=(3, 6, 2))
+        ds = discrete_dataset(x) if domain == "discrete" else continuous_dataset(x)
+        for kind in ("bic", "bde" if domain == "discrete" else "bge"):
+            with pytest.raises(ModelError):
+                entry(ds, kind, bad)
+            # the child's own previous value is a valid inter parent
+            assert np.all(np.isfinite(entry(ds, kind, Parent("inter", 0))))
+
     def test_continuous_kinds_score_one_family_at_a_time(self, rng):
         ds = continuous_dataset(rng.normal(size=(3, 12, 2)))
         lattice = [(), (Parent("inter", 1),), (Parent("intra", 1), Parent("auto", 1))]
