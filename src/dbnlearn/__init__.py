@@ -3,20 +3,17 @@
 from .core import (
     ConfigError, Cpt, CycleError, DbnError, DbnStructure, Domain, FactoredCpt, FamilySpec,
     LinearGaussian, Logistic, NoisyOr, ParameterSet, Parent, TrajectoryDataset,
-    configuration_index, configuration_values, is_acyclic, parents_of,
-    topological_order,
+    configuration_index, is_acyclic, parents_of, topological_order,
 )
-from .acyclicity import h_expm, h_expm_and_grad, h_expm_grad, h_poly, threshold_and_repair
+from .acyclicity import h_expm_and_grad, threshold_and_repair
 from .scoring import (
     BgeHyper, CountTable, DirichletPrior, FamilyScorer,
-    bde_family_score, bge_family_score, count_transitions,
-    dirichlet_posterior, dump_scores, family_score, fit_linear_gaussian,
-    fit_logistic, information_criterion, loglik_cpt, mle_cpt, mle_factored,
+    bde_family_score, bge_family_score, count_transitions, dump_scores, family_score,
+    fit_linear_gaussian, fit_logistic, information_criterion, loglik_cpt, mle_cpt, mle_factored,
 )
 from .simulate import (
     FAVORABLE_REGIME, HIGH_DIMENSIONAL_REGIME, EdgeProbs, GeneratorConfig,
-    RegimeSpec, noisy_or_kernel, regime_datasets, sample_random_dbn,
-    sample_trajectories,
+    RegimeSpec, regime_datasets, sample_random_dbn, sample_trajectories,
 )
 from .learn import (
     BoundedConfig, ContinuousConfig, LearnerReport, SearchConfig,

@@ -109,23 +109,19 @@ class FamilySpec:
     """A child node together with its ordered, tagged parent list.
 
     The parent order is the canonical one from :func:`canonical_parents`,
-    so configuration indices are reproducible across runs.  ``available``
-    flags parents that cannot be served at a requested slice time (auto
-    lags reaching before the first observation); it is all-True when no
-    slice time was supplied.
+    so configuration indices are reproducible across runs.  Which
+    transitions a family can be scored on is the dataset's drop rule
+    (:meth:`TrajectoryDataset.first_usable_t`), from :attr:`min_time`.
     """
 
     node: int
     parents: tuple[Parent, ...]
-    available: tuple[bool, ...] = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if len(set(self.parents)) != len(self.parents):
             raise ModelError(f"duplicate parent tags in family of node {self.node}")
         if self.parents != canonical_parents(self.parents):
             raise ModelError("family parents must be in canonical order")
-        if self.available is None:
-            object.__setattr__(self, "available", (True,) * len(self.parents))
 
     @property
     def min_time(self) -> int:
@@ -133,15 +129,14 @@ class FamilySpec:
         lags = [p.index for p in self.parents if p.kind == "auto"]
         return max([1] + lags)
 
-    def arities(self, x_arities: Sequence[int], z_arities: Sequence[int], node: int | None = None) -> tuple[int, ...]:
+    def arities(self, x_arities: Sequence[int], z_arities: Sequence[int]) -> tuple[int, ...]:
         """Per-parent cardinalities, in family order."""
-        child = self.node if node is None else node
         out = []
         for p in self.parents:
             if p.kind == "static":
                 out.append(int(z_arities[p.index]))
             elif p.kind == "auto":
-                out.append(int(x_arities[child]))
+                out.append(int(x_arities[self.node]))
             else:
                 out.append(int(x_arities[p.index]))
         return tuple(out)
@@ -215,8 +210,8 @@ def configuration_index(values: Sequence[int], arities: Sequence[int]) -> int:
     """Mixed-radix little-endian index of a parent configuration.
 
     The first value is the least significant digit, so
-    ``values=(1, 2), arities=(2, 3) -> 1 + 2*2 = 5``.  Bijective with
-    :func:`configuration_values`.
+    ``values=(1, 2), arities=(2, 3) -> 1 + 2*2 = 5``.  A bijection from
+    the configurations onto ``0 .. prod(arities) - 1``.
     """
     if len(values) != len(arities):
         raise DimensionError("values and arities must have the same length")
@@ -229,20 +224,6 @@ def configuration_index(values: Sequence[int], arities: Sequence[int]) -> int:
         idx += v * base
         base *= int(a)
     return idx
-
-
-def configuration_values(index: int, arities: Sequence[int]) -> tuple[int, ...]:
-    """Inverse of :func:`configuration_index`."""
-    total = 1
-    for a in arities:
-        total *= int(a)
-    if not 0 <= index < max(total, 1):
-        raise ConfigError(f"configuration index {index} out of range for arities {tuple(arities)}")
-    out = []
-    for a in arities:
-        out.append(index % int(a))
-        index //= int(a)
-    return tuple(out)
 
 
 def n_configurations(arities: Sequence[int]) -> int:
@@ -371,12 +352,10 @@ class DbnStructure:
         )
 
 
-def parents_of(structure: DbnStructure, node: int, slice_time: int | None = None) -> FamilySpec:
-    """The tagged parent family of ``X_node(slice_time)`` in canonical order.
+def parents_of(structure: DbnStructure, node: int) -> FamilySpec:
+    """The tagged parent family of ``X_node(t)`` in canonical order.
 
-    With ``slice_time`` given, auto parents reaching before time 0 are
-    flagged unavailable; without it the generic family is returned.  The
-    same structure always yields byte-identical orderings.
+    The same structure always yields byte-identical orderings.
     """
     if not 0 <= node < structure.n_x:
         raise DimensionError(f"node {node} outside 0..{structure.n_x - 1}")
@@ -384,15 +363,7 @@ def parents_of(structure: DbnStructure, node: int, slice_time: int | None = None
     parents += [Parent("intra", int(j)) for j in np.flatnonzero(structure.intra[:, node])]
     parents += [Parent("auto", int(t)) for t in structure.auto_lags[node]]
     parents += [Parent("static", int(j)) for j in np.flatnonzero(structure.static_edges[:, node])]
-    parents = canonical_parents(parents)
-    if slice_time is None:
-        available = (True,) * len(parents)
-    else:
-        available = tuple(
-            slice_time - p.index >= 0 if p.kind == "auto" else slice_time >= 1
-            for p in parents
-        )
-    return FamilySpec(node=node, parents=parents, available=available)
+    return FamilySpec(node=node, parents=canonical_parents(parents))
 
 
 def structure_from_families(n_x: int, n_z: int, p: int,
@@ -472,11 +443,13 @@ class TrajectoryDataset:
     marks leading transitions excluded from every count/likelihood (used
     by temporal hold-out to carry lag context without double scoring).
 
-    Every count, design and likelihood reads its rows from a column bank
-    (:meth:`family_columns`): one flat, read-only copy per (first target
-    time, lag, variable), built on first use and kept for the dataset's
-    lifetime, in the spirit of the cached sufficient statistics of Moore &
-    Lee (JAIR 8, 1998).  It holds at most ``(1 + p) n_x + n_z`` columns per
+    A column bank is the only row source of scores and learners: every
+    count, design, likelihood and one-shot regression reads it
+    (:meth:`family_columns`, :meth:`bank_matrix`) from the first target
+    time of :meth:`first_usable_t`.  It holds one flat, read-only copy per
+    (first target time, lag, variable), built on first use and kept for the
+    dataset's lifetime, in the spirit of the cached sufficient statistics of
+    Moore & Lee (JAIR 8, 1998): at most ``(1 + p) n_x + n_z`` columns per
     first target time.  Next to the columns the dataset keeps their exact
     sums (:meth:`column_sum`): one correctly rounded ``math.fsum`` per
     column and per unordered pair of columns, filled the same way, from
@@ -548,23 +521,14 @@ class TrajectoryDataset:
     def n_z(self) -> int:
         return self.z.shape[1]
 
-    def first_usable_t(self, family: FamilySpec) -> int:
-        """Earliest target time countable for ``family`` under the drop rule."""
-        return max(family.min_time, self.burn_in + 1)
+    def first_usable_t(self, family: FamilySpec | int) -> int:
+        """Earliest target time countable for ``family``, or for rows reaching back that many slices."""
+        lag = family if isinstance(family, int) else family.min_time
+        return max(lag, self.burn_in + 1)
 
     def usable_transitions(self, family: FamilySpec) -> int:
         """Number of (trajectory, t) transitions countable for ``family``."""
         return self.N * max(0, self.T - self.first_usable_t(family) + 1)
-
-    def parent_columns(self, family: FamilySpec, t: np.ndarray | int) -> np.ndarray:
-        """Values of the family's parents at target time(s) ``t``: shape (N, len(t), k)."""
-        t = np.atleast_1d(np.asarray(t, dtype=int))
-        # filled in C order, so that merging the leading axes is a view
-        out = np.empty((self.N, len(t), len(family.parents)), dtype=self.x.dtype)
-        for c, par in enumerate(family.parents):
-            lag, j = _source(family.node, par)
-            out[:, :, c] = self.z[:, j][:, None] if lag is None else self.x[:, t - lag, j]
-        return out
 
     def _column(self, t0: int, lag: int | None, j: int) -> np.ndarray:
         """Bank column: ``x[:, t - lag, j]`` (``z[:, j]`` for ``lag=None``) over targets ``t0..T``."""
@@ -637,13 +601,20 @@ class TrajectoryDataset:
         child, *cols = (self._column(*key) for key in self.family_keys(family, t0))
         return child, tuple(cols)
 
+    def bank_matrix(self, t0: int, sources: Sequence[tuple[int | None, int]]) -> np.ndarray:
+        """Bank columns ``(t0, lag, j)`` for each ``(lag, j)`` in ``sources``, side by side.
+
+        A fresh C-contiguous (M, len(sources)) copy.
+        """
+        out = np.empty((self.N * max(0, self.T + 1 - t0), len(sources)), dtype=self.x.dtype)
+        for c, (lag, j) in enumerate(sources):
+            out[:, c] = self._column(t0, lag, j)
+        return out
+
     def family_rows(self, family: FamilySpec, t0: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Child values (M,) and parent matrix (M, k) of :meth:`family_columns`."""
-        child, cols = self.family_columns(family, t0)
-        pcols = np.empty((child.size, len(cols)), dtype=self.x.dtype)
-        for c, col in enumerate(cols):
-            pcols[:, c] = col
-        return child, pcols
+        child, *parents = self.family_keys(family, t0)
+        return self._column(*child), self.bank_matrix(child[0], [key[1:] for key in parents])
 
     def family_arities(self, family: FamilySpec) -> tuple[int, ...]:
         if not self.domain.discrete:

@@ -17,6 +17,9 @@ Four learners share the :class:`LearnerReport` result type:
 ``exact`` and ``bounded`` tabulate one best entry per (node, intra
 parent set) and share one subset dynamic program, :func:`_best_dag`
 (Silander & Myllymaki, UAI 2006), to pick the best acyclic combination.
+The one-shot learners read their rows from the dataset's column bank
+(:meth:`~dbnlearn.core.TrajectoryDataset.bank_matrix`) and turn their
+weights into a structure alike (:func:`_sem_structure`).
 
 ``report.score`` is always the decomposable structure score that
 rescoring the reported structure from scratch reproduces (the fit kind
@@ -72,7 +75,7 @@ _NO_DEADLINE = Deadline(None)
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs shared by the combinatorial learners."""
+    """Knobs shared by the combinatorial learners; ``score`` is the score kind they maximise."""
 
     score: str = "bic"
     max_intra: int = 2
@@ -207,7 +210,14 @@ def _class_subsets(candidates: Sequence, limit: int):
     return out
 
 
-def exact_search(dataset: TrajectoryDataset, score: str = "bde",
+def _search_config(score: str | None, config: SearchConfig | None, default: str) -> SearchConfig:
+    """``config``, by default one scoring ``score`` (else ``default``); ``score`` may only repeat it."""
+    if score is not None and config is not None and score.lower() != config.score.lower():
+        raise ConfigError(f"score {score!r} disagrees with config.score {config.score!r}")
+    return config or SearchConfig(score=default if score is None else score)
+
+
+def exact_search(dataset: TrajectoryDataset, score: str | None = None,
                  config: SearchConfig | None = None,
                  prior: DirichletPrior | None = None, hyper: BgeHyper | None = None,
                  deadline: Deadline | None = None) -> LearnerReport:
@@ -220,17 +230,18 @@ def exact_search(dataset: TrajectoryDataset, score: str = "bde",
     subject to same-slice acyclicity.  Ties go to the parent sets
     enumerated first, i.e. smaller then lexicographically earlier sets.
     Each node's whole lattice is scored by one
-    :meth:`~dbnlearn.scoring.FamilyScorer.many` call.
+    :meth:`~dbnlearn.scoring.FamilyScorer.many` call.  The score kind is
+    ``config.score``, ``bde`` by default.
     """
     t_start = time.perf_counter()
-    config = config or SearchConfig(score=score)
+    config = _search_config(score, config, "bde")
     deadline = deadline or _NO_DEADLINE
     n = dataset.n_x
     if n > 12:
         raise SizeGuardError(f"exact search is guarded at 12 nodes, got {n}")
     if dataset.N * dataset.T == 0:
         raise DataError("cannot learn from an empty dataset")
-    scorer = FamilyScorer(dataset, score, prior=prior, hyper=hyper)
+    scorer = FamilyScorer(dataset, config.score, prior=prior, hyper=hyper)
 
     completions = []  # per node: {intra frozenset -> (score, full parent tuple)}
     for i in range(n):
@@ -418,7 +429,7 @@ def _random_start(dataset: TrajectoryDataset, config: SearchConfig,
                         inter=inter, auto_lags=auto, static_edges=static)
 
 
-def hill_climb(dataset: TrajectoryDataset, score: str = "bic",
+def hill_climb(dataset: TrajectoryDataset, score: str | None = None,
                config: SearchConfig | None = None,
                prior: DirichletPrior | None = None, hyper: BgeHyper | None = None,
                deadline: Deadline | None = None,
@@ -432,14 +443,15 @@ def hill_climb(dataset: TrajectoryDataset, score: str = "bic",
     the structure is rebuilt from them.  Restart 0
     starts from ``initial`` (the empty graph by default), its lag order
     raised to ``config.p`` if smaller, later restarts from random
-    structures (edge probability 0.2).
+    structures (edge probability 0.2).  The score kind is ``config.score``,
+    ``bic`` by default.
     """
     t_start = time.perf_counter()
-    config = config or SearchConfig(score=score)
+    config = _search_config(score, config, "bic")
     deadline = deadline or _NO_DEADLINE
     if dataset.N * dataset.T == 0:
         raise DataError("cannot learn from an empty dataset")
-    scorer = FamilyScorer(dataset, score, prior=prior, hyper=hyper)
+    scorer = FamilyScorer(dataset, config.score, prior=prior, hyper=hyper)
 
     best_structure, best_score, best_trace, moves_used = None, -np.inf, (), 0
     for restart in range(config.restarts):
@@ -483,19 +495,6 @@ def hill_climb(dataset: TrajectoryDataset, score: str = "bic",
 # Continuous one-shot (augmented Lagrangian)
 
 
-def _sem_matrices(dataset: TrajectoryDataset, max_lag: int):
-    if dataset.domain.discrete:
-        raise DomainMismatchError("the continuous one-shot learner needs a continuous dataset")
-    if dataset.T < max_lag:
-        raise DataError(f"horizon T={dataset.T} too short for max lag {max_lag}")
-    t0 = max(max_lag, dataset.burn_in + 1)
-    ts = np.arange(t0, dataset.T + 1)
-    y = dataset.x[:, ts, :].reshape(-1, dataset.n_x)
-    lags = np.hstack([dataset.x[:, ts - tau, :].reshape(-1, dataset.n_x)
-                      for tau in range(1, max_lag + 1)])
-    return y, lags
-
-
 def _soft(x: np.ndarray, t: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
@@ -520,8 +519,16 @@ def continuous_oneshot(dataset: TrajectoryDataset, config: ContinuousConfig | No
     t_start = time.perf_counter()
     config = config or ContinuousConfig()
     deadline = deadline or _NO_DEADLINE
-    y, lag_cols = _sem_matrices(dataset, config.max_lag)
-    m, n = y.shape
+    if dataset.domain.discrete:
+        raise DomainMismatchError("the continuous one-shot learner needs a continuous dataset")
+    if dataset.T < config.max_lag:
+        raise DataError(f"horizon T={dataset.T} too short for max lag {config.max_lag}")
+    n = dataset.n_x
+    t0 = dataset.first_usable_t(config.max_lag)
+    y = dataset.bank_matrix(t0, [(0, j) for j in range(n)])
+    lag_cols = dataset.bank_matrix(t0, [(tau, j) for tau in range(1, config.max_lag + 1)
+                                        for j in range(n)])
+    m = y.shape[0]
     if m == 0:
         raise DataError("no usable transitions")
 
@@ -586,25 +593,30 @@ def continuous_oneshot(dataset: TrajectoryDataset, config: ContinuousConfig | No
         rho *= config.rho_growth
 
     support = threshold_and_repair(w, config.w_threshold)
-    w_final = np.where(support, w, 0.0)
-    a_blocks = [a[tau * n:(tau + 1) * n, :] for tau in range(config.max_lag)]
-    inter = np.abs(a_blocks[0]) >= config.w_threshold if config.w_threshold > 0 \
-        else a_blocks[0] != 0.0
-    np.fill_diagonal(inter, False)
-    auto = []
-    for i in range(n):
-        lags = tuple(tau + 1 for tau in range(config.max_lag)
-                     if abs(a_blocks[tau][i, i]) >= max(config.w_threshold, np.finfo(float).tiny))
-        auto.append(lags)
-    structure = DbnStructure(
-        n_x=n, n_z=dataset.n_z, p=config.max_lag, intra=support, inter=inter,
-        auto_lags=tuple(auto), static_edges=np.zeros((dataset.n_z, n), dtype=bool))
-
+    structure = _sem_structure(dataset.n_z, support, a, config.w_threshold)
     return _finish(
         "dynotears", dataset, structure, FamilyScorer(dataset, "ll"), t_start, config.seed,
         tuple(trace), flags={"converged": converged},
-        extras={"w": w_final, "a": np.vstack(a_blocks) if a_blocks else a,
+        extras={"w": np.where(support, w, 0.0), "a": a,
                 "objective": trace[-1]["objective"], "h": trace[-1]["h"]})
+
+
+def _sem_structure(n_z: int, intra: np.ndarray, a: np.ndarray, threshold: float) -> DbnStructure:
+    """Structure of same-slice support ``intra`` and lag weights ``a``, one (n, n) block per lag.
+
+    Inter edges are the lag-1 block's off-diagonal weights with ``|a| >=
+    threshold`` (nonzero at threshold 0); auto lag ``tau`` of node ``i``
+    needs ``|a_tau[i, i]| >= max(threshold, tiny)``.
+    """
+    n = intra.shape[0]
+    blocks = a.reshape(-1, n, n)
+    inter = np.abs(blocks[0]) >= threshold if threshold > 0 else blocks[0] != 0.0
+    np.fill_diagonal(inter, False)
+    floor = max(threshold, np.finfo(float).tiny)
+    auto = tuple(tuple(tau + 1 for tau in range(len(blocks)) if abs(blocks[tau][i, i]) >= floor)
+                 for i in range(n))
+    return DbnStructure(n_x=n, n_z=n_z, p=len(blocks), intra=intra, inter=inter, auto_lags=auto,
+                        static_edges=np.zeros((n_z, n), dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -724,10 +736,16 @@ def bounded_oneshot(dataset: TrajectoryDataset, config: BoundedConfig | None = N
     t_start = time.perf_counter()
     config = config or BoundedConfig()
     deadline = deadline or _NO_DEADLINE
-    y, x_prev = _sem_matrices(dataset, 1)
-    m, n = y.shape
+    if dataset.domain.discrete:
+        raise DomainMismatchError("the bounded one-shot learner needs a continuous dataset")
+    if dataset.T < 1:
+        raise DataError(f"horizon T={dataset.T} too short for max lag 1")
+    n = dataset.n_x
     if n > config.max_nodes:
         raise SizeGuardError(f"bounded search is guarded at {config.max_nodes} nodes, got {n}")
+    t0 = dataset.first_usable_t(1)
+    y = dataset.bank_matrix(t0, [(0, j) for j in range(n)])
+    x_prev = dataset.bank_matrix(t0, [(1, j) for j in range(n)])
 
     tally = Counter(bvls_calls=0, supports_pruned=0)
     total, chosen = _best_dag(_bounded_tables(y, x_prev, config, deadline, tally), deadline)
@@ -739,13 +757,9 @@ def bounded_oneshot(dataset: TrajectoryDataset, config: BoundedConfig | None = N
         for idx, j in enumerate(inter_js):
             a_mat[j, v] = weights[len(intra_js) + idx]
 
-    intra = w_mat != 0.0
-    inter = a_mat != 0.0
-    np.fill_diagonal(inter, False)
-    auto = tuple((1,) if a_mat[i, i] != 0.0 else () for i in range(n))
-    structure = DbnStructure(
-        n_x=n, n_z=dataset.n_z, p=1, intra=intra, inter=inter, auto_lags=auto,
-        static_edges=np.zeros((dataset.n_z, n), dtype=bool))
+    # at threshold 0 every nonzero weight is an edge, since each is at least its
+    # bound b_w / b_a in magnitude (for bounds of at least the smallest normal float)
+    structure = _sem_structure(dataset.n_z, w_mat != 0.0, a_mat, 0.0)
     return _finish(
         "bounded", dataset, structure, FamilyScorer(dataset, "ll"), t_start, config.seed,
         ({"step": 0, "objective": -total},),
@@ -784,11 +798,21 @@ def _bounded_tables(y: np.ndarray, x_prev: np.ndarray, config: BoundedConfig,
 # Registry used by the CLI and the benchmark harness
 
 
+# declared field type -> accepted value types; only bool fields take a bool
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+
+
 def _config_from(cls, seed, hyper, defaults=None):
-    allowed = set(cls.__dataclass_fields__) - {"seed"}
-    unknown = set(hyper) - allowed
+    """``cls(seed=seed, **defaults, **hyper)``; unknown or mistyped hyperparameters raise ConfigError."""
+    fields = {name: f.type for name, f in cls.__dataclass_fields__.items() if name != "seed"}
+    unknown = set(hyper) - set(fields)
     if unknown:
         raise ConfigError(f"unknown hyperparameters for this learner: {sorted(unknown)}")
+    for name, value in hyper.items():
+        declared = fields[name]
+        if not isinstance(value, _FIELD_TYPES[declared]) or (
+                isinstance(value, bool) and declared != "bool"):
+            raise ConfigError(f"hyperparameter {name} must be of type {declared}, got {value!r}")
     kwargs = dict(defaults or {})
     kwargs.update(hyper)
     return cls(seed=seed, **kwargs)
@@ -796,12 +820,12 @@ def _config_from(cls, seed, hyper, defaults=None):
 
 def _run_exact(dataset, seed, deadline, **hp):
     cfg = _config_from(SearchConfig, seed, hp, {"score": "bde"})
-    return exact_search(dataset, cfg.score, cfg, deadline=deadline)
+    return exact_search(dataset, config=cfg, deadline=deadline)
 
 
 def _run_hill(dataset, seed, deadline, **hp):
     cfg = _config_from(SearchConfig, seed, hp, {"score": "bic"})
-    return hill_climb(dataset, cfg.score, cfg, deadline=deadline)
+    return hill_climb(dataset, config=cfg, deadline=deadline)
 
 
 def _run_dynotears(dataset, seed, deadline, **hp):

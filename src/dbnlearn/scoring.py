@@ -316,7 +316,8 @@ def fit_linear_gaussian(dataset: TrajectoryDataset, node: int,
     Normal equations carry a tiny ridge for rank safety; the noise
     variance is the mean squared residual (floored at a representable
     minimum so exact fits stay valid).  Data whose products overflow a
-    float raise :class:`DataError`.
+    float, or whose normal equations are singular even with the ridge,
+    raise :class:`DataError`.
     """
     if family.node != node:
         raise ModelError("family spec does not belong to the requested node")
@@ -326,7 +327,11 @@ def fit_linear_gaussian(dataset: TrajectoryDataset, node: int,
         raise UnderdeterminedError(f"{m} usable transitions for {k} parameters")
     with np.errstate(over="ignore", invalid="ignore"):
         gram = design.T @ design + _LSTSQ_RIDGE * np.eye(k)
-        beta = np.linalg.solve(gram, design.T @ y)
+        try:
+            beta = np.linalg.solve(gram, design.T @ y)
+        except np.linalg.LinAlgError as e:
+            raise DataError(f"least-squares fit of node {node} on parents "
+                            f"{list(family.parents)} is singular: {e}") from e
         resid = y - design @ beta
         rss = float(np.dot(resid, resid))
     if not (math.isfinite(rss) and np.all(np.isfinite(beta))):
@@ -436,19 +441,6 @@ def _bde_scores(counts: np.ndarray, prior: DirichletPrior | None) -> np.ndarray:
     per_config = gammaln(a_tot) - gammaln(a_tot + counts.sum(axis=2))
     per_cell = gammaln(alpha + counts) - gammaln(alpha)
     return per_config.sum(axis=1) + per_cell.reshape(n_fam, -1).sum(axis=1)
-
-
-def dirichlet_posterior(counts: CountTable, prior: DirichletPrior | None = None) -> np.ndarray:
-    """Posterior pseudo-counts ``alpha_k + N_k`` per configuration."""
-    prior = prior or DirichletPrior(1.0)
-    alpha = prior.pseudo_counts(counts.counts.shape[0], counts.counts.shape[1])
-    return alpha + counts.counts
-
-
-def sample_cpt_from_posterior(posterior: np.ndarray, rng: np.random.Generator) -> Cpt:
-    """Draw an entire CPT, one Dirichlet row per configuration."""
-    rows = np.stack([rng.dirichlet(row) for row in np.asarray(posterior, dtype=float)])
-    return Cpt(table=rows)
 
 
 # ---------------------------------------------------------------------------

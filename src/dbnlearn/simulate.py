@@ -299,13 +299,6 @@ def _signed_weights(rng: np.random.Generator, k: int, weight_range) -> np.ndarra
 # Trajectory sampling
 
 
-def noisy_or_kernel(lambda0: float, lambdas: Sequence[float], parent_values: Sequence[int]) -> float:
-    """Probability of the child being 1: ``1 - (1 - lam0) prod (1 - lam_l)^{V_l}``."""
-    if not 0.0 <= lambda0 <= 1.0 or any(not 0.0 <= l <= 1.0 for l in lambdas):
-        raise ModelError("noisy-or lambdas must lie in [0, 1]")
-    return NoisyOr(lam0=lambda0, lam=tuple(lambdas)).prob_one(parent_values)
-
-
 def sample_trajectories(structure: DbnStructure, params: ParameterSet, n_traj: int,
                         horizon: int, seed: int,
                         x_arities: Sequence[int] | None = None,

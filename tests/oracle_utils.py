@@ -188,6 +188,26 @@ def nw_marginal_oracle_2d(rows, alpha_mu, alpha_w, t_prec=None, nu=None,
     return math.log(value)
 
 
+def raw_family_rows(ds, fam, start=None):
+    """Rows ``(child, parents...)`` of every usable transition, read straight from ``x``/``z``.
+
+    Targets run from ``start``, by default the family's first usable time.
+    """
+    if start is None:
+        start = max([1, ds.burn_in + 1] + [p.index for p in fam.parents if p.kind == "auto"])
+    rows = []
+    for n in range(ds.N):
+        for t in range(start, ds.T + 1):
+            row = [ds.x[n, t, fam.node]]
+            for p in fam.parents:
+                row.append(ds.x[n, t - 1, p.index] if p.kind == "inter"
+                           else ds.x[n, t, p.index] if p.kind == "intra"
+                           else ds.x[n, t - p.index, fam.node] if p.kind == "auto"
+                           else ds.z[n, p.index])
+            rows.append(row)
+    return np.array(rows, dtype=float).reshape(len(rows), 1 + len(fam.parents))
+
+
 # ---------------------------------------------------------------------------
 # Bounded one-shot objective on one fixed support (brute force over signs)
 

@@ -6,8 +6,16 @@ import pytest
 import scipy.linalg
 
 import dbnlearn.acyclicity as acyclicity
-from dbnlearn.acyclicity import h_expm, h_expm_and_grad, h_expm_grad, h_poly, threshold_and_repair
+from dbnlearn.acyclicity import h_expm_and_grad, threshold_and_repair
 from dbnlearn.core import DimensionError, is_acyclic
+
+
+def h_expm(w):
+    return h_expm_and_grad(w)[0]
+
+
+def h_expm_grad(w):
+    return h_expm_and_grad(w)[1]
 
 
 def all_3x3_supports():
@@ -78,14 +86,6 @@ class TestGradients:
         w = np.array([[0.0, 1.0], [1.0, 0.0]])
         assert np.allclose(h_expm_grad(w), central_difference(h_expm, w), rtol=1e-6)
 
-    def test_poly_gradient_matches_finite_differences(self, rng):
-        for _ in range(10):
-            w = rng.normal(scale=0.8, size=(4, 4))
-            np.fill_diagonal(w, 0.0)
-            _, ana = h_poly(w, 0.1)
-            num = central_difference(lambda m: h_poly(m, 0.1)[0], w)
-            assert np.allclose(ana, num, rtol=1e-6, atol=1e-7)
-
 
 class TestOneExpm:
     def test_value_and_gradient_from_one_exponential(self, rng, monkeypatch):
@@ -99,33 +99,8 @@ class TestOneExpm:
         h, grad = h_expm_and_grad(w)
         assert len(calls) == 1
         # the separate formulas, bit for bit
-        assert h == float(np.trace(e) - 6) == h_expm(w)
-        assert np.array_equal(grad, 2.0 * e.T * a) and np.array_equal(grad, h_expm_grad(w))
-
-
-class TestHPoly:
-    def test_zero_matrix(self):
-        value, grad = h_poly(np.zeros((3, 3)), 0.5)
-        assert value == 0.0 and np.all(grad == 0.0)
-
-    def test_acyclic_support_exact_zero(self):
-        w = np.zeros((3, 3))
-        w[0, 1], w[1, 2] = 2.0, -3.0
-        for mu in (0.01, 0.1, 1.0, 10.0):
-            assert abs(h_poly(w, mu)[0]) < 1e-12
-
-    def test_two_cycle_hand_value(self):
-        # (I + 0.1 A)^2 with A = unit 2-cycle: diagonal 1.01 each, trace 2.02
-        w = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert h_poly(w, 0.1)[0] == pytest.approx(0.02, abs=1e-14)
-
-    def test_agrees_with_expm_on_all_supports(self):
-        for w in all_3x3_supports():
-            assert (h_poly(w, 0.1)[0] < 1e-12) == (h_expm(w) < 1e-12)
-
-    def test_mu_must_be_positive(self):
-        with pytest.raises(ValueError):
-            h_poly(np.zeros((2, 2)), 0.0)
+        assert h == float(np.trace(e) - 6)
+        assert np.array_equal(grad, 2.0 * e.T * a)
 
 
 class TestThresholdAndRepair:

@@ -142,6 +142,16 @@ class TestLearnCommand:
                      "--hyper", "warp=9"])
         assert code == 2
 
+    @pytest.mark.parametrize("learner, pair", [
+        ("hill", "max_intra=abc"), ("bounded", "b_w=abc"), ("dynotears", "lambda_w=null"),
+        ("dynotears", "max_outer=2.5")])
+    def test_mistyped_hyperparameter_is_usage_error(self, generated, capsys, learner, pair):
+        _, cell = generated
+        code = main(["learn", "--data", str(cell / "data.csv"), "--learner", learner,
+                     "--hyper", pair])
+        assert code == 2
+        assert f"hyperparameter {pair.split('=')[0]} must be of type" in capsys.readouterr().err
+
 
 class TestScoreAndCheck:
     def test_config_error_is_usage_error(self, generated, monkeypatch, capsys):

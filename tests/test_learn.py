@@ -9,10 +9,10 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from dbnlearn.acyclicity import h_poly, threshold_and_repair
+from dbnlearn.acyclicity import threshold_and_repair
 from dbnlearn.core import (
     ConfigError, DataError, DbnError, DbnStructure, DomainMismatchError, FamilySpec,
-    SizeGuardError, configuration_index, configuration_values, is_acyclic, parents_of,
+    SizeGuardError, configuration_index, is_acyclic, parents_of,
     structure_from_families,
 )
 from dbnlearn.learn import (
@@ -482,7 +482,7 @@ class TestBoundedPruning:
     @given(bounded_cases())
     def test_matches_unpruned_reference(self, case):
         ds, cfg = case
-        y, x_prev = learn._sem_matrices(ds, 1)
+        y, x_prev = lag1_design(ds)
         pruned = learn._bounded_tables(y, x_prev, cfg, Deadline(), Counter())
         assert table_bits(pruned) == table_bits(
             bounded_tables_unpruned(y, x_prev, cfg, Deadline(), None))
@@ -499,7 +499,7 @@ class TestBoundedPruning:
         x[:, 1:, 2] = 0.8 * x[:, :-1, 0] + 0.3 * x[:, 1:, 2]
         ds = continuous_dataset(x)
         cfg = BoundedConfig(lambda_w_pos=0.5, lambda_w_neg=0.5, lambda_a_pos=0.5, lambda_a_neg=0.5)
-        y, x_prev = learn._sem_matrices(ds, 1)
+        y, x_prev = lag1_design(ds)
         costs = [_price_support(y[:, 2], [x_prev[:, j]], 0, cfg)[0] for j in (0, 1)]
         assert costs[0] == costs[1]
         for tables in (learn._bounded_tables(y, x_prev, cfg, Deadline(), Counter()),
@@ -636,6 +636,52 @@ class TestRegistry:
             run_learner("hill", ds, seed=0, nonsense=1)
 
 
+class TestScoreKind:
+    """``config.score`` is the one score kind of the combinatorial learners."""
+
+    @pytest.fixture(scope="class")
+    def cpt(self):
+        return discrete_instance(7, n_traj=20, horizon=20)[1]
+
+    @pytest.mark.parametrize("learn_fn", [exact_search, hill_climb])
+    def test_a_disagreeing_score_argument_is_refused(self, cpt, learn_fn):
+        with pytest.raises(ConfigError, match="disagrees"):
+            learn_fn(cpt, "bic", SearchConfig(score="bde"))
+
+    @pytest.mark.parametrize("learn_fn", [exact_search, hill_climb])
+    def test_the_config_alone_sets_the_kind(self, cpt, learn_fn):
+        report = learn_fn(cpt, config=SearchConfig(score="bde"))
+        assert report.to_json() == learn_fn(cpt, "bde", SearchConfig(score="bde")).to_json()
+        assert report.score == FamilyScorer(cpt, "bde").structure_score(report.structure)
+
+
+class TestOneshotBurnIn:
+    """The one-shot learners skip a burn-in exactly as they skip the leading slices it replaces."""
+
+    @pytest.fixture(scope="class")
+    def held_out(self):
+        return temporal_split(continuous_instance(9, n_traj=20, horizon=30)[1])[1]
+
+    @staticmethod
+    def cut(side, max_lag):
+        """The same rows without a burn-in: ``max_lag`` slices before the first test target."""
+        return continuous_dataset(side.x[:, side.burn_in + 1 - max_lag:], side.z)
+
+    def test_dynotears(self, held_out):
+        cfg = ContinuousConfig(max_lag=2, max_outer=3, max_inner=200)
+        kept, cut = (continuous_oneshot(ds, cfg) for ds in (held_out, self.cut(held_out, 2)))
+        assert held_out.burn_in > 0 and kept.structure == cut.structure
+        assert kept.trace == cut.trace
+        for key in ("w", "a"):
+            assert kept.extras[key].tobytes() == cut.extras[key].tobytes()
+
+    def test_bounded(self, held_out):
+        kept, cut = (bounded_oneshot(ds) for ds in (held_out, self.cut(held_out, 1)))
+        assert held_out.burn_in > 0 and kept.to_json() == cut.to_json()
+        for key in ("w", "a"):
+            assert kept.extras[key].tobytes() == cut.extras[key].tobytes()
+
+
 TINY = discrete_dataset(np.zeros((2, 3, 2), dtype=int))
 
 # every setting a config validator refuses: (learner, hyperparameter, bad values)
@@ -682,25 +728,18 @@ def bad_calls(draw):
 @st.composite
 def bad_values(draw):
     """One call into the acyclicity, configuration-index or report surface, a value out of range."""
-    what = draw(st.sampled_from(["threshold", "mu", "index value", "index", "auroc", "shd"]))
+    what = draw(st.sampled_from(["threshold", "index value", "auroc", "shd"]))
     negative = st.floats(max_value=-1e-12, allow_nan=False)
     if what == "threshold":
         w = np.random.default_rng(draw(st.integers(0, 99))).normal(size=(3, 3))
         threshold = draw(negative)
         return lambda: threshold_and_repair(w, threshold)
-    if what == "mu":
-        mu = draw(negative | st.just(0.0) | st.just(math.nan))
-        return lambda: h_poly(np.zeros((2, 2)), mu)
     arities = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
     if what == "index value":
         values = [draw(st.integers(0, a - 1)) for a in arities]
         slot = draw(st.integers(0, len(arities) - 1))
         values[slot] = draw(st.integers(arities[slot], 9) | st.integers(-9, -1))
         return lambda: configuration_index(values, arities)
-    if what == "index":
-        total = math.prod(arities)
-        index = draw(st.integers(total, total + 9) | st.integers(-9, -1))
-        return lambda: configuration_values(index, arities)
     cell = dict(regime="r", n=2, n_traj=3, horizon=4, learner="exact", replicate=0, seed=0,
                 status="OK")
     if what == "auroc":
@@ -724,6 +763,19 @@ class TestTypedErrors:
         with pytest.raises(DbnError) as caught:
             call()
         assert isinstance(caught.value, ConfigError) and isinstance(caught.value, ValueError)
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("hill", "max_intra", "abc"), ("exact", "restarts", 2.0), ("hill", "p", True),
+        ("exact", "score", 3), ("bounded", "b_w", "abc"), ("bounded", "max_nodes", 4.5),
+        ("dynotears", "lambda_w", None), ("dynotears", "max_outer", 2.5),
+        ("dynotears", "w_threshold", False), ("dynotears", "record_inner", 1)])
+    def test_mistyped_hyperparameters_raise_config_errors(self, name, key, value):
+        with pytest.raises(ConfigError, match=f"hyperparameter {key} must be of type"):
+            run_learner(name, TINY, **{key: value})
+
+    def test_float_hyperparameters_take_ints(self):
+        cfg = learn._config_from(ContinuousConfig, 3, {"lambda_w": 0, "inner_tol": 1})
+        assert cfg == ContinuousConfig(lambda_w=0, inner_tol=1, seed=3)
 
     @pytest.mark.parametrize("name, key, values", BAD_SETTINGS,
                              ids=[f"{name}-{key}" for name, key, _ in BAD_SETTINGS])

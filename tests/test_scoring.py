@@ -18,7 +18,7 @@ from dbnlearn.evaluate import temporal_split
 from dbnlearn.simulate import EdgeProbs, GeneratorConfig, sample_random_dbn, sample_trajectories
 
 from conftest import continuous_dataset, discrete_dataset
-from oracle_utils import class_subsets
+from oracle_utils import class_subsets, raw_family_rows
 
 
 def family(node, *parents):
@@ -130,26 +130,22 @@ class TestMleCpt:
 def factored_loglik(ds, node, dyn_fam, stat_fam, table_dyn, table_stat):
     """Direct factored-kernel log-likelihood used by the grid oracle."""
     t0 = max(ds.first_usable_t(dyn_fam), ds.first_usable_t(stat_fam))
-    ts = np.arange(t0, ds.T + 1)
-    dyn_cols = ds.parent_columns(dyn_fam, ts)
-    stat_cols = ds.parent_columns(stat_fam, ts)
     total = 0.0
-    for n in range(ds.N):
-        for k, t in enumerate(ts):
-            d_idx = 0
-            for m, p in enumerate(dyn_fam.parents):
-                d_idx += int(dyn_cols[n, k, m]) * (2 ** m)
-            s_idx = 0
-            for m, p in enumerate(stat_fam.parents):
-                s_idx += int(stat_cols[n, k, m]) * (2 ** m)
-            p1 = (table_dyn[d_idx] if len(table_dyn) else 1.0) * \
-                 (table_stat[s_idx] if len(table_stat) else 1.0)
-            p1 = min(1.0, max(0.0, p1))
-            x = ds.x[n, t, node]
-            prob = p1 if x == 1 else 1.0 - p1
-            if prob <= 0.0:
-                return -math.inf
-            total += math.log(prob)
+    for (x, *dyn), (_, *stat) in zip(raw_family_rows(ds, dyn_fam, t0),
+                                     raw_family_rows(ds, stat_fam, t0)):
+        d_idx = 0
+        for m, v in enumerate(dyn):
+            d_idx += int(v) * (2 ** m)
+        s_idx = 0
+        for m, v in enumerate(stat):
+            s_idx += int(v) * (2 ** m)
+        p1 = (table_dyn[d_idx] if len(table_dyn) else 1.0) * \
+             (table_stat[s_idx] if len(table_stat) else 1.0)
+        p1 = min(1.0, max(0.0, p1))
+        prob = p1 if x == 1 else 1.0 - p1
+        if prob <= 0.0:
+            return -math.inf
+        total += math.log(prob)
     return total
 
 
@@ -313,10 +309,10 @@ class TestColumnBank:
     def test_family_rows_are_parent_columns(self, case, later):
         ds, fam = case
         t0 = ds.first_usable_t(fam) + later
-        ts = np.arange(t0, ds.T + 1)
         child, pcols = ds.family_rows(fam, t0)
-        assert child.tolist() == ds.x[:, ts, fam.node].reshape(-1).tolist()
-        assert np.array_equal(pcols, ds.parent_columns(fam, ts).reshape(child.size, len(fam.parents)))
+        rows = raw_family_rows(ds, fam, t0)
+        assert child.tolist() == rows[:, 0].tolist()
+        assert np.array_equal(pcols, rows[:, 1:]) and pcols.flags.c_contiguous
 
     def test_columns_are_memoised_read_only_and_contiguous(self):
         ds = discrete_dataset(np.arange(24).reshape(2, 4, 3) % 2, z=[[0], [1]])
@@ -336,22 +332,6 @@ class TestColumnBank:
         ds = discrete_dataset(np.zeros((1, 5, 1), dtype=int))
         with pytest.raises(DataError):
             ds.family_columns(family(0, Parent("auto", 2)), 1)
-
-
-def raw_family_rows(ds, fam):
-    """Rows ``(child, parents...)`` of every usable transition, read straight from ``x``/``z``."""
-    start = max([1, ds.burn_in + 1] + [p.index for p in fam.parents if p.kind == "auto"])
-    rows = []
-    for n in range(ds.N):
-        for t in range(start, ds.T + 1):
-            row = [ds.x[n, t, fam.node]]
-            for p in fam.parents:
-                row.append(ds.x[n, t - 1, p.index] if p.kind == "inter"
-                           else ds.x[n, t, p.index] if p.kind == "intra"
-                           else ds.x[n, t - p.index, fam.node] if p.kind == "auto"
-                           else ds.z[n, p.index])
-            rows.append(row)
-    return np.array(rows, dtype=float).reshape(len(rows), 1 + len(fam.parents))
 
 
 def oracle_moments(rows):
@@ -571,6 +551,18 @@ class TestFitLinearGaussian:
                 ds, 0, family(0, Parent("inter", 0), Parent("inter", 1), Parent("inter", 2)))
 
 
+    @pytest.mark.parametrize("via", ["family_score", "FamilyScorer"])
+    def test_singular_fit_raises_data_error(self, via):
+        # twin variables scaled by 1e3: the normal equations are singular even with the ridge
+        x = np.random.default_rng(0).standard_normal((2, 7, 1)) * 1e3
+        ds = continuous_dataset(np.concatenate([x, x], axis=-1))
+        parents = (Parent("inter", 0), Parent("inter", 1))
+        score = (lambda: sc.family_score(ds, 0, parents, "ll")) if via == "family_score" \
+            else (lambda: sc.FamilyScorer(ds, "ll")(0, parents))
+        with pytest.raises(DataError, match=r"node 0 on parents .*inter.*index=0.*inter.*index=1"):
+            score()
+
+
 class TestInformationCriterion:
     def test_bic(self):
         assert sc.information_criterion(-100.0, 5, 50, "bic") == \
@@ -685,27 +677,12 @@ def _strong_parents(cpt, fam, effect=0.3):
 
 
 class TestDirichletPosterior:
-    def test_conjugate_update(self):
-        ds = single_var_dataset([0, 1, 1, 0])  # counts (1, 2)
-        counts = sc.count_transitions(ds, family(0))
-        post = sc.dirichlet_posterior(counts, sc.DirichletPrior(table=np.ones((1, 2))))
-        assert post.tolist() == [[2.0, 3.0]]
-
     def test_zero_counts_keep_prior(self):
+        # with nothing counted, the posterior mean is the prior's own mean
         ds = discrete_dataset([[[0], [1]]], burn_in=1)
         counts = sc.count_transitions(ds, family(0))
         prior = sc.DirichletPrior(table=np.array([[0.7, 0.3]]))
-        assert sc.dirichlet_posterior(counts, prior).tolist() == [[0.7, 0.3]]
-
-    def test_posterior_mean(self):
-        post = np.array([[3.0, 2.0]])
-        mean = post / post.sum(axis=1, keepdims=True)
-        assert mean[0].tolist() == [0.6, 0.4]
-
-    def test_sampling_accessor_rows_are_distributions(self, rng):
-        cpt = sc.sample_cpt_from_posterior(np.array([[3.0, 2.0], [1.0, 9.0]]), rng)
-        assert cpt.table.shape == (2, 2)
-        assert np.allclose(cpt.table.sum(axis=1), 1.0)
+        assert sc.mle_cpt(counts, smoothing=prior).table.tolist() == [[0.7, 0.3]]
 
 
 class TestBgeFamilyScore:

@@ -12,11 +12,11 @@ from dbnlearn.core import (
 )
 from dbnlearn.simulate import (
     FAVORABLE_REGIME, HIGH_DIMENSIONAL_REGIME, MODEL_FAMILIES, EdgeProbs, GeneratorConfig,
-    RegimeSpec, noisy_or_kernel, regime_datasets, sample_random_dbn, sample_trajectories,
+    RegimeSpec, regime_datasets, sample_random_dbn, sample_trajectories,
 )
 import dbnlearn.simulate as sim
 
-from oracle_utils import sample_trajectories_loop
+from oracle_utils import raw_family_rows, sample_trajectories_loop
 
 
 def dataset_digest(ds):
@@ -61,18 +61,18 @@ class TestSampleRandomDbn:
 
 class TestNoisyOrKernel:
     def test_no_leak_no_parents(self):
-        assert noisy_or_kernel(0.0, [0.7], [0]) == 0.0
+        assert NoisyOr(0.0, (0.7,)).prob_one([0]) == 0.0
 
     def test_leak_one_forces_one(self):
-        assert noisy_or_kernel(1.0, [0.2, 0.4], [0, 1]) == 1.0
+        assert NoisyOr(1.0, (0.2, 0.4)).prob_one([0, 1]) == 1.0
 
     def test_half_leak_half_parent(self):
         # 1 - (1 - 0.5)(1 - 0.5)^1
-        assert noisy_or_kernel(0.5, [0.5], [1]) == pytest.approx(0.75)
+        assert NoisyOr(0.5, (0.5,)).prob_one([1]) == pytest.approx(0.75)
 
     def test_lambda_out_of_range(self):
         with pytest.raises(ModelError):
-            noisy_or_kernel(1.5, [], [])
+            NoisyOr(1.5, ())
 
 
 class TestSampleTrajectories:
@@ -160,11 +160,8 @@ class TestSampleTrajectories:
         structure, params = sample_random_dbn(cfg)
         ds = sample_trajectories(structure, params, 1000, 100, seed=22)
         for node in range(2):
-            fam = parents_of(structure, node)
-            ts = np.arange(1, ds.T + 1)
-            y = ds.x[:, ts, node].ravel()
-            pcols = ds.parent_columns(fam, ts).reshape(y.size, len(fam.parents))
-            resid = y - (params[node].beta0 + pcols @ params[node].beta)
+            rows = raw_family_rows(ds, parents_of(structure, node))
+            resid = rows[:, 0] - (params[node].beta0 + rows[:, 1:] @ params[node].beta)
             assert abs(resid.mean()) <= 4 * 0.7 / math.sqrt(resid.size)
 
     def test_seed_determinism_and_separation(self):
