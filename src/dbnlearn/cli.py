@@ -28,9 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    ConfigError, CycleError, DataError, DbnError, DbnStructure, DimensionError,
+    ConfigError, CycleError, DataError, DbnError, DbnStructure, DimensionError, Domain,
     DomainMismatchError, ModelError, OptimizerError, Parent, SizeGuardError,
-    SplitError, UnderdeterminedError,
+    SplitError, TrajectoryDataset, UnderdeterminedError,
 )
 from .evaluate import run_benchmark
 from .io import (
@@ -163,6 +163,8 @@ def load_experiment_config(path) -> ExperimentConfig:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
         raise SchemaError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+    except (OSError, UnicodeDecodeError) as e:
+        raise SchemaError(f"cannot read config: {e}") from e
     return parse_experiment_config(doc)
 
 
@@ -228,9 +230,10 @@ def _load_cli_dataset(args):
     static = args.static if getattr(args, "static", None) else _sibling_static(args.data)
     ds = read_dataset(args.data, static)
     if getattr(args, "arity", None):
-        xa = (args.arity,) * ds.n_x
-        za = (args.arity,) * ds.n_z
-        ds = read_dataset(args.data, static, x_arities=xa, z_arities=za)
+        xa, za = (args.arity,) * ds.n_x, (args.arity,) * ds.n_z
+        if not ds.domain.discrete:  # some value is not an integer: parsing as one names it
+            read_dataset(args.data, static, x_arities=xa, z_arities=za)
+        ds = TrajectoryDataset(Domain("discrete", xa, za), ds.x, ds.z)
     return ds
 
 

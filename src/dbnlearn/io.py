@@ -129,65 +129,86 @@ def write_dataset(dataset: TrajectoryDataset, data_path, static_path=None) -> No
 
 
 def dataset_from_csv(data_csv: str, static_csv: str | None = None,
-                     x_arities=None, z_arities=None) -> TrajectoryDataset:
+                     x_arities=None, z_arities=None,
+                     names: tuple[str, str] = ("data CSV", "static CSV")) -> TrajectoryDataset:
     """Parse the CSV pair back into a dataset.
 
     The domain is discrete when every value parses as an integer; its
     arities default to observed max + 1 (at least 2) unless given
-    explicitly.  Trajectories must share one length.
+    explicitly.  Trajectories must share one length.  A malformed file
+    raises :class:`DataError` naming it (``names`` holds the data and
+    static file names), and a bad value also its line and field.
     """
+    data_name, static_name = names
     rows = list(csv.reader(_io.StringIO(data_csv)))
     if not rows or rows[0][:2] != ["traj", "t"]:
-        raise DataError("data CSV must start with header traj,t,x1..")
-    n_x = len(rows[0]) - 2
-    cells: dict[int, dict[int, list[str]]] = {}
-    for row in rows[1:]:
+        raise DataError(f"{data_name} must start with header traj,t,x1..")
+    header = rows[0]
+    n_x = len(header) - 2
+    cells: dict[int, dict[int, tuple[int, list[str]]]] = {}
+    for line, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != n_x + 2:
-            raise DataError(f"data CSV row has {len(row)} fields, expected {n_x + 2}")
-        cells.setdefault(int(row[0]), {})[int(row[1])] = row[2:]
+            raise DataError(f"{data_name} line {line} has {len(row)} fields, expected {n_x + 2}")
+        traj, t = (_parse(v, int, data_name, line, name) for v, name in zip(row[:2], header))
+        cells.setdefault(traj, {})[t] = (line, row[2:])
     if not cells:
-        raise DataError("data CSV has no rows")
+        raise DataError(f"{data_name} has no rows")
     trajs = sorted(cells)
     lengths = {len(cells[n]) for n in trajs}
     if trajs != list(range(len(trajs))) or len(lengths) != 1:
-        raise DataError("trajectories must be 0..N-1, every one with the same length")
+        raise DataError(f"{data_name}: trajectories must be 0..N-1, every one with the same length")
     horizon = lengths.pop() - 1
-    raw_x = [[cells[n][t] for t in range(horizon + 1)] for n in trajs]
     for n in trajs:
         if sorted(cells[n]) != list(range(horizon + 1)):
-            raise DataError(f"trajectory {n} is missing time points")
+            raise DataError(f"{data_name}: trajectory {n} is missing time points")
+    # (file name, header, line, values) of every record, x slices first, then static rows
+    records = [(data_name, header[2:], *cells[n][t]) for n in trajs for t in range(horizon + 1)]
 
-    raw_z: list[list[str]] = [[] for _ in trajs]
+    n_z = 0
     if static_csv is not None:
         srows = list(csv.reader(_io.StringIO(static_csv)))
         if not srows or srows[0][:1] != ["traj"]:
-            raise DataError("static CSV must start with header traj,z1..")
+            raise DataError(f"{static_name} must start with header traj,z1..")
         n_z = len(srows[0]) - 1
         seen = {}
-        for row in srows[1:]:
-            if row:
-                seen[int(row[0])] = row[1:]
+        for line, row in enumerate(srows[1:], start=2):
+            if not row:
+                continue
+            if len(row) != n_z + 1:
+                raise DataError(f"{static_name} line {line} has {len(row)} fields, expected {n_z + 1}")
+            seen[_parse(row[0], int, static_name, line, "traj")] = (line, row[1:])
         if n_z and sorted(seen) != trajs:
-            raise DataError("static CSV trajectories do not match data CSV")
-        raw_z = [seen.get(n, [""] * n_z) if n_z else [] for n in trajs]
+            raise DataError(f"{static_name}: trajectories do not match {data_name}")
+        records += [(static_name, srows[0][1:], *seen[n]) for n in trajs] if n_z else []
 
-    flat = [v for traj in raw_x for slc in traj for v in slc] + [v for r in raw_z for v in r]
+    flat = [v for *_, values in records for v in values]
     discrete = x_arities is not None or (bool(flat) and all(_is_int(v) for v in flat))
+    parse = int if discrete else float
+    values = [[_parse(v, parse, name, line, field) for v, field in zip(vals, fields)]
+              for name, fields, line, vals in records]
+    n_x_rows = len(trajs) * (horizon + 1)
+    x = np.asarray(values[:n_x_rows], dtype=parse).reshape(len(trajs), horizon + 1, n_x)
+    z = np.asarray(values[n_x_rows:], dtype=parse).reshape(len(trajs), n_z)
     if discrete:
-        x = np.asarray([[[int(v) for v in slc] for slc in traj] for traj in raw_x], dtype=np.int64)
-        z = np.asarray([[int(v) for v in r] for r in raw_z], dtype=np.int64).reshape(len(trajs), -1)
         xa = tuple(x_arities) if x_arities is not None else tuple(
             max(2, int(x[:, :, v].max()) + 1) for v in range(n_x))
         za = tuple(z_arities) if z_arities is not None else tuple(
-            max(2, int(z[:, v].max()) + 1) for v in range(z.shape[1]))
+            max(2, int(z[:, v].max()) + 1) for v in range(n_z))
         domain = Domain("discrete", x_arities=xa, z_arities=za)
     else:
-        x = np.asarray([[[float(v) for v in slc] for slc in traj] for traj in raw_x], dtype=np.float64)
-        z = np.asarray([[float(v) for v in r] for r in raw_z], dtype=np.float64).reshape(len(trajs), -1)
         domain = Domain("continuous")
     return TrajectoryDataset(domain=domain, x=x, z=z)
+
+
+def _parse(text: str, parse, name: str, line: int, field: str):
+    """``parse(text)`` for ``int`` or ``float``; a value it refuses raises DataError naming where it is."""
+    try:
+        return parse(text)
+    except ValueError:
+        kind = "an integer" if parse is int else "a number"
+        raise DataError(f"{name} line {line}, field {field}: {text!r} is not {kind}") from None
 
 
 def _is_int(s: str) -> bool:
@@ -199,6 +220,12 @@ def _is_int(s: str) -> bool:
 
 
 def read_dataset(data_path, static_path=None, x_arities=None, z_arities=None) -> TrajectoryDataset:
-    data_csv = Path(data_path).read_text()
-    static_csv = Path(static_path).read_text() if static_path and Path(static_path).exists() else None
-    return dataset_from_csv(data_csv, static_csv, x_arities=x_arities, z_arities=z_arities)
+    """Dataset of a data CSV and an optional static CSV; a missing static file is skipped."""
+    try:
+        data_csv = Path(data_path).read_text()
+        static_csv = Path(static_path).read_text() \
+            if static_path and Path(static_path).exists() else None
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"cannot read dataset file: {e}") from e
+    return dataset_from_csv(data_csv, static_csv, x_arities=x_arities, z_arities=z_arities,
+                            names=(str(data_path), str(static_path)))

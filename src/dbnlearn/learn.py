@@ -7,7 +7,7 @@ Four learners share the :class:`LearnerReport` result type:
   set per vertex, cluster-style acyclicity), realized by dynamic
   programming over node subsets instead of a MIP solver.
 * :func:`hill_climb`     -- steepest-ascent local search with restarts
-  over add/delete/reverse moves, score deltas served from the cache.
+  over add/delete/reverse moves, scored in one batch per node per step.
 * :func:`continuous_oneshot` -- one-shot least squares over weighted
   adjacencies with an augmented-Lagrangian acyclicity constraint and L1
   shrinkage, finished by threshold-and-repair.
@@ -73,6 +73,18 @@ _NO_DEADLINE = Deadline(None)
 # Configurations and reports
 
 
+# declared field type -> accepted value types; only bool fields take a bool
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+
+
+def _check_field_types(config) -> None:
+    """Refuse a config field whose value is not of its declared type with ConfigError."""
+    for name, f in config.__dataclass_fields__.items():
+        value = getattr(config, name)
+        if isinstance(value, bool) != (f.type == "bool") or not isinstance(value, _FIELD_TYPES[f.type]):
+            raise ConfigError(f"hyperparameter {name} must be of type {f.type}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Knobs shared by the combinatorial learners; ``score`` is the score kind they maximise."""
@@ -88,6 +100,7 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_field_types(self)
         if min(self.max_intra, self.max_inter, self.max_auto, self.max_static) < 0:
             raise ConfigError("max parents must be >= 0")
         if self.p < 1:
@@ -114,6 +127,7 @@ class ContinuousConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_field_types(self)
         if not (self.lambda_w >= 0 and self.lambda_a >= 0):
             raise ConfigError("L1 strengths must be >= 0")
         if not (self.rho0 > 0 and self.h_tol > 0 and self.rho_growth > 1):
@@ -138,6 +152,7 @@ class BoundedConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_field_types(self)
         if not (self.b_w > 0 and self.b_a > 0):
             raise ConfigError("weight bounds must be positive")
 
@@ -158,7 +173,7 @@ class LearnerReport:
 
     def to_json_dict(self) -> dict:
         from .io import params_to_json  # local import avoids a cycle
-        out = {
+        return {
             "learner": self.learner,
             "seed": self.seed,
             "score": self.score,
@@ -168,7 +183,6 @@ class LearnerReport:
             "flags": dict(sorted(self.flags.items())),
             "extras": {k: _jsonable(v) for k, v in sorted(self.extras.items())},
         }
-        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=False) + "\n"
@@ -401,7 +415,6 @@ def _random_start(dataset: TrajectoryDataset, config: SearchConfig,
     rank[order] = np.arange(n)
     intra = np.zeros((n, n), dtype=bool)
     inter = np.zeros((n, n), dtype=bool)
-    static = np.zeros((dataset.n_z, n), dtype=bool)
     for a in range(n):
         for b in range(n):
             if a != b and rank[a] < rank[b] and rng.random() < edge_prob:
@@ -411,19 +424,12 @@ def _random_start(dataset: TrajectoryDataset, config: SearchConfig,
     auto = tuple(
         tuple(t for t in range(1, config.p + 1) if rng.random() < edge_prob)
         for _ in range(n))
-    for j in range(dataset.n_z):
-        for i in range(n):
-            if rng.random() < edge_prob:
-                static[j, i] = True
+    static = rng.random((dataset.n_z, n)) < edge_prob  # row by row, as one draw per edge
     # trim to the per-class caps, keeping lowest-index parents
     for i in range(n):
-        for mat, cap in ((intra, config.max_intra), (inter, config.max_inter)):
-            idx = np.flatnonzero(mat[:, i])
-            for j in idx[cap:]:
-                mat[j, i] = False
-        idx = np.flatnonzero(static[:, i]) if dataset.n_z else []
-        for j in list(idx)[config.max_static:]:
-            static[j, i] = False
+        for mat, cap in ((intra, config.max_intra), (inter, config.max_inter),
+                         (static, config.max_static)):
+            mat[np.flatnonzero(mat[:, i])[cap:], i] = False
     auto = tuple(ls[:config.max_auto] for ls in auto)
     return DbnStructure(n_x=n, n_z=dataset.n_z, p=config.p, intra=intra,
                         inter=inter, auto_lags=auto, static_edges=static)
@@ -437,10 +443,11 @@ def hill_climb(dataset: TrajectoryDataset, score: str | None = None,
     """Steepest-ascent search over single-edge moves, best of seeded restarts.
 
     Moves: add/delete/reverse intra edge (cycle-rejecting), add/delete
-    inter edge, auto lag, static edge.  Deltas rescore only the affected
-    families, whose parent tuples follow from the move itself, through the
-    shared cache.  The chosen move updates the per-node parent tuples, and
-    the structure is rebuilt from them.  Restart 0
+    inter edge, auto lag, static edge.  Each step scores the families that
+    legal moves change (their parent tuples follow from the move) with one
+    :meth:`~dbnlearn.scoring.FamilyScorer.many` call per node, then reads
+    every delta from the cache.  The chosen move updates the per-node
+    parent tuples, and the structure is rebuilt from them.  Restart 0
     starts from ``initial`` (the empty graph by default), its lag order
     raised to ``config.p`` if smaller, later restarts from random
     structures (edge probability 0.2).  The score kind is ``config.score``,
@@ -469,17 +476,20 @@ def hill_climb(dataset: TrajectoryDataset, score: str | None = None,
         trace = [{"restart": restart, "step": 0, "score": current}]
         for step in range(1, config.move_budget + 1):
             deadline.check()
-            best_move, best_delta = None, 0.0
-            for move in _legal_moves(structure, config):
-                delta = sum(scorer(v, parents) - node_scores[v]
-                            for v, parents in _moved_families(families, move))
+            moved = [_moved_families(families, move) for move in _legal_moves(structure, config)]
+            pending = sorted(itertools.chain.from_iterable(moved), key=lambda key: key[0])
+            for v, keys in itertools.groupby(pending, key=lambda key: key[0]):
+                scorer.many(v, [parents for _, parents in keys], deadline.check)
+            best_moved, best_delta = None, 0.0
+            for changed in moved:
+                delta = sum(scorer.scores[key] - node_scores[key[0]] for key in changed)
                 if delta > best_delta + 1e-12:
-                    best_move, best_delta = move, delta
-            if best_move is None:
+                    best_moved, best_delta = changed, delta
+            if best_moved is None:
                 break
-            for v, parents in _moved_families(families, best_move):
+            for v, parents in best_moved:
                 families[v] = parents
-                node_scores[v] = scorer(v, parents)
+                node_scores[v] = scorer.scores[(v, parents)]
             structure = structure_from_families(structure.n_x, structure.n_z, structure.p, families)
             current = float(sum(node_scores))
             trace.append({"restart": restart, "step": step, "score": current})
@@ -798,24 +808,12 @@ def _bounded_tables(y: np.ndarray, x_prev: np.ndarray, config: BoundedConfig,
 # Registry used by the CLI and the benchmark harness
 
 
-# declared field type -> accepted value types; only bool fields take a bool
-_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
-
-
 def _config_from(cls, seed, hyper, defaults=None):
-    """``cls(seed=seed, **defaults, **hyper)``; unknown or mistyped hyperparameters raise ConfigError."""
-    fields = {name: f.type for name, f in cls.__dataclass_fields__.items() if name != "seed"}
-    unknown = set(hyper) - set(fields)
+    """``cls(seed=seed, **defaults, **hyper)``; unknown hyperparameters raise ConfigError."""
+    unknown = set(hyper) - (set(cls.__dataclass_fields__) - {"seed"})
     if unknown:
         raise ConfigError(f"unknown hyperparameters for this learner: {sorted(unknown)}")
-    for name, value in hyper.items():
-        declared = fields[name]
-        if not isinstance(value, _FIELD_TYPES[declared]) or (
-                isinstance(value, bool) and declared != "bool"):
-            raise ConfigError(f"hyperparameter {name} must be of type {declared}, got {value!r}")
-    kwargs = dict(defaults or {})
-    kwargs.update(hyper)
-    return cls(seed=seed, **kwargs)
+    return cls(seed=seed, **{**(defaults or {}), **hyper})
 
 
 def _run_exact(dataset, seed, deadline, **hp):

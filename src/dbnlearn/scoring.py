@@ -2,8 +2,9 @@
 
 Every score here is decomposable: the score of a structure is the sum of
 independent per-(node, parent set) family terms, which is what makes the
-cache and the exact search work.  ``family_score`` returns *higher is
-better* values for every kind:
+cache and the exact search work.  :class:`FamilyScorer` is the one place
+where a family is scored, for every learner and for :func:`family_score`;
+its values are *higher is better* for every kind:
 
 * ``ll``   -- maximized family log-likelihood,
 * ``aic`` / ``aicc`` / ``bic`` -- minus the information criterion
@@ -13,6 +14,10 @@ better* values for every kind:
 * ``bde``  -- log Dirichlet-multinomial marginal likelihood,
 * ``bge``  -- log normal-Wishart marginal likelihood of the
   child-given-parents regression.
+
+On discrete data every kind but ``bge`` is counted in blocks over the
+distinct rows of the column bank; :func:`count_transitions` keeps the
+per-family table that refits and held-out likelihoods read.
 
 Effective sample sizes count usable transitions only: targets from
 ``max(family min time, burn_in + 1)`` to ``T``.
@@ -70,10 +75,11 @@ class CountTable:
 
 
 def _config_index(columns: Sequence[np.ndarray], arities: Sequence[int]) -> np.ndarray:
-    """Row-wise :func:`~dbnlearn.core.configuration_index` of k >= 1 int64 value columns.
+    """Row-wise :func:`~dbnlearn.core.configuration_index` of k >= 1 integer value columns.
 
     Horner form ``c_1 + a_1 (c_2 + a_2 (c_3 + ...))``: the first column is
-    the least significant digit.  A single column is returned as is.
+    the least significant digit.  Python-int arities keep the columns'
+    integer type, which the indices must fit.  A single column is kept.
     """
     if len(columns) == 1:
         return columns[0]
@@ -85,19 +91,21 @@ def _config_index(columns: Sequence[np.ndarray], arities: Sequence[int]) -> np.n
     return idx
 
 
-def count_transitions(dataset: TrajectoryDataset, family: FamilySpec) -> CountTable:
+def count_transitions(dataset: TrajectoryDataset, family: FamilySpec,
+                      t0: int | None = None) -> CountTable:
     """Tally every usable transition by parent configuration and child value.
 
     Transitions whose auto lags reach before the first observation (or
     into the burn-in window) are skipped, so the grand total is
-    ``N * (T - first_usable + 1)``.
+    ``N * (T - first_usable + 1)``.  A later first target time ``t0``
+    skips the transitions before it too.
     """
     if not dataset.domain.discrete:
         raise DomainMismatchError("count_transitions needs a discrete dataset")
     arities = dataset.family_arities(family)
     child_arity = dataset.domain.x_arities[family.node]
     n_cfg = n_configurations(arities)
-    child, cols = dataset.family_columns(family)
+    child, cols = dataset.family_columns(family, t0)
     flat = _config_index((child, *cols), (child_arity, *arities))
     counts = np.bincount(flat, minlength=n_cfg * child_arity).reshape(n_cfg, child_arity)
     return CountTable(node=family.node, family=family, arities=arities,
@@ -150,15 +158,11 @@ def mle_factored(dataset: TrajectoryDataset, node: int,
     def ratios(fam: FamilySpec) -> np.ndarray:
         if not fam.parents:
             return np.empty(0)
-        arities = dataset.family_arities(fam)
-        n_cfg = n_configurations(arities)
-        child, cols = dataset.family_columns(fam, t0)
-        idx = _config_index(cols, arities)
-        ones = np.bincount(idx, weights=child.astype(float), minlength=n_cfg)
-        total = np.bincount(idx, minlength=n_cfg).astype(float)
-        out = np.full(n_cfg, 0.5)
+        counts = count_transitions(dataset, fam, t0).counts
+        total = counts.sum(axis=1)
+        out = np.full(len(counts), 0.5)
         seen = total > 0
-        out[seen] = ones[seen] / total[seen]
+        out[seen] = counts[seen, 1] / total[seen]
         return out
 
     table_dyn = ratios(dynamic_family)
@@ -173,19 +177,14 @@ def mle_factored(dataset: TrajectoryDataset, node: int,
 def _loglik_scores(counts: np.ndarray) -> np.ndarray:
     """Plug-in log-likelihood of each family in a block; ``counts`` is (F, n_configs, arity).
 
-    Each family's terms are summed in one row-wise reduction, so a block
-    of one gives :func:`family_loglik_from_counts` and any block gives the
-    same bits per family.
+    Each family's terms, ``N log(N / N_xi)`` at the count-ratio maximum, are
+    summed in one row-wise reduction, so any block gives the same bits per
+    family.
     """
     totals = counts.sum(axis=2)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(counts > 0, counts / np.maximum(totals, 1.0)[:, :, None], 1.0)
     return (counts * np.log(ratio)).reshape(len(counts), -1).sum(axis=1)
-
-
-def family_loglik_from_counts(counts: CountTable) -> float:
-    """Plug-in log-likelihood at the count-ratio maximum: sum N log(N / N_xi)."""
-    return float(_loglik_scores(counts.counts.astype(float)[None])[0])
 
 
 def loglik_cpt(dataset: TrajectoryDataset, structure: DbnStructure, params: ParameterSet) -> float:
@@ -571,14 +570,6 @@ def bge_family_score(dataset: TrajectoryDataset, node: int, family: FamilySpec,
 # Family scores and the cache
 
 
-def _family_k(dataset: TrajectoryDataset, family: FamilySpec) -> int:
-    """Free-parameter count of the family's maximum-likelihood kernel."""
-    if dataset.domain.discrete:
-        arities = dataset.family_arities(family)
-        return n_configurations(arities) * (dataset.domain.x_arities[family.node] - 1)
-    return len(family.parents) + 2  # betas + intercept + sigma2
-
-
 def _check_parents(dataset: TrajectoryDataset, node: int, parents: Sequence[Parent]) -> None:
     """Refuse a family ``node`` cannot have in ``dataset`` with :class:`ModelError`.
 
@@ -604,44 +595,24 @@ def family_score(dataset: TrajectoryDataset, node: int, parents: Sequence[Parent
                  kind: str, prior: DirichletPrior | None = None,
                  hyper: BgeHyper | None = None) -> float:
     """Higher-is-better score of one family; see the module docstring for kinds."""
-    kind = kind.lower()
-    if kind not in SCORE_KINDS:
-        raise ConfigError(f"unknown score kind {kind!r}; expected one of {SCORE_KINDS}")
-    _check_parents(dataset, node, parents)
-    family = FamilySpec(node=node, parents=canonical_parents(parents))
-    if kind == "bde":
-        return bde_family_score(count_transitions(dataset, family), prior)
-    if kind == "bge":
-        return bge_family_score(dataset, node, family, hyper)
-    if dataset.domain.discrete:
-        loglik = family_loglik_from_counts(count_transitions(dataset, family))
-    else:
-        _, loglik = fit_linear_gaussian(dataset, node, family)
-    if kind == "ll":
-        return loglik
-    k = _family_k(dataset, family)
-    n_eff = dataset.usable_transitions(family)
-    return -information_criterion(loglik, k, n_eff, kind)
+    return FamilyScorer(dataset, kind, prior, hyper)(node, parents)
 
 
 _COUNTED_KINDS = ("ll", "aic", "aicc", "bic", "bde")
 _BATCH_ELEMENTS = 1 << 15  # cap on families x max(distinct rows, cells) per counting step
 
 
-def _block_counts(cols: np.ndarray, radix: np.ndarray, distinct: np.ndarray,
+def _block_counts(cols: np.ndarray, radix: list[int], distinct: np.ndarray,
                   weights: np.ndarray) -> np.ndarray:
     """Counts (F, n_configs, child arity) of F families over weighted distinct rows.
 
     ``cols[f]`` names the rows of ``distinct`` that family ``f`` reads,
-    child first; ``radix`` holds their arities.  Indices are built in
-    ``distinct``'s integer type, so they must fit it.
+    child first; ``radix`` holds their arities as Python ints, so the
+    indices keep ``distinct``'s integer type and must fit it.
     """
-    n_fam, n_digits = cols.shape
-    n_cells = int(np.prod(radix))
-    flat = distinct[cols[:, -1]]
-    for d in range(n_digits - 2, -1, -1):
-        flat *= radix[d]
-        flat += distinct[cols[:, d]]
+    n_fam = len(cols)
+    n_cells = math.prod(radix)
+    flat = _config_index(distinct[cols.T], radix)
     flat += (np.arange(n_fam, dtype=flat.dtype) * n_cells)[:, None]
     counts = np.bincount(flat.reshape(-1), weights=np.tile(weights, n_fam),
                          minlength=n_fam * n_cells)
@@ -649,11 +620,15 @@ def _block_counts(cols: np.ndarray, radix: np.ndarray, distinct: np.ndarray,
 
 
 class FamilyScorer:
-    """Bound scorer used by the learners: dataset + kind + priors + family score cache.
+    """The one place where a family is scored: dataset, kind, priors and the score cache.
 
     ``scores`` maps (node, canonical parent tuple) to the family's score.
-    Values are deterministic functions of (dataset, family), so
-    concurrent last-write-wins insertion is benign.
+    Every lookup goes through :meth:`many`.  On discrete data the
+    count-based kinds are counted in blocks (:meth:`_counted_scores`) for
+    the exact search, hill climbing, :func:`family_score` and ``dbnlearn
+    score`` alike; BGe and the linear-Gaussian fits score one family at a
+    time (:meth:`_fitted_score`).  Values are deterministic functions of
+    (dataset, family), so concurrent last-write-wins insertion is benign.
     """
 
     def __init__(self, dataset: TrajectoryDataset, kind: str,
@@ -665,62 +640,70 @@ class FamilyScorer:
         self.prior = prior
         self.hyper = hyper
         self.scores: dict[tuple[int, tuple[Parent, ...]], float] = {}
-        self._rows = {}  # (first target time, largest lag) -> dataset.distinct_rows
+        self._rows = {}  # first target time -> [(column ids, distinct rows, multiplicities)]
 
     def __call__(self, node: int, parents: Sequence[Parent]) -> float:
         """Score of ``node`` with ``parents``, memoized; parent order never matters."""
-        key = (node, canonical_parents(parents))
-        hit = self.scores.get(key)
-        if hit is None:
-            hit = family_score(self.dataset, node, key[1], self.kind,
-                               prior=self.prior, hyper=self.hyper)
-            self.scores[key] = hit
-        return hit
+        return float(self.many(node, [canonical_parents(parents)])[0])
 
     def many(self, node: int, parent_sets: Sequence[tuple[Parent, ...]],
              check: Callable[[], None] | None = None) -> np.ndarray:
         """Scores of ``node`` with each parent tuple, in order, every one left in the cache.
 
-        Bit for bit what one call per tuple returns, with the same cache
-        entries.  The tuples must be canonical
-        (:func:`~dbnlearn.core.canonical_parents`), the order the cache keys
-        them by.  On discrete data the count-based kinds count every family
-        not yet cached in blocks (:meth:`_counted_scores`); other kinds score
-        one family at a time.  ``check`` (a deadline's ``check``) runs before
-        every counting step, or every family.
+        The tuples must be canonical (:func:`~dbnlearn.core.canonical_parents`),
+        the order the cache keys them by.  Only the families not yet cached
+        are scored, each once however often it repeats.  ``check`` (a
+        deadline's ``check``) runs before every counting step, or every
+        family.
         """
         check = check or (lambda: None)
         keys = [(node, tuple(parents)) for parents in parent_sets]
         entries = self.scores
-        todo = [key for key in keys if key not in entries]  # a repeat is scored twice, alike
-        if self.dataset.domain.discrete and self.kind in _COUNTED_KINDS:
+        todo = list(dict.fromkeys(key for key in keys if key not in entries))
+        if todo and self.dataset.domain.discrete and self.kind in _COUNTED_KINDS:
             entries.update(zip(todo, self._counted_scores(node, [k[1] for k in todo], check)))
         else:
-            for _, parents in todo:
+            for key in todo:
                 check()
-                self(node, parents)
+                entries[key] = self._fitted_score(*key)
         return np.fromiter(map(entries.__getitem__, keys), dtype=float, count=len(keys))
+
+    def _fitted_score(self, node: int, parents: tuple[Parent, ...]) -> float:
+        """One family's BGe or least-squares score; a kind on the wrong domain raises DomainMismatchError."""
+        ds = self.dataset
+        _check_parents(ds, node, parents)
+        family = FamilySpec(node=node, parents=parents)
+        if self.kind == "bge":
+            return bge_family_score(ds, node, family, self.hyper)
+        if self.kind == "bde":
+            raise DomainMismatchError("bde needs a discrete dataset")
+        _, loglik = fit_linear_gaussian(ds, node, family)
+        if self.kind == "ll":
+            return loglik
+        k = len(parents) + 2  # betas + intercept + sigma2
+        return -information_criterion(loglik, k, ds.usable_transitions(family), self.kind)
 
     def _counted_scores(self, node: int, families: list, check: Callable[[], None]) -> list:
         """Count-based scores of ``node`` with each canonical parent tuple, in order.
 
-        The bank columns of one first target time are compressed once into
-        their distinct rows and multiplicities (:meth:`_distinct_rows`).
         Families with one first target time and one arity tuple form a
-        block.  Each step of a block builds every family's configuration
-        index over the distinct rows as one (families, rows) Horner array,
-        child as the lowest digit as in :func:`_config_index`, and tallies
-        it with one weighted ``bincount``; integer weights sum exactly, so
-        the counts are those of :func:`count_transitions`.  The block
-        formulas then give each family the bits of its per-family score,
-        and the criteria come from :func:`information_criterion`, family by
-        family in order.
+        block.  The bank columns that the families of one first target time
+        read are compressed into their distinct rows and multiplicities
+        (:meth:`_distinct_rows`).  Each step of a block builds every
+        family's configuration index over the distinct rows as one
+        (families, rows) array with :func:`_config_index`, child as the
+        lowest digit, and tallies it with one weighted ``bincount``; integer
+        weights sum exactly, so the counts are those of
+        :func:`count_transitions`.  The block formulas then give each family
+        the bits of its per-family score (:func:`bde_family_score`, or the
+        plug-in log-likelihood), and the criteria come from
+        :func:`information_criterion`, family by family in order.
         """
         ds = self.dataset
         n_x, n_z = ds.n_x, ds.n_z
         # every distinct parent, in canonical order, then a padding slot of
-        # arity 1, which adds no digit: its column among the distinct rows
-        # (statics, then lag 0, 1, ... of every variable), lag and arity
+        # arity 1, which adds no digit: its column id (statics, then lag 0,
+        # 1, ... of every variable; see _distinct_rows), lag and arity
         sources = sorted(set(itertools.chain.from_iterable(families)), key=Parent.sort_key)
         _check_parents(ds, node, sources)
         slot = {par: s for s, par in enumerate(sources)}
@@ -740,8 +723,7 @@ class FamilyScorer:
                                     dtype=np.int64, count=int(n_parents.sum()))
         if np.any((slots[:, 1:] <= slots[:, :-1]) & filled[:, 1:]):
             raise ModelError("parent tuples must be canonical, without repeats")
-        fam_lag = lag[slots].max(axis=1, initial=0)
-        t_first = np.maximum(ds.burn_in + 1, fam_lag)  # inter lag 1 never moves it
+        t_first = np.maximum(ds.burn_in + 1, lag[slots].max(axis=1, initial=0))
         cols = np.column_stack([np.full(len(families), n_z + node), column[slots]])
         radices = np.column_stack([np.full(len(families), ds.domain.x_arities[node]), arity[slots]])
 
@@ -755,15 +737,18 @@ class FamilyScorer:
             n_cells = int(np.prod(radix))
             if n_cells >= 1 << 31:
                 raise SizeGuardError(f"a family of node {node} has {n_cells} count cells")
-            distinct, weights = self._distinct_rows(t0, int(fam_lag[t_first == t0].max()))
+            same_t0 = t_first == t0
+            ids, distinct, weights = self._distinct_rows(
+                t0, np.unique(cols[same_t0][radices[same_t0] > 1]))
             n_params[members] = n_cells // radix[0] * (radix[0] - 1)
             n_eff[members] = ds.N * max(0, ds.T - t0 + 1)
             digits = np.flatnonzero(radix > 1)
-            block = cols[members][:, digits]
+            block = np.searchsorted(ids, cols[members][:, digits])
             step = max(1, _BATCH_ELEMENTS // max(weights.size, n_cells))
             for begin in range(0, members.size, step):
                 check()
-                counts = _block_counts(block[begin:begin + step], radix[digits], distinct, weights)
+                counts = _block_counts(block[begin:begin + step], radix[digits].tolist(),
+                                       distinct, weights)
                 values[members[begin:begin + step]] = _bde_scores(counts, self.prior) \
                     if self.kind == "bde" else _loglik_scores(counts)
         if self.kind in ("bde", "ll"):
@@ -771,16 +756,26 @@ class FamilyScorer:
         return [-information_criterion(ll, k, m, self.kind)
                 for ll, k, m in zip(values.tolist(), n_params.tolist(), n_eff.tolist())]
 
-    def _distinct_rows(self, t0: int, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct rows (int32) of every static and every lag-0..``max_lag`` column at ``t0``, kept."""
-        hit = self._rows.get((t0, max_lag))
-        if hit is None:
-            ds = self.dataset
-            keys = [(t0, None, j) for j in range(ds.n_z)]
-            keys += [(t0, lag, j) for lag in range(max_lag + 1) for j in range(ds.n_x)]
-            distinct, mult = ds.distinct_rows(keys)
-            hit = (np.ascontiguousarray(distinct, dtype=np.int32), mult.astype(float))
-            self._rows[(t0, max_lag)] = hit
+    def _distinct_rows(self, t0: int, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Compressed ids, distinct rows (int32, one array row per id) and multiplicities.
+
+        ``columns`` holds sorted bank column ids at first target time
+        ``t0``: static ``j`` is ``j``, variable ``j`` at ``lag`` is ``n_z +
+        lag * n_x + j``.  A kept compression whose ids cover ``columns`` is
+        reused; else exactly ``columns`` are compressed and kept, replacing
+        the kept ones they cover.
+        """
+        kept = self._rows.setdefault(t0, [])
+        wanted = frozenset(columns.tolist())
+        for covered, *hit in kept:
+            if wanted <= covered:
+                return hit
+        ds = self.dataset
+        keys = [(t0, None, c) if c < ds.n_z else (t0, *divmod(c - ds.n_z, ds.n_x))
+                for c in columns.tolist()]
+        distinct, mult = ds.distinct_rows(keys)
+        hit = [columns, np.ascontiguousarray(distinct, dtype=np.int32), mult.astype(float)]
+        kept[:] = [entry for entry in kept if not entry[0] <= wanted] + [[wanted, *hit]]
         return hit
 
     def structure_score(self, structure: DbnStructure) -> float:

@@ -13,11 +13,13 @@ import scipy.optimize
 from scipy import optimize, stats
 
 from dbnlearn.core import (
-    Cpt, DbnStructure, FactoredCpt, LinearGaussian, Logistic, NoisyOr, Parent,
-    configuration_index, parents_of, topological_order,
+    Cpt, DbnStructure, FactoredCpt, FamilySpec, LinearGaussian, Logistic, NoisyOr, Parent,
+    canonical_parents, configuration_index, n_configurations, parents_of, topological_order,
 )
 from dbnlearn.learn import BoundedConfig
-from dbnlearn.scoring import family_score
+from dbnlearn.scoring import (
+    bde_family_score, count_transitions, family_score, information_criterion,
+)
 from dbnlearn.simulate import substream
 
 
@@ -79,6 +81,28 @@ def _structure_with(structure: DbnStructure, move) -> DbnStructure:
     static[j, i] = kind == "add_static"
     return structure.replace(static_edges=static)
 
+
+def discrete_family_score(dataset, node, parents, kind, prior=None):
+    """One discrete family's count-based score, from its own count table.
+
+    The per-family path that ``family_score`` took before every family was
+    counted in blocks: :func:`count_transitions`, then
+    :func:`bde_family_score` or the plug-in log-likelihood ``sum N log(N /
+    N_xi)``, then the information criterion with ``k = n_configs (arity -
+    1)`` free parameters.
+    """
+    family = FamilySpec(node=node, parents=canonical_parents(parents))
+    counts = count_transitions(dataset, family)
+    if kind == "bde":
+        return bde_family_score(counts, prior)
+    c = counts.counts.astype(float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(c > 0, c / np.maximum(c.sum(axis=1), 1.0)[:, None], 1.0)
+    loglik = float(np.sum(c * np.log(ratio)))
+    if kind == "ll":
+        return loglik
+    k = n_configurations(counts.arities) * (counts.child_arity - 1)
+    return -information_criterion(loglik, k, dataset.usable_transitions(family), kind)
 
 
 def brute_force_best_score(dataset, kind, max_intra=2, max_inter=2, max_auto=1,

@@ -201,6 +201,55 @@ class TestScoreAndCheck:
                      "--truth", str(other)]) == 4
 
 
+class TestMalformedFiles:
+    """A fault in a data or config file reaches the CLI as a typed error naming the file."""
+
+    DATA = "traj,t,x1,x2\n0,0,0,1\n0,1,1,0\n0,2,1,1\n"
+    STATIC = "traj,z1\n0,1\n"
+
+    @pytest.mark.parametrize("data, static, arity, where", [
+        ("traj,t,x1,x2\n0,0,0,1\n0,1,0.5,0\n0,2,1,1\n", None, 2, "line 3, field x1: '0.5'"),
+        ("traj,t,x1,x2\n0,0,0,1\na,1,1,0\n0,2,1,1\n", None, None, "line 3, field traj: 'a'"),
+        ("traj,t,x1,x2\n0,0,0,1\n0,1,1,0\n0,2,1,abc\n", None, None, "line 4, field x2: 'abc'"),
+        (DATA, "traj,z1\n0,x\n", None, "line 2, field z1: 'x'"),
+    ], ids=["float-data-with-arity", "traj-field", "value", "static-value"])
+    def test_bad_value_is_data_error_naming_file_and_field(self, tmp_path, capsys,
+                                                           data, static, arity, where):
+        (tmp_path / "data.csv").write_text(data)
+        args = ["check", "--data", str(tmp_path / "data.csv")]
+        if static is not None:
+            (tmp_path / "static.csv").write_text(static)
+        if arity is not None:
+            args += ["--arity", str(arity)]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        name = "static.csv" if static is not None else "data.csv"
+        assert err.startswith("data error: ") and f"{tmp_path / name} {where}" in err
+
+    def test_missing_data_file_is_data_error(self, tmp_path, capsys):
+        assert main(["check", "--data", str(tmp_path / "missing.csv")]) == 3
+        assert str(tmp_path / "missing.csv") in capsys.readouterr().err
+
+    def test_missing_config_is_schema_error(self, tmp_path, capsys):
+        assert main(["generate", "--config", str(tmp_path / "missing.json")]) == 2
+        assert str(tmp_path / "missing.json") in capsys.readouterr().err
+
+    def test_forced_arity_parses_once(self, tmp_path, capsys, monkeypatch):
+        import dbnlearn.cli as cli
+
+        (tmp_path / "data.csv").write_text(self.DATA)
+        (tmp_path / "static.csv").write_text(self.STATIC)
+        calls = []
+        monkeypatch.setattr(cli, "read_dataset",
+                            lambda *a, **k: calls.append(a) or read_dataset(*a, **k))
+        ds = cli._load_cli_dataset(cli.build_parser().parse_args(
+            ["check", "--data", str(tmp_path / "data.csv"), "--arity", "3"]))
+        assert len(calls) == 1
+        assert (ds.domain.x_arities, ds.domain.z_arities) == ((3, 3), (3,))
+        assert ds == read_dataset(tmp_path / "data.csv", tmp_path / "static.csv",
+                                  x_arities=(3, 3), z_arities=(3,))
+
+
 class TestBenchmarkCommand:
     def test_csv_and_tables_written(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

@@ -581,6 +581,16 @@ class TestGoldenOutputs:
         assert (_structure_digest(report), repr(report.score)) == (digest, score)
         assert report.extras["cache_entries"] == entries
 
+    @pytest.mark.parametrize("kind, digest, moves", [
+        ("bde", "5781319503dc733bb3bacd39a2091a00311d1c32a39a823fc5baf2d78246ec5f", 27),
+        ("bic", "dc7a0840e98d29f6006af5bf08daf24a7b2333cb0c40e67f20008d773f26a544", 27),
+    ], ids=["hill-bde", "hill-bic"])
+    def test_discrete_hill_trace(self, discrete, kind, digest, moves):
+        # recorded while hill climbing still scored one family per move
+        report = hill_climb(discrete, kind, SearchConfig(score=kind, p=2, max_auto=2, seed=5))
+        trace = json.dumps(list(report.trace), sort_keys=True).encode()
+        assert (hashlib.sha256(trace).hexdigest(), report.extras["moves"]) == (digest, moves)
+
     @pytest.mark.parametrize("learn_fn, digest", [
         (lambda ds: hill_climb(ds, "bge", SearchConfig(score="bge", seed=5)),
          "fef2ea9412ded98797cc773e2f3fc5705f92ca518b00f7fc87eead812e9da344"),
@@ -772,6 +782,17 @@ class TestTypedErrors:
     def test_mistyped_hyperparameters_raise_config_errors(self, name, key, value):
         with pytest.raises(ConfigError, match=f"hyperparameter {key} must be of type"):
             run_learner(name, TINY, **{key: value})
+
+    @pytest.mark.parametrize("make", [
+        lambda: SearchConfig(max_intra="abc"), lambda: SearchConfig(seed=1.0),
+        lambda: SearchConfig(score=None), lambda: BoundedConfig(b_w="x"),
+        lambda: BoundedConfig(max_nodes=True), lambda: ContinuousConfig(max_outer=2.5),
+        lambda: ContinuousConfig(record_inner=0)],
+        ids=["search-max_intra", "search-seed", "search-score", "bounded-b_w",
+             "bounded-max_nodes", "continuous-max_outer", "continuous-record_inner"])
+    def test_configs_built_directly_check_types(self, make):
+        with pytest.raises(ConfigError, match="must be of type"):
+            make()
 
     def test_float_hyperparameters_take_ints(self):
         cfg = learn._config_from(ContinuousConfig, 3, {"lambda_w": 0, "inner_tol": 1})

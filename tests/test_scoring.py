@@ -18,7 +18,7 @@ from dbnlearn.evaluate import temporal_split
 from dbnlearn.simulate import EdgeProbs, GeneratorConfig, sample_random_dbn, sample_trajectories
 
 from conftest import continuous_dataset, discrete_dataset
-from oracle_utils import class_subsets, raw_family_rows
+from oracle_utils import class_subsets, discrete_family_score, raw_family_rows
 
 
 def family(node, *parents):
@@ -774,17 +774,19 @@ class TestScoreCacheAndDump:
         with pytest.raises(ConfigError):
             sc.FamilyScorer(ds, "foo")
 
-    def test_miss_scores_through_family_score(self, rng, monkeypatch):
-        # a miss calls the module-level family_score, so wrapping it sees every family scored
+    def test_permuted_repeat_is_counted_once(self, rng, monkeypatch):
+        # every discrete family is counted by _counted_scores, so wrapping it sees each one
         ds = discrete_dataset((rng.random((4, 6, 2)) < 0.5).astype(int))
         calls = []
-        original = sc.family_score
-        monkeypatch.setattr(sc, "family_score",
-                            lambda *a, **k: calls.append(a[1:3]) or original(*a, **k))
+        original = sc.FamilyScorer._counted_scores
+        monkeypatch.setattr(sc.FamilyScorer, "_counted_scores",
+                            lambda self, node, fams, check: calls.append((node, fams))
+                            or original(self, node, fams, check))
         scorer = sc.FamilyScorer(ds, "bic")
         scorer(1, [Parent("intra", 0), Parent("inter", 1)])
         scorer(1, [Parent("inter", 1), Parent("intra", 0)])
-        assert calls == [(1, (Parent("inter", 1), Parent("intra", 0)))]
+        scorer.many(1, [(), (Parent("inter", 1), Parent("intra", 0)), ()])
+        assert calls == [(1, [(Parent("inter", 1), Parent("intra", 0))]), (1, [()])]
 
 
 COUNTED_KINDS = ("ll", "aic", "aicc", "bic", "bde")
@@ -809,9 +811,9 @@ def lattice_cases(draw):
 
 
 def per_family_scores(ds, node, lattice, kind, prior):
-    """Scores of one call per family, or the error type the first failing family raises."""
+    """Scores of one count table per family, or the error type the first failing family raises."""
     try:
-        return [sc.family_score(ds, node, parents, kind, prior=prior) for parents in lattice]
+        return [discrete_family_score(ds, node, parents, kind, prior) for parents in lattice]
     except DataError:
         return DataError
 
@@ -861,11 +863,10 @@ class TestBlockFormulas:
         fam = FamilySpec(0, (Parent("inter", 0),))
         tables = [sc.CountTable(0, fam, (block.shape[1],), block.shape[2], c) for c in block]
         assert bits([sc.bde_family_score(t, prior) for t in tables]) == bits(want_bde)
-        assert bits([sc.family_loglik_from_counts(t) for t in tables]) == bits(want_ll)
 
 
 class TestBatchedScorer:
-    """``FamilyScorer.many`` against one ``family_score`` call per family, bit for bit."""
+    """``FamilyScorer.many`` against one count table per family, bit for bit."""
 
     @staticmethod
     def check_lattice(ds, node, lattice, prior):
@@ -932,9 +933,49 @@ class TestBatchedScorer:
     def test_continuous_kinds_score_one_family_at_a_time(self, rng):
         ds = continuous_dataset(rng.normal(size=(3, 12, 2)))
         lattice = [(), (Parent("inter", 1),), (Parent("intra", 1), Parent("auto", 1))]
+        fams = [FamilySpec(0, parents) for parents in lattice]
+        want = {"bge": [sc.bge_family_score(ds, 0, fam) for fam in fams],
+                "bic": [-sc.information_criterion(sc.fit_linear_gaussian(ds, 0, fam)[1],
+                                                  len(fam.parents) + 2,
+                                                  ds.usable_transitions(fam), "bic")
+                        for fam in fams]}
         for kind in ("bge", "bic"):
-            want = [sc.family_score(ds, 0, parents, kind) for parents in lattice]
-            assert bits(sc.FamilyScorer(ds, kind).many(0, lattice)) == bits(want)
+            assert bits(sc.FamilyScorer(ds, kind).many(0, lattice)) == bits(want[kind])
+            assert bits([sc.family_score(ds, 0, parents, kind) for parents in lattice]) \
+                == bits(want[kind])
+
+    @pytest.mark.parametrize("kind", ["bde", "bge"])
+    def test_nothing_to_score(self, rng, kind):
+        x = rng.integers(0, 2, size=(3, 6, 2))
+        ds = discrete_dataset(x) if kind == "bde" else continuous_dataset(x)
+        scorer = sc.FamilyScorer(ds, kind)
+        assert scorer.many(0, []).shape == (0,)
+        first = scorer(0, ())
+        assert scorer.many(0, [(), ()]).tolist() == [first, first]
+
+    def test_domain_mismatch_raises(self, rng):
+        x = rng.integers(0, 2, size=(3, 6, 2))
+        with pytest.raises(DomainMismatchError):
+            sc.family_score(continuous_dataset(x), 0, (), "bde")
+        with pytest.raises(DomainMismatchError):
+            sc.family_score(discrete_dataset(x), 0, (), "bge")
+
+    def test_one_family_compresses_only_its_columns(self, rng, monkeypatch):
+        ds = discrete_dataset(rng.integers(0, 2, size=(4, 9, 5)), rng.integers(0, 2, size=(4, 2)))
+        compressed = []
+        original = TrajectoryDataset.distinct_rows
+        monkeypatch.setattr(TrajectoryDataset, "distinct_rows",
+                            lambda self, keys: compressed.append(sorted(keys, key=str))
+                            or original(self, keys))
+        parents = (Parent("inter", 3), Parent("intra", 1), Parent("auto", 2), Parent("static", 1))
+        scorer = sc.FamilyScorer(ds, "bic")
+        scorer(0, parents)
+        fam = FamilySpec(0, parents)
+        assert compressed == [sorted(ds.family_keys(fam), key=str)]
+        assert len(compressed[0]) == len(parents) + 1
+        scorer(0, parents[:2])  # first target time 1: compressed on its own
+        scorer(0, parents[2:])  # first target time 2: read from the kept compression
+        assert len(compressed) == 2
 
     def test_check_runs_before_every_counting_step(self, rng, monkeypatch):
         ds = discrete_dataset(rng.integers(0, 2, size=(5, 40, 4)))
