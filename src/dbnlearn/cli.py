@@ -231,7 +231,8 @@ def _load_cli_dataset(args):
     ds = read_dataset(args.data, static)
     if getattr(args, "arity", None):
         xa, za = (args.arity,) * ds.n_x, (args.arity,) * ds.n_z
-        if not ds.domain.discrete:  # some value is not an integer: parsing as one names it
+        # some value is not an integer, or not below the arity: parsing with it names the value
+        if not ds.domain.discrete or max(ds.domain.x_arities + ds.domain.z_arities) > args.arity:
             read_dataset(args.data, static, x_arities=xa, z_arities=za)
         ds = TrajectoryDataset(Domain("discrete", xa, za), ds.x, ds.z)
     return ds

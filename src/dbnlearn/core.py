@@ -452,8 +452,10 @@ class TrajectoryDataset:
     Moore & Lee (JAIR 8, 1998): at most ``(1 + p) n_x + n_z`` columns per
     first target time.  Next to the columns the dataset keeps their exact
     sums (:meth:`column_sum`): one correctly rounded ``math.fsum`` per
-    column and per unordered pair of columns, filled the same way, from
-    which the BGe score assembles every family's moments.  Both are plain
+    column and per unordered pair of columns, filled the same way.  Their
+    Gram matrices (:meth:`pair_sums`) are the one sufficient-statistics
+    layer of the linear-Gaussian code: the BGe score assembles every
+    family's moments from them, and DYNOTEARS its loss.  Both are plain
     attributes, not fields, so equality and repr ignore them.  Every entry
     is a deterministic function of the data, so concurrent fills are
     benign: the last write stores the same value.
@@ -565,6 +567,23 @@ class TrajectoryDataset:
                 raise DataError(f"column sums overflow a float: {e}") from e
             self._sums[key] = s
         return s
+
+    def pair_sums(self, keys: Sequence[tuple]) -> np.ndarray:
+        """Symmetric (d, d) matrix of the exact pair sums :meth:`column_sum` of ``keys``.
+
+        Entry ``(j, k)`` is the sum of the elementwise product of bank
+        columns ``keys[j]`` and ``keys[k]``: the Gram matrix ``Z^T Z`` of
+        the rows those columns make, which no permutation of the rows
+        changes.  Sums that overflow a float raise :class:`DataError`.
+        """
+        d = len(keys)
+        out = np.empty((d, d))
+        for j in range(d):
+            for k in range(j, d):
+                out[j, k] = out[k, j] = self.column_sum(keys[j], keys[k])
+        if not np.all(np.isfinite(out)):
+            raise DataError("column pair sums overflow a float")
+        return out
 
     def family_keys(self, family: FamilySpec, t0: int | None = None) -> tuple[tuple, ...]:
         """Bank keys ``(t0, lag, variable)`` of the child, then of each parent.

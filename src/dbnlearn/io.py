@@ -137,7 +137,8 @@ def dataset_from_csv(data_csv: str, static_csv: str | None = None,
     arities default to observed max + 1 (at least 2) unless given
     explicitly.  Trajectories must share one length.  A malformed file
     raises :class:`DataError` naming it (``names`` holds the data and
-    static file names), and a bad value also its line and field.
+    static file names), and a bad value, or a discrete one outside its
+    arity, also its line and field.
     """
     data_name, static_name = names
     rows = list(csv.reader(_io.StringIO(data_csv)))
@@ -196,6 +197,10 @@ def dataset_from_csv(data_csv: str, static_csv: str | None = None,
             max(2, int(x[:, :, v].max()) + 1) for v in range(n_x))
         za = tuple(z_arities) if z_arities is not None else tuple(
             max(2, int(z[:, v].max()) + 1) for v in range(n_z))
+        for k, (name, fields, line, _) in enumerate(records):
+            for v, field, arity in zip(values[k], fields, xa if k < n_x_rows else za):
+                if not 0 <= v < arity:
+                    raise DataError(f"{name} line {line}, field {field}: {v} is outside 0..{arity - 1}")
         domain = Domain("discrete", x_arities=xa, z_arities=za)
     else:
         domain = Domain("continuous")

@@ -17,8 +17,10 @@ Four learners share the :class:`LearnerReport` result type:
 ``exact`` and ``bounded`` tabulate one best entry per (node, intra
 parent set) and share one subset dynamic program, :func:`_best_dag`
 (Silander & Myllymaki, UAI 2006), to pick the best acyclic combination.
-The one-shot learners read their rows from the dataset's column bank
-(:meth:`~dbnlearn.core.TrajectoryDataset.bank_matrix`) and turn their
+The one-shot learners read the dataset's banks: ``bounded`` its rows
+(:meth:`~dbnlearn.core.TrajectoryDataset.bank_matrix`), ``dynotears`` the
+Gram matrix of its exact pair sums
+(:meth:`~dbnlearn.core.TrajectoryDataset.pair_sums`); both turn their
 weights into a structure alike (:func:`_sem_structure`).
 
 ``report.score`` is always the decomposable structure score that
@@ -509,6 +511,51 @@ def _soft(x: np.ndarray, t: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
+# The augmented-Lagrangian loop stops, unconverged, once rho would exceed
+# this, as the NOTEARS reference code does (arXiv:1803.01422).
+_RHO_MAX = 1e16
+
+
+def _sem_gram(dataset: TrajectoryDataset, max_lag: int) -> tuple[np.ndarray, int]:
+    """Gram matrix ``Z^T Z`` of the rows ``Z = [Y L]`` and the row count ``M``.
+
+    ``Y`` holds the n variables at target times from
+    ``first_usable_t(max_lag)`` and ``L`` their lags 1..``max_lag``, lag
+    by lag; both come from the dataset's exact pair sums, so no row is
+    read here and row order plays no part.
+    """
+    n = dataset.n_x
+    t0 = dataset.first_usable_t(max_lag)
+    m = dataset.N * (dataset.T + 1 - t0)
+    if m == 0:
+        raise DataError("no usable transitions")
+    keys = [(t0, lag, j) for lag in range(max_lag + 1) for j in range(n)]
+    return dataset.pair_sums(keys), m
+
+
+def _sem_smooth(gram: np.ndarray, m: int, w: np.ndarray, a: np.ndarray,
+                alpha: float, rho: float) -> tuple[float, float, np.ndarray, np.ndarray, float]:
+    """Smooth part of the augmented Lagrangian, its least-squares loss, gradients in W and A, and h.
+
+    With ``B = [I - W; -A]`` the residual is ``Z B``, so the loss
+    ``(1/2M)||Y - Y W - L A||_F^2`` is ``tr(B^T G B) / 2M`` and its W and
+    A gradients are the two row blocks of ``-(G B) / M``, read from the
+    Gram matrix ``G`` of :func:`_sem_gram`.  The value adds
+    ``alpha h + rho h^2 / 2`` to the loss.
+    """
+    n = w.shape[0]
+    # overshooting trial steps may overflow; backtracking rejects them
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = np.vstack((np.eye(n) - w, -a))
+        gb = gram @ b
+        loss = 0.5 / m * float(np.sum(b * gb))
+        h, h_grad = h_expm_and_grad(w)
+        value = loss + alpha * h + 0.5 * rho * h * h
+        gw = -gb[:n] / m + (alpha + rho * h) * h_grad
+        ga = -gb[n:] / m
+    return value, loss, gw, ga, h
+
+
 def continuous_oneshot(dataset: TrajectoryDataset, config: ContinuousConfig | None = None,
                        deadline: Deadline | None = None) -> LearnerReport:
     """One-shot SEM fit: L1-penalized least squares with an acyclicity constraint.
@@ -518,13 +565,21 @@ def continuous_oneshot(dataset: TrajectoryDataset, config: ContinuousConfig | No
     Lagrangian: a monotone proximal-gradient inner solver
     (soft-thresholding, backtracking line search, zero-diagonal
     projection on W), with the multiplier update ``alpha += rho h`` and
-    ``rho *= growth`` per outer round until ``h < tol``.  The final
-    support is thresholded and cycle-repaired, linear-Gaussian
-    parameters are refit on it, and the raw weight matrices stay in
-    ``extras`` for ranking-based evaluation.  The penalty is L1 on a
-    (1/2M)-scaled SSE, unlike the per-edge L0 penalty on summed SSE of
-    ``bounded_oneshot``, so the two supports coincide only where the data
-    pin the support down, not where several supports fit equally well.
+    ``rho *= growth`` per outer round until ``h < tol``, or unconverged
+    once rho would exceed 1e16.  The loss and its gradient come in Gram
+    form (:func:`_sem_smooth`) from the exact pair sums of the dataset's
+    sum bank, built once per call, so no evaluation touches the M rows
+    and the result does not depend on row order.  Each trace entry and
+    ``extras["objective"]`` report the penalized least-squares objective,
+    without the augmented-Lagrangian terms; ``inner_objectives`` (with
+    ``record_inner``) include them, the quantity the inner solver
+    decreases.  The final support is thresholded and cycle-repaired,
+    linear-Gaussian parameters are refit on it, and the raw weight
+    matrices stay in ``extras`` for ranking-based evaluation.  The penalty
+    is L1 on a (1/2M)-scaled SSE, unlike the per-edge L0 penalty on summed
+    SSE of ``bounded_oneshot``, so the two supports coincide only where
+    the data pin the support down, not where several supports fit equally
+    well.
     """
     t_start = time.perf_counter()
     config = config or ContinuousConfig()
@@ -534,13 +589,7 @@ def continuous_oneshot(dataset: TrajectoryDataset, config: ContinuousConfig | No
     if dataset.T < config.max_lag:
         raise DataError(f"horizon T={dataset.T} too short for max lag {config.max_lag}")
     n = dataset.n_x
-    t0 = dataset.first_usable_t(config.max_lag)
-    y = dataset.bank_matrix(t0, [(0, j) for j in range(n)])
-    lag_cols = dataset.bank_matrix(t0, [(tau, j) for tau in range(1, config.max_lag + 1)
-                                        for j in range(n)])
-    m = y.shape[0]
-    if m == 0:
-        raise DataError("no usable transitions")
+    gram, m = _sem_gram(dataset, config.max_lag)
 
     w = np.zeros((n, n))
     a = np.zeros((n * config.max_lag, n))
@@ -548,22 +597,12 @@ def continuous_oneshot(dataset: TrajectoryDataset, config: ContinuousConfig | No
     trace = []
     converged = False
 
-    def smooth(wm, am, alpha, rho):
-        # overshooting trial steps may overflow; backtracking rejects them
-        with np.errstate(over="ignore", invalid="ignore"):
-            resid = y - y @ wm - lag_cols @ am
-            h, h_grad = h_expm_and_grad(wm)
-            value = 0.5 / m * float(np.sum(resid * resid)) + alpha * h + 0.5 * rho * h * h
-            gw = -(y.T @ resid) / m + (alpha + rho * h) * h_grad
-            ga = -(lag_cols.T @ resid) / m
-        return value, gw, ga, h
-
     def penalty(wm, am):
         return config.lambda_w * float(np.abs(wm).sum()) + config.lambda_a * float(np.abs(am).sum())
 
     step = 1.0
     for outer in range(config.max_outer):
-        value, gw, ga, h = smooth(w, a, alpha, rho)
+        value, loss, gw, ga, h = _sem_smooth(gram, m, w, a, alpha, rho)
         inner_objectives = [value + penalty(w, a)]
         for inner in range(config.max_inner):
             if inner % 25 == 0:
@@ -572,7 +611,8 @@ def continuous_oneshot(dataset: TrajectoryDataset, config: ContinuousConfig | No
                 w_new = _soft(w - step * gw, step * config.lambda_w)
                 np.fill_diagonal(w_new, 0.0)
                 a_new = _soft(a - step * ga, step * config.lambda_a)
-                val_new, gw_new, ga_new, h_new = smooth(w_new, a_new, alpha, rho)
+                val_new, loss_new, gw_new, ga_new, h_new = _sem_smooth(gram, m, w_new, a_new,
+                                                                       alpha, rho)
                 dw, da = w_new - w, a_new - a
                 quad = value + float(np.sum(gw * dw) + np.sum(ga * da)) \
                     + 0.5 / step * (float(np.sum(dw * dw)) + float(np.sum(da * da)))
@@ -586,18 +626,20 @@ def continuous_oneshot(dataset: TrajectoryDataset, config: ContinuousConfig | No
                     break
                 step *= 0.5
             move = max(float(np.abs(dw).max(initial=0.0)), float(np.abs(da).max(initial=0.0)))
-            w, a, value, gw, ga, h = w_new, a_new, val_new, gw_new, ga_new, h_new
+            w, a, value, loss, gw, ga, h = w_new, a_new, val_new, loss_new, gw_new, ga_new, h_new
             step = min(step * 2.0, 1e6)
             inner_objectives.append(value + penalty(w, a))
             if move < config.inner_tol:
                 break
-        entry = {"outer": outer, "objective": value + penalty(w, a), "h": h, "rho": rho}
+        entry = {"outer": outer, "objective": loss + penalty(w, a), "h": h, "rho": rho}
         if config.record_inner:
             entry["inner_objectives"] = inner_objectives
         trace.append(entry)
         deadline.check()
         if h < config.h_tol:
             converged = True
+            break
+        if rho * config.rho_growth > _RHO_MAX:
             break
         alpha += rho * h
         rho *= config.rho_growth

@@ -489,11 +489,12 @@ def _exact_moments(dataset: TrajectoryDataset, family: FamilySpec) -> tuple[int,
     """Row count, column means and centered scatter of the family's rows, child first.
 
     Assembled from the dataset's exact-sum bank
-    (:meth:`~dbnlearn.core.TrajectoryDataset.column_sum`):
-    ``mean_j = S_j / m`` and ``scatter_jk = S_jk - m mean_j mean_k``, where
-    every ``S`` is a correctly rounded ``math.fsum``, so permuting rows
-    cannot change the result.  Moments too large for a float raise
-    :class:`DataError`.
+    (:meth:`~dbnlearn.core.TrajectoryDataset.column_sum` and
+    :meth:`~dbnlearn.core.TrajectoryDataset.pair_sums`):
+    ``mean_j = S_j / m`` and ``scatter_jk = S_jk - (m mean_j) mean_k`` for
+    ``j <= k``, mirrored below the diagonal, where every ``S`` is a
+    correctly rounded ``math.fsum``, so permuting rows cannot change the
+    result.  Moments too large for a float raise :class:`DataError`.
     """
     keys = dataset.family_keys(family)
     m = dataset.usable_transitions(family)
@@ -501,12 +502,10 @@ def _exact_moments(dataset: TrajectoryDataset, family: FamilySpec) -> tuple[int,
     if m == 0:
         return 0, np.zeros(d), np.zeros((d, d))
     mean = np.array([dataset.column_sum(a) / m for a in keys])
-    scatter = np.empty((d, d))
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(d):
-            for k in range(j, d):
-                s = dataset.column_sum(keys[j], keys[k]) - m * mean[j] * mean[k]
-                scatter[j, k] = scatter[k, j] = s
+        scatter = dataset.pair_sums(keys) - np.outer(m * mean, mean)
+    lower = np.tril_indices(d, -1)
+    scatter[lower] = scatter.T[lower]
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(scatter))):
         raise DataError("data moments overflow a float")
     return m, mean, scatter

@@ -9,6 +9,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 from scipy import optimize, stats
 
@@ -230,6 +231,41 @@ def raw_family_rows(ds, fam, start=None):
                            else ds.z[n, p.index])
             rows.append(row)
     return np.array(rows, dtype=float).reshape(len(rows), 1 + len(fam.parents))
+
+
+# ---------------------------------------------------------------------------
+# DYNOTEARS' smooth objective in residual form
+
+
+def sem_rows(dataset, max_lag):
+    """``(Y, L)``: each usable target slice and its lags 1..``max_lag`` side by side, row by row.
+
+    Targets run from ``max(max_lag, burn_in + 1)`` to ``T`` in every
+    trajectory, read straight from ``x``.
+    """
+    ys, lags = [], []
+    for traj in dataset.x:
+        for t in range(max(max_lag, dataset.burn_in + 1), dataset.T + 1):
+            ys.append(traj[t])
+            lags.append(np.concatenate([traj[t - tau] for tau in range(1, max_lag + 1)]))
+    return np.array(ys, dtype=float), np.array(lags, dtype=float)
+
+
+def residual_smooth(dataset, max_lag, w, a, alpha, rho):
+    """DYNOTEARS' smooth augmented Lagrangian from the M x n residual: value, loss, W and A gradients.
+
+    ``loss = (1/2M)||Y - Y W - L A||_F^2``, ``h = tr exp(W o W) - n`` for
+    a zero-diagonal ``W``, value ``loss + alpha h + rho h^2 / 2``.
+    """
+    y, lags = sem_rows(dataset, max_lag)
+    m, n = y.shape
+    resid = y - y @ w - lags @ a
+    loss = 0.5 / m * float(np.sum(resid * resid))
+    e = scipy.linalg.expm(w * w)
+    h = float(np.trace(e)) - n
+    gw = -(y.T @ resid) / m + (alpha + rho * h) * 2.0 * e.T * w
+    ga = -(lags.T @ resid) / m
+    return loss + alpha * h + 0.5 * rho * h * h, loss, gw, ga
 
 
 # ---------------------------------------------------------------------------

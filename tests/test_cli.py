@@ -212,7 +212,12 @@ class TestMalformedFiles:
         ("traj,t,x1,x2\n0,0,0,1\na,1,1,0\n0,2,1,1\n", None, None, "line 3, field traj: 'a'"),
         ("traj,t,x1,x2\n0,0,0,1\n0,1,1,0\n0,2,1,abc\n", None, None, "line 4, field x2: 'abc'"),
         (DATA, "traj,z1\n0,x\n", None, "line 2, field z1: 'x'"),
-    ], ids=["float-data-with-arity", "traj-field", "value", "static-value"])
+        ("traj,t,x1,x2\n0,0,0,1\n0,1,2,0\n0,2,1,1\n", None, 2, "line 3, field x1: 2 is outside 0..1"),
+        (DATA, "traj,z1\n0,2\n", 2, "line 2, field z1: 2 is outside 0..1"),
+        ("traj,t,x1,x2\n0,0,0,1\n0,1,1,0\n0,2,-1,1\n", None, None,
+         "line 4, field x1: -1 is outside 0..1"),
+    ], ids=["float-data-with-arity", "traj-field", "value", "static-value", "value-above-arity",
+            "static-value-above-arity", "negative-value"])
     def test_bad_value_is_data_error_naming_file_and_field(self, tmp_path, capsys,
                                                            data, static, arity, where):
         (tmp_path / "data.csv").write_text(data)

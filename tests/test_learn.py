@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from dbnlearn.acyclicity import threshold_and_repair
 from dbnlearn.core import (
     ConfigError, DataError, DbnError, DbnStructure, DomainMismatchError, FamilySpec,
-    SizeGuardError, configuration_index, is_acyclic, parents_of,
+    OptimizerError, SizeGuardError, configuration_index, is_acyclic, parents_of,
     structure_from_families,
 )
 from dbnlearn.learn import (
@@ -27,12 +27,14 @@ from dbnlearn.scoring import (
     information_criterion,
 )
 from dbnlearn.simulate import substream
-from dbnlearn.simulate import EdgeProbs, GeneratorConfig, sample_random_dbn, sample_trajectories
+from dbnlearn.simulate import (
+    EdgeProbs, GeneratorConfig, RegimeSpec, regime_datasets, sample_random_dbn, sample_trajectories,
+)
 
 from conftest import continuous_dataset, discrete_dataset
 from oracle_utils import (
     _structure_with, bounded_support_objective, bounded_tables_unpruned, brute_force_best_score,
-    lag1_design,
+    lag1_design, residual_smooth,
 )
 
 
@@ -354,10 +356,89 @@ class TestContinuousOneshot:
         with pytest.raises(DomainMismatchError):
             continuous_oneshot(ds)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_diverging_inner_solve_raises_optimizer_error(self):
+        # the pair sums stay finite at this scale, but every trial step overflows
+        ds = continuous_dataset(np.random.default_rng(0).standard_normal((10, 21, 3)) * 1e100)
+        with pytest.raises(OptimizerError, match="diverged at outer 0"):
+            continuous_oneshot(ds)
+
     def test_deterministic(self):
         _, ds = continuous_instance(3)
         cfg = ContinuousConfig(lambda_w=0.05, lambda_a=0.05, seed=4)
         assert continuous_oneshot(ds, cfg).to_json() == continuous_oneshot(ds, cfg).to_json()
+
+
+class TestGramForm:
+    """DYNOTEARS' Gram-form loss and gradient against the residual form written out in the oracle."""
+
+    @pytest.mark.parametrize("burn_in", [0, 3], ids=["no-burn-in", "burn-in"])
+    @pytest.mark.parametrize("max_lag", [1, 2])
+    def test_matches_residual_form(self, max_lag, burn_in):
+        rng = np.random.default_rng(10 * max_lag + burn_in)
+        n = 4
+        ds = continuous_dataset(rng.normal(size=(7, 13, n)) * 2.0 + 1.0, burn_in=burn_in)
+        gram, m = learn._sem_gram(ds, max_lag)
+        assert m == 7 * (12 + 1 - max(max_lag, burn_in + 1))
+        for _ in range(5):
+            w = rng.normal(scale=0.4, size=(n, n))
+            np.fill_diagonal(w, 0.0)
+            a = rng.normal(scale=0.4, size=(n * max_lag, n))
+            alpha, rho = float(rng.uniform(0.0, 2.0)), float(10.0 ** rng.integers(0, 4))
+            value, loss, gw, ga, h = learn._sem_smooth(gram, m, w, a, alpha, rho)
+            want_value, want_loss, want_gw, want_ga = residual_smooth(ds, max_lag, w, a, alpha, rho)
+            assert h > 0.0
+            assert abs(value - want_value) <= 1e-12 * abs(want_value)
+            assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+            for got, want in ((gw, want_gw), (ga, want_ga)):
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_trajectory_order_plays_no_part(self):
+        _, ds = continuous_instance(6, n=4, n_traj=30, horizon=20)
+        shuffled = continuous_dataset(ds.x[np.random.default_rng(1).permutation(ds.N)])
+        cfg = ContinuousConfig(lambda_w=0.05, lambda_a=0.05, max_lag=2, max_outer=4,
+                               record_inner=True)
+        base, moved = continuous_oneshot(ds, cfg), continuous_oneshot(shuffled, cfg)
+        assert moved.trace == base.trace and moved.structure == base.structure
+        for key in ("w", "a"):
+            assert moved.extras[key].tobytes() == base.extras[key].tobytes()
+
+
+class TestPenaltySchedule:
+    """Default DYNOTEARS on sparse linear-Gaussian (20, 40, 50) data, regime seed 2.
+
+    Without a cap rho grew tenfold for 23 outer rounds, to 1e22, and the
+    reported objective, then dominated by ``rho h^2 / 2``, read 572006.96.
+    """
+
+    @pytest.fixture(scope="class")
+    def sparse(self):
+        template = GeneratorConfig(n_x=1, model="linear_gaussian", sigma=0.5,
+                                   weight_range=(0.3, 1.0),
+                                   edge_probs=EdgeProbs(intra=0.05, inter=0.05, auto=0.5))
+        cell = next(regime_datasets(RegimeSpec("sparse", ((20, 40, 50),)), template,
+                                    replicates=1, seed=2))
+        return cell.dataset
+
+    def test_rho_capped_and_objective_is_the_least_squares_fit(self, sparse):
+        report = continuous_oneshot(sparse)
+        rhos = [entry["rho"] for entry in report.trace]
+        assert max(rhos) <= 1e16
+        assert report.flags["converged"] or rhos[-1] * ContinuousConfig().rho_growth > 1e16
+        # loss + L1, below the empty graph's loss; alpha h + rho h^2 / 2 is left out
+        y, _ = lag1_design(sparse)
+        assert report.extras["objective"] == report.trace[-1]["objective"]
+        assert 0.0 < report.extras["objective"] < 0.5 / len(y) * float(np.sum(y * y))
+
+    def test_outer_loop_stops_unconverged_at_the_cap(self):
+        # two noisy copies of one signal: each explains the other, so h stays above 1e-300
+        rng = np.random.default_rng(0)
+        common = rng.normal(size=(20, 16, 1))
+        ds = continuous_dataset(common + 0.1 * rng.normal(size=(20, 16, 2)))
+        report = continuous_oneshot(ds, ContinuousConfig(
+            lambda_w=0.0, lambda_a=0.0, h_tol=1e-300, max_inner=100))
+        assert [entry["rho"] for entry in report.trace] == [float(10 ** k) for k in range(17)]
+        assert not report.flags["converged"] and report.extras["h"] > 0.0
 
 
 class TestBoundedOneshot:
@@ -632,6 +713,10 @@ class TestOverflowingData:
     def test_bic_raises_data_error(self, huge, learner):
         with pytest.raises(DataError):
             run_learner(learner, huge, score="bic")
+
+    def test_dynotears_raises_data_error_from_the_sum_bank(self, huge):
+        with pytest.raises(DataError, match="sums overflow"):
+            run_learner("dynotears", huge)
 
 
 class TestRegistry:

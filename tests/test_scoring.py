@@ -420,6 +420,29 @@ class TestSumBank:
         with pytest.raises(DataError):
             sc.bge_family_score(ds, 0, family(0))
 
+    def test_pair_sums_are_the_banked_sums_in_any_row_order(self, rng):
+        x, z = rng.normal(size=(4, 7, 3)), rng.normal(size=(4, 1))
+        ds = continuous_dataset(x, z)
+        keys = ds.family_keys(family(0, Parent("inter", 1), Parent("intra", 2),
+                                     Parent("auto", 2), Parent("static", 0)))
+        gram = ds.pair_sums(keys)
+        assert gram.tolist() == [[ds.column_sum(a, b) for b in keys] for a in keys]
+        assert gram.tolist() == gram.T.tolist()
+        perm = rng.permutation(4)
+        assert continuous_dataset(x[perm], z[perm]).pair_sums(keys).tobytes() == gram.tobytes()
+
+    def test_bge_reads_the_shared_pair_sums(self, rng, monkeypatch):
+        ds = continuous_dataset(rng.normal(size=(3, 8, 3)) * 1e3 + 5.0, z=rng.normal(size=(3, 1)))
+        fam = family(1, Parent("inter", 0), Parent("intra", 2), Parent("auto", 2),
+                     Parent("static", 0))
+        read = []
+        pair_sums = TrajectoryDataset.pair_sums
+        monkeypatch.setattr(TrajectoryDataset, "pair_sums",
+                            lambda self, keys: read.append(keys) or pair_sums(self, keys))
+        hyper = sc.BgeHyper()
+        assert sc.bge_family_score(ds, 1, fam, hyper) == oracle_bge(ds, fam, hyper)
+        assert read == [ds.family_keys(fam)]
+
     def test_sums_are_memoised_and_hidden(self, rng, monkeypatch):
         ds = continuous_dataset(rng.normal(size=(3, 7, 3)), z=rng.normal(size=(3, 1)))
         fam = family(0, Parent("inter", 1), Parent("intra", 2), Parent("static", 0))
