@@ -8,7 +8,9 @@ a nonnegative matrix with a cycle has positive diagonal mass.
 
 The matrix exponential is evaluated with scipy's scaling-and-squaring
 Pade implementation; it is a pure function of its input, so repeated
-runs reproduce scores to the last bit.
+runs reproduce scores to the last bit.  Turning weights into a graph,
+:func:`threshold_and_repair` reads the transitive closure of
+:mod:`dbnlearn.core`, the package's one graph traversal.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .core import ConfigError, DimensionError
+from .core import ConfigError, DimensionError, _reachability
 
 
 def _square_zero_diag(w) -> np.ndarray:
@@ -40,7 +42,9 @@ def threshold_and_repair(w: np.ndarray, w_threshold: float) -> np.ndarray:
 
     Entries with ``|w| < w_threshold`` are dropped; while a cycle remains,
     the smallest-magnitude edge lying on some cycle is removed (ties by
-    (row, col) order).  The result always passes ``is_acyclic``.
+    (row, col) order).  Edge ``j -> i`` lies on a cycle iff ``i`` reaches
+    ``j`` in the transitive closure (:func:`dbnlearn.core._reachability`).
+    The result always passes ``is_acyclic``.
     """
     if w_threshold < 0:
         raise ConfigError("threshold must be >= 0")
@@ -48,24 +52,8 @@ def threshold_and_repair(w: np.ndarray, w_threshold: float) -> np.ndarray:
     support = np.abs(a) >= max(w_threshold, np.finfo(float).tiny)
     # a node reaching itself lies on a cycle
     while np.any(np.diag(reach := _reachability(support))):
-        best = None
-        n = a.shape[0]
-        for j in range(n):
-            for i in range(n):
-                # edge j->i lies on a cycle iff i reaches back to j
-                if support[j, i] and reach[i, j]:
-                    key = (abs(a[j, i]), j, i)
-                    if best is None or key < best:
-                        best = key
-        _, j, i = best
-        support[j, i] = False
+        js, is_ = np.nonzero(support & reach.T)
+        # nonzero lists edges in (row, col) order and argmin keeps the first minimum
+        k = int(np.argmin(np.abs(a[js, is_])))
+        support[js[k], is_[k]] = False
     return support
-
-
-def _reachability(adj: np.ndarray) -> np.ndarray:
-    """reach[u, v] = True iff a directed path u -> ... -> v exists (length >= 1)."""
-    n = adj.shape[0]
-    reach = adj.astype(bool).copy()
-    for k in range(n):
-        reach |= reach[:, k][:, None] & reach[k, :][None, :]
-    return reach

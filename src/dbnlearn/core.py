@@ -22,7 +22,6 @@ the score cache in :mod:`dbnlearn.scoring`.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
@@ -142,67 +141,68 @@ class FamilySpec:
         return tuple(out)
 
 
-def _square(intra) -> np.ndarray:
+def _path_lengths(intra) -> np.ndarray:
+    """``d[u, v]``: the edges on a shortest path ``u -> ... -> v`` of length >= 1, inf if none.
+
+    Floyd-Warshall over ``intra[j, i] != 0  <=>  j -> i``, the package's
+    one graph traversal: every cycle, order and move question reads it
+    (through :func:`_reachability`).  ``d[v, v]`` is the length of a
+    shortest cycle through ``v``, so a node lies on a cycle iff it is
+    finite.
+    """
     a = np.asarray(intra)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"adjacency must be square, got shape {a.shape}")
-    return a
+    d = np.where(a != 0, 1.0, np.inf)
+    for k in range(a.shape[0]):
+        np.minimum(d, d[:, k, None] + d[k], out=d)
+    return d
 
 
-def _kahn(a: np.ndarray) -> list[int]:
-    """Smallest-index-first Kahn order of every node that no cycle blocks."""
-    n = a.shape[0]
-    succ = [[] for _ in range(n)]
-    indeg = [0] * n
-    src, dst = np.nonzero(a)
-    for j, i in zip(src.tolist(), dst.tolist()):
-        succ[j].append(i)
-        indeg[i] += 1
-    ready = [v for v in range(n) if indeg[v] == 0]  # sorted, hence a heap
-    order = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for w in succ[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(ready, w)
-    return order
+def _reachability(intra) -> np.ndarray:
+    """``reach[u, v]`` is True iff a directed path ``u -> ... -> v`` of length >= 1 exists."""
+    return _path_lengths(intra) < np.inf
 
 
-def _cycle(a: np.ndarray, order: list[int]) -> list[int]:
-    """One directed cycle among the nodes Kahn could not place (first == last).
+def _cycle(intra) -> list[int]:
+    """A shortest cycle (first == last) through the smallest node that lies on a cycle.
 
-    Each such node keeps a predecessor among them, so walking back along
-    smallest-index predecessors must revisit a node.
+    Read from the path lengths: each step goes to the smallest successor
+    one edge closer to the start.  A self-loop is ``[v, v]``.
     """
-    rest = set(range(a.shape[0])) - set(order)
-    walk = [min(rest)]
-    seen = {walk[0]: 0}
-    while True:
-        v = min(j for j in np.flatnonzero(a[:, walk[-1]]).tolist() if j in rest)
-        if v in seen:
-            return [v] + walk[seen[v]:][::-1]
-        seen[v] = len(walk)
-        walk.append(v)
+    a = np.asarray(intra) != 0
+    d = _path_lengths(a)
+    v = int(np.argmax(np.diag(d) < np.inf))
+    back = d[:, v].copy()
+    back[v] = 0.0
+    cycle = [v]
+    for left in range(int(d[v, v]) - 1, -1, -1):
+        cycle.append(int(np.argmax(a[cycle[-1]] & (back == left))))
+    return cycle
 
 
 def is_acyclic(intra: np.ndarray) -> bool:
     """True iff the directed graph ``intra[j, i] != 0  <=>  j -> i`` has no cycle."""
-    a = _square(intra)
-    return len(_kahn(a)) == a.shape[0]
+    return not np.diag(_reachability(intra)).any()
 
 
 def topological_order(intra: np.ndarray) -> list[int]:
-    """A topological order of the same-slice graph, ties broken by node index.
+    """The smallest-index-first topological order of the same-slice graph.
 
-    Raises :class:`CycleError` naming one offending cycle when the input
-    is cyclic.
+    Each step places the smallest node none of whose ancestors is still
+    unplaced: the order of Kahn's algorithm with a min-heap of ready
+    nodes, which fixes the sampler's draw order.  Raises
+    :class:`CycleError` naming a shortest cycle when the input is cyclic.
     """
-    a = _square(intra)
-    order = _kahn(a)
-    if len(order) != a.shape[0]:
-        raise CycleError(_cycle(a, order))
+    reach = _reachability(intra)
+    if np.diag(reach).any():
+        raise CycleError(_cycle(intra))
+    unplaced = np.ones(reach.shape[0], dtype=bool)
+    order = []
+    for _ in range(reach.shape[0]):
+        v = int(np.argmax(unplaced & ~(reach & unplaced[:, None]).any(axis=0)))
+        order.append(v)
+        unplaced[v] = False
     return order
 
 
@@ -269,8 +269,6 @@ class DbnStructure:
         object.__setattr__(self, "intra", _as_bool_matrix(self.intra, (self.n_x, self.n_x), "intra"))
         object.__setattr__(self, "inter", _as_bool_matrix(self.inter, (self.n_x, self.n_x), "inter"))
         object.__setattr__(self, "static_edges", _as_bool_matrix(self.static_edges, (self.n_z, self.n_x), "static_edges"))
-        if np.any(np.diag(self.intra)):
-            raise CycleError([int(np.flatnonzero(np.diag(self.intra))[0])] * 2)
         lags = tuple(tuple(sorted(int(t) for t in ls)) for ls in self.auto_lags)
         if len(lags) != self.n_x:
             raise DimensionError(f"auto_lags must list all {self.n_x} nodes")
@@ -287,7 +285,7 @@ class DbnStructure:
                     f"node {i} has both an inter self edge and auto lag 1")
         object.__setattr__(self, "auto_lags", lags)
         if not is_acyclic(self.intra):
-            raise CycleError(_cycle(self.intra, _kahn(self.intra)))
+            raise CycleError(_cycle(self.intra))
 
     @staticmethod
     def empty(n_x: int, n_z: int = 0, p: int = 1) -> "DbnStructure":

@@ -7,7 +7,9 @@ Four learners share the :class:`LearnerReport` result type:
   set per vertex, cluster-style acyclicity), realized by dynamic
   programming over node subsets instead of a MIP solver.
 * :func:`hill_climb`     -- steepest-ascent local search with restarts
-  over add/delete/reverse moves, scored in one batch per node per step.
+  over add/delete/reverse moves, each listed as the parent tuples it
+  changes and scored in one batch per node per step; the transitive
+  closure of :mod:`dbnlearn.core` decides which intra moves are legal.
 * :func:`continuous_oneshot` -- one-shot least squares over weighted
   adjacencies with an augmented-Lagrangian acyclicity constraint and L1
   shrinkage, finished by threshold-and-repair.
@@ -15,8 +17,9 @@ Four learners share the :class:`LearnerReport` result type:
   away from zero, solved exactly at desk scale by support enumeration.
 
 ``exact`` and ``bounded`` tabulate one best entry per (node, intra
-parent set) and share one subset dynamic program, :func:`_best_dag`
-(Silander & Myllymaki, UAI 2006), to pick the best acyclic combination.
+parent set), keyed by the set's bitmask, and share one subset dynamic
+program, :func:`_best_dag` (Silander & Myllymaki, UAI 2006), to pick the
+best acyclic combination.
 The one-shot learners read the dataset's banks: ``bounded`` its rows
 (:meth:`~dbnlearn.core.TrajectoryDataset.bank_matrix`), ``dynotears`` the
 Gram matrix of its exact pair sums
@@ -33,6 +36,7 @@ reports; wall time is tracked on the object but never serialized.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import time
@@ -41,13 +45,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.optimize
 
-from .acyclicity import _reachability, h_expm_and_grad, threshold_and_repair
+from .acyclicity import h_expm_and_grad, threshold_and_repair
 from .core import (
     ConfigError, DataError, DbnError, DbnStructure, DomainMismatchError, Parent, ParameterSet,
-    SizeGuardError, OptimizerError, TrajectoryDataset, canonical_parents,
-    parents_of, structure_from_families,
+    SizeGuardError, OptimizerError, TrajectoryDataset, _reachability, parents_of,
+    structure_from_families,
 )
 from .scoring import BgeHyper, DirichletPrior, FamilyScorer, fit_structure_params
 from .simulate import substream
@@ -259,7 +262,7 @@ def exact_search(dataset: TrajectoryDataset, score: str | None = None,
         raise DataError("cannot learn from an empty dataset")
     scorer = FamilyScorer(dataset, config.score, prior=prior, hyper=hyper)
 
-    completions = []  # per node: {intra frozenset -> (score, full parent tuple)}
+    completions = []  # per node: {intra parent bitmask -> (score, full parent tuple)}
     for i in range(n):
         deadline.check()
         inter_sets = _class_subsets([Parent("inter", j) for j in range(n) if j != i], config.max_inter)
@@ -274,7 +277,7 @@ def exact_search(dataset: TrajectoryDataset, score: str | None = None,
         # argmax keeps the first of equal values, as the enumeration order promises
         table = {}
         for b, (intra, k) in enumerate(zip(intra_sets, values.argmax(axis=1).tolist())):
-            table[frozenset(p.index for p in intra)] = (float(values[b, k]), lattice[b * width + k])
+            table[sum(1 << p.index for p in intra)] = (float(values[b, k]), lattice[b * width + k])
         completions.append(table)
 
     _, chosen = _best_dag(completions, deadline)
@@ -287,10 +290,10 @@ def exact_search(dataset: TrajectoryDataset, score: str | None = None,
 def _best_dag(tables: list[dict], deadline: Deadline) -> tuple[float, list]:
     """Best acyclic choice of one table entry per node, by DP over node subsets.
 
-    ``tables[i]`` maps a frozenset of intra parents of node ``i`` to an
-    entry whose first item is the value to maximize.  Returns the best
-    total and the chosen entry per node; on ties the candidate met first
-    is kept.
+    ``tables[i]`` maps the bitmask of an intra parent set of node ``i``
+    (bit ``j`` set for parent ``j``) to an entry whose first item is the
+    value to maximize.  Returns the best total and the chosen entry per
+    node; on ties the candidate met first is kept.
     """
     n = len(tables)
     # g[i][mask] = best table value of node i with intra parents inside mask
@@ -301,10 +304,9 @@ def _best_dag(tables: list[dict], deadline: Deadline) -> tuple[float, list]:
         for mask in range(1 << n):
             if mask & (1 << i):
                 continue
-            members = frozenset(j for j in range(n) if mask & (1 << j))
             best, chosen = -np.inf, None
-            if members in tables[i]:
-                best, chosen = tables[i][members][0], members
+            if mask in tables[i]:
+                best, chosen = tables[i][mask][0], mask
             for j in range(n):
                 if mask & (1 << j):
                     sub = mask & ~(1 << j)
@@ -345,16 +347,29 @@ def _best_dag(tables: list[dict], deadline: Deadline) -> tuple[float, list]:
 # Hill climbing
 
 
-def _legal_moves(structure: DbnStructure, config: SearchConfig):
-    """Deterministically ordered move list; intra additions/reversals are cycle-rejecting.
+def _legal_moves(structure: DbnStructure, families: list, config: SearchConfig) -> list:
+    """Every legal single-edge move, as the ``(node, new parent tuple)`` pairs it changes.
 
-    One transitive closure of the intra graph decides every candidate:
-    adding ``j -> i`` closes a cycle iff ``i`` already reaches ``j``;
-    reversing ``j -> i`` does iff ``j`` reaches ``i`` through some other
-    child ``k`` of ``j``.  Auto lag 1 is not offered to a node with an
-    inter self edge, which already is that dependence.
+    ``families[v]`` is node ``v``'s canonical parent tuple in
+    ``structure``.  The order is fixed; a reversal of ``j -> i`` changes
+    ``i`` first, then ``j``.  One transitive closure of the intra graph
+    decides every intra candidate: adding ``j -> i`` closes a cycle iff
+    ``i`` already reaches ``j``; reversing ``j -> i`` does iff ``j``
+    reaches ``i`` through some other child ``k`` of ``j``.  Auto lag 1 is
+    not offered to a node with an inter self edge, which already is that
+    dependence.
     """
     n = structure.n_x
+    keys = [[par.sort_key() for par in parents] for parents in families]
+
+    def add(v, par):
+        at = bisect.bisect(keys[v], par.sort_key())
+        return v, families[v][:at] + (par,) + families[v][at:]
+
+    def drop(v, par):
+        at = bisect.bisect_left(keys[v], par.sort_key())
+        return v, families[v][:at] + families[v][at + 1:]
+
     moves = []
     intra_in = structure.intra.sum(axis=0)
     inter_in = structure.inter.sum(axis=0)
@@ -367,46 +382,30 @@ def _legal_moves(structure: DbnStructure, config: SearchConfig):
             if i == j:
                 continue
             if structure.intra[j, i]:
-                moves.append(("del_intra", j, i))
+                dropped = drop(i, Parent("intra", j))
+                moves.append((dropped,))
                 if intra_in[j] < config.max_intra and not via[j, i]:
-                    moves.append(("rev_intra", j, i))
+                    moves.append((dropped, add(j, Parent("intra", i))))
             elif intra_in[i] < config.max_intra and not reach[i, j]:
-                moves.append(("add_intra", j, i))
+                moves.append((add(i, Parent("intra", j)),))
             if structure.inter[j, i]:
-                moves.append(("del_inter", j, i))
+                moves.append((drop(i, Parent("inter", j)),))
             elif inter_in[i] < config.max_inter:
-                moves.append(("add_inter", j, i))
+                moves.append((add(i, Parent("inter", j)),))
     for i in range(n):
         lags = set(structure.auto_lags[i])
         for tau in range(1, config.p + 1):
             if tau in lags:
-                moves.append(("del_auto", i, tau))
+                moves.append((drop(i, Parent("auto", tau)),))
             elif len(lags) < config.max_auto and not (tau == 1 and structure.inter[i, i]):
-                moves.append(("add_auto", i, tau))
+                moves.append((add(i, Parent("auto", tau)),))
     for j in range(structure.static_edges.shape[0]):
         for i in range(n):
             if structure.static_edges[j, i]:
-                moves.append(("del_static", j, i))
+                moves.append((drop(i, Parent("static", j)),))
             elif static_in[i] < config.max_static:
-                moves.append(("add_static", j, i))
+                moves.append((add(i, Parent("static", j)),))
     return moves
-
-
-def _moved_families(families: list, move) -> tuple:
-    """(node, new parent tuple) of each family a move changes, in delta summation order.
-
-    ``families[v]`` is node ``v``'s canonical parent tuple; a reversal
-    ``j -> i`` changes ``i`` first, then ``j``.
-    """
-    op, cls = move[0].split("_")
-    node, par = (move[1], Parent("auto", move[2])) if cls == "auto" else (move[2], Parent(cls, move[1]))
-    if op == "add":
-        return ((node, canonical_parents(families[node] + (par,))),)
-    kept = tuple(q for q in families[node] if q != par)
-    if op == "del":
-        return ((node, kept),)
-    j = move[1]
-    return ((node, kept), (j, canonical_parents(families[j] + (Parent("intra", node),))))
 
 
 def _random_start(dataset: TrajectoryDataset, config: SearchConfig,
@@ -446,10 +445,10 @@ def hill_climb(dataset: TrajectoryDataset, score: str | None = None,
 
     Moves: add/delete/reverse intra edge (cycle-rejecting), add/delete
     inter edge, auto lag, static edge.  Each step scores the families that
-    legal moves change (their parent tuples follow from the move) with one
-    :meth:`~dbnlearn.scoring.FamilyScorer.many` call per node, then reads
-    every delta from the cache.  The chosen move updates the per-node
-    parent tuples, and the structure is rebuilt from them.  Restart 0
+    legal moves change (:func:`_legal_moves` lists their parent tuples)
+    with one :meth:`~dbnlearn.scoring.FamilyScorer.many` call per node,
+    then reads every delta from the cache.  The chosen move updates the
+    per-node parent tuples, and the structure is rebuilt from them.  Restart 0
     starts from ``initial`` (the empty graph by default), its lag order
     raised to ``config.p`` if smaller, later restarts from random
     structures (edge probability 0.2).  The score kind is ``config.score``,
@@ -478,7 +477,7 @@ def hill_climb(dataset: TrajectoryDataset, score: str | None = None,
         trace = [{"restart": restart, "step": 0, "score": current}]
         for step in range(1, config.move_budget + 1):
             deadline.check()
-            moved = [_moved_families(families, move) for move in _legal_moves(structure, config)]
+            moved = _legal_moves(structure, families, config)
             pending = sorted(itertools.chain.from_iterable(moved), key=lambda key: key[0])
             for v, keys in itertools.groupby(pending, key=lambda key: key[0]):
                 scorer.many(v, [parents for _, parents in keys], deadline.check)
@@ -541,18 +540,17 @@ def _sem_smooth(gram: np.ndarray, m: int, w: np.ndarray, a: np.ndarray,
     ``(1/2M)||Y - Y W - L A||_F^2`` is ``tr(B^T G B) / 2M`` and its W and
     A gradients are the two row blocks of ``-(G B) / M``, read from the
     Gram matrix ``G`` of :func:`_sem_gram`.  The value adds
-    ``alpha h + rho h^2 / 2`` to the loss.
+    ``alpha h + rho h^2 / 2`` to the loss.  An overshooting trial may
+    overflow; :func:`continuous_oneshot` calls this under ``np.errstate``.
     """
     n = w.shape[0]
-    # overshooting trial steps may overflow; backtracking rejects them
-    with np.errstate(over="ignore", invalid="ignore"):
-        b = np.vstack((np.eye(n) - w, -a))
-        gb = gram @ b
-        loss = 0.5 / m * float(np.sum(b * gb))
-        h, h_grad = h_expm_and_grad(w)
-        value = loss + alpha * h + 0.5 * rho * h * h
-        gw = -gb[:n] / m + (alpha + rho * h) * h_grad
-        ga = -gb[n:] / m
+    b = np.vstack((np.eye(n) - w, -a))
+    gb = gram @ b
+    loss = 0.5 / m * float(np.sum(b * gb))
+    h, h_grad = h_expm_and_grad(w)
+    value = loss + alpha * h + 0.5 * rho * h * h
+    gw = -gb[:n] / m + (alpha + rho * h) * h_grad
+    ga = -gb[n:] / m
     return value, loss, gw, ga, h
 
 
@@ -601,48 +599,50 @@ def continuous_oneshot(dataset: TrajectoryDataset, config: ContinuousConfig | No
         return config.lambda_w * float(np.abs(wm).sum()) + config.lambda_a * float(np.abs(am).sum())
 
     step = 1.0
-    for outer in range(config.max_outer):
-        value, loss, gw, ga, h = _sem_smooth(gram, m, w, a, alpha, rho)
-        inner_objectives = [value + penalty(w, a)]
-        for inner in range(config.max_inner):
-            if inner % 25 == 0:
-                deadline.check()
-            while True:
-                w_new = _soft(w - step * gw, step * config.lambda_w)
-                np.fill_diagonal(w_new, 0.0)
-                a_new = _soft(a - step * ga, step * config.lambda_a)
-                val_new, loss_new, gw_new, ga_new, h_new = _sem_smooth(gram, m, w_new, a_new,
-                                                                       alpha, rho)
-                dw, da = w_new - w, a_new - a
-                quad = value + float(np.sum(gw * dw) + np.sum(ga * da)) \
-                    + 0.5 / step * (float(np.sum(dw * dw)) + float(np.sum(da * da)))
-                # a non-finite trial just means the step overshot: backtrack
-                if np.isfinite(val_new) and val_new <= quad + 1e-15:
+    # overshooting trial steps may overflow; backtracking rejects them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for outer in range(config.max_outer):
+            value, loss, gw, ga, h = _sem_smooth(gram, m, w, a, alpha, rho)
+            inner_objectives = [value + penalty(w, a)]
+            for inner in range(config.max_inner):
+                if inner % 25 == 0:
+                    deadline.check()
+                while True:
+                    w_new = _soft(w - step * gw, step * config.lambda_w)
+                    np.fill_diagonal(w_new, 0.0)
+                    a_new = _soft(a - step * ga, step * config.lambda_a)
+                    val_new, loss_new, gw_new, ga_new, h_new = _sem_smooth(
+                        gram, m, w_new, a_new, alpha, rho)
+                    dw, da = w_new - w, a_new - a
+                    quad = value + float(np.sum(gw * dw) + np.sum(ga * da)) \
+                        + 0.5 / step * (float(np.sum(dw * dw)) + float(np.sum(da * da)))
+                    # a non-finite trial just means the step overshot: backtrack
+                    if np.isfinite(val_new) and val_new <= quad + 1e-15:
+                        break
+                    if step < 1e-14:
+                        if not np.isfinite(val_new):
+                            raise OptimizerError(
+                                f"inner solve diverged at outer {outer}; trace: {trace}")
+                        break
+                    step *= 0.5
+                move = max(float(np.abs(dw).max(initial=0.0)), float(np.abs(da).max(initial=0.0)))
+                w, a, value, loss, gw, ga, h = w_new, a_new, val_new, loss_new, gw_new, ga_new, h_new
+                step = min(step * 2.0, 1e6)
+                inner_objectives.append(value + penalty(w, a))
+                if move < config.inner_tol:
                     break
-                if step < 1e-14:
-                    if not np.isfinite(val_new):
-                        raise OptimizerError(
-                            f"inner solve diverged at outer {outer}; trace: {trace}")
-                    break
-                step *= 0.5
-            move = max(float(np.abs(dw).max(initial=0.0)), float(np.abs(da).max(initial=0.0)))
-            w, a, value, loss, gw, ga, h = w_new, a_new, val_new, loss_new, gw_new, ga_new, h_new
-            step = min(step * 2.0, 1e6)
-            inner_objectives.append(value + penalty(w, a))
-            if move < config.inner_tol:
+            entry = {"outer": outer, "objective": loss + penalty(w, a), "h": h, "rho": rho}
+            if config.record_inner:
+                entry["inner_objectives"] = inner_objectives
+            trace.append(entry)
+            deadline.check()
+            if h < config.h_tol:
+                converged = True
                 break
-        entry = {"outer": outer, "objective": loss + penalty(w, a), "h": h, "rho": rho}
-        if config.record_inner:
-            entry["inner_objectives"] = inner_objectives
-        trace.append(entry)
-        deadline.check()
-        if h < config.h_tol:
-            converged = True
-            break
-        if rho * config.rho_growth > _RHO_MAX:
-            break
-        alpha += rho * h
-        rho *= config.rho_growth
+            if rho * config.rho_growth > _RHO_MAX:
+                break
+            alpha += rho * h
+            rho *= config.rho_growth
 
     support = threshold_and_repair(w, config.w_threshold)
     structure = _sem_structure(dataset.n_z, support, a, config.w_threshold)
@@ -714,6 +714,10 @@ def _price_support(target: np.ndarray, cols: list, n_intra: int, config: Bounded
     pattern was solved.  ``tally`` counts ``bvls_calls`` and such
     ``supports_pruned``.
     """
+    # imported here, not at module level: only the bounded learner needs it,
+    # so importing dbnlearn does not pay for it
+    import scipy.optimize
+
     if not cols:
         return float(np.dot(target, target)), np.empty(0)
     tally = Counter() if tally is None else tally
@@ -822,7 +826,7 @@ def bounded_oneshot(dataset: TrajectoryDataset, config: BoundedConfig | None = N
 
 def _bounded_tables(y: np.ndarray, x_prev: np.ndarray, config: BoundedConfig,
                     deadline: Deadline, tally: Counter) -> list[dict]:
-    """Per node: {intra frozenset -> (-cost, intra_js, inter_js, weights)} of its cheapest support.
+    """Per node: {intra parent bitmask -> (-cost, intra_js, inter_js, weights)} of its cheapest support.
 
     Inter sets are priced in enumeration order, each capped at the cheapest
     cost found so far for the same intra set, so a support that cannot be
@@ -841,7 +845,7 @@ def _bounded_tables(y: np.ndarray, x_prev: np.ndarray, config: BoundedConfig,
                                                np.inf if best is None else -best[0], tally)
                 if best is None or -cost > best[0]:
                     best = (-cost, intra_js, inter_js, weights)
-            table[frozenset(intra_js)] = best
+            table[sum(1 << j for j in intra_js)] = best
         tables.append(table)
     return tables
 

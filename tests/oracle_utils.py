@@ -5,6 +5,7 @@ integration paths: DAG-ness is decided by brute-force permutation
 checks, integrals by quadrature on scipy primitives.
 """
 
+import heapq
 import itertools
 import math
 
@@ -15,7 +16,7 @@ from scipy import optimize, stats
 
 from dbnlearn.core import (
     Cpt, DbnStructure, FactoredCpt, FamilySpec, LinearGaussian, Logistic, NoisyOr, Parent,
-    canonical_parents, configuration_index, n_configurations, parents_of, topological_order,
+    canonical_parents, configuration_index, n_configurations, parents_of,
 )
 from dbnlearn.learn import BoundedConfig
 from dbnlearn.scoring import (
@@ -32,6 +33,26 @@ def permutation_is_dag(support: np.ndarray) -> bool:
         if all(pos[j] < pos[i] for j, i in zip(*np.nonzero(support))):
             return True
     return False
+
+
+def reference_topological_order(intra: np.ndarray) -> list[int]:
+    """Kahn's algorithm with a min-heap of ready nodes: the smallest-index-first order.
+
+    Returns the nodes that no cycle blocks, so the list is shorter than
+    the graph exactly when the graph is cyclic.
+    """
+    n = intra.shape[0]
+    indeg = [int(c) for c in np.count_nonzero(intra, axis=0)]
+    ready = [v for v in range(n) if indeg[v] == 0]  # sorted, hence a heap
+    order = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for w in np.flatnonzero(intra[v]).tolist():
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(ready, w)
+    return order
 
 
 def all_intra_dags(n: int):
@@ -376,7 +397,7 @@ def bounded_tables_unpruned(y, x_prev, config, deadline, tally):
     left untouched.
     """
     n = y.shape[1]
-    tables = []  # per node: {intra frozenset -> (-cost, intra_js, inter_js, weights)}
+    tables = []  # per node: {intra parent bitmask -> (-cost, intra_js, inter_js, weights)}
     for i in range(n):
         table = {}
         for intra_js in class_subsets([j for j in range(n) if j != i], n - 1):
@@ -387,7 +408,7 @@ def bounded_tables_unpruned(y, x_prev, config, deadline, tally):
                 cost, weights = price_support_unpruned(y[:, i], cols, len(intra_js), config)
                 if best is None or -cost > best[0]:
                     best = (-cost, intra_js, inter_js, weights)
-            table[frozenset(intra_js)] = best
+            table[sum(1 << j for j in intra_js)] = best
         tables.append(table)
     return tables
 
@@ -401,14 +422,15 @@ def sample_trajectories_loop(structure, params, n_traj, horizon, seed, x_arities
 
     The sampler's scalar loop written out: each trajectory's substream
     gives its statics and initial slice, then one uniform (discrete) or
-    one standard normal (linear Gaussian) per (t, node) in topological
-    order.  Kernel probabilities and means use the scalar formulas with
-    ``np.dot``, not the library's kernel methods.  ``x_arities`` and
-    ``z_arities`` are ``None`` for a continuous model.
+    one standard normal (linear Gaussian) per (t, node) in
+    :func:`reference_topological_order`.  Kernel probabilities and means
+    use the scalar formulas with ``np.dot``, not the library's kernel
+    methods.  ``x_arities`` and ``z_arities`` are ``None`` for a
+    continuous model.
     """
     continuous = isinstance(params[0], LinearGaussian)
     families = [parents_of(structure, i) for i in range(structure.n_x)]
-    order = topological_order(structure.intra)
+    order = reference_topological_order(structure.intra)
     dtype = np.float64 if continuous else np.int64
     x = np.empty((n_traj, horizon + 1, structure.n_x), dtype=dtype)
     z = np.empty((n_traj, structure.n_z), dtype=dtype)

@@ -10,8 +10,10 @@ from dbnlearn.core import (
     canonical_parents, configuration_index, is_acyclic,
     parents_of, structure_from_families, topological_order,
 )
+from dbnlearn.simulate import EdgeProbs, GeneratorConfig, sample_random_dbn
 
 from conftest import continuous_dataset, discrete_dataset
+from oracle_utils import reference_topological_order
 
 
 def adj(n, edges):
@@ -19,6 +21,18 @@ def adj(n, edges):
     for j, i in edges:
         a[j, i] = True
     return a
+
+
+def shortest_cycle_length(a, v):
+    """Edges on a shortest cycle through ``v``, by breadth-first search; None if there is none."""
+    frontier, seen = {v}, set()
+    for length in range(1, len(a) + 1):
+        frontier = {w for u in frontier for w in np.flatnonzero(a[u]).tolist()}
+        if v in frontier:
+            return length
+        frontier -= seen
+        seen |= frontier
+    return None
 
 
 class TestIsAcyclic:
@@ -71,6 +85,38 @@ class TestTopologicalOrder:
                 assert cycle[0] == cycle[-1]
                 assert all(a[j, i] for j, i in zip(cycle, cycle[1:]))
                 assert len(set(cycle[1:])) == len(cycle) - 1
+                # a shortest cycle through the smallest node on any cycle
+                assert len(cycle) - 1 == shortest_cycle_length(a, cycle[0])
+                assert all(shortest_cycle_length(a, u) is None for u in range(cycle[0]))
+
+    def test_self_loop_names_itself(self):
+        with pytest.raises(CycleError) as err:
+            topological_order(adj(3, [(0, 1), (2, 2), (1, 0)]))
+        assert err.value.cycle == (0, 1, 0)
+        with pytest.raises(CycleError) as err:
+            topological_order(adj(3, [(1, 2), (2, 2)]))
+        assert err.value.cycle == (2, 2)
+
+    def test_cycle_error_names_a_shortest_cycle_through_its_first_node(self):
+        # 0 -> 1 -> 2 -> 3 -> 0 and the chord 1 -> 3: the shortest cycle through 0 has 3 edges
+        with pytest.raises(CycleError) as err:
+            topological_order(adj(4, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)]))
+        assert err.value.cycle == (0, 1, 3, 0)
+
+    def test_matches_the_heap_kahn_reference(self, rng):
+        # random DAGs under random labellings, sparse to dense, so ties abound
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            perm = rng.permutation(n)
+            a = np.triu(rng.random((n, n)) < rng.choice([0.1, 0.3, 0.6]), 1)[np.ix_(perm, perm)]
+            assert topological_order(a) == reference_topological_order(a)
+
+    def test_matches_the_heap_kahn_reference_on_generated_structures(self):
+        for seed in range(40):
+            cfg = GeneratorConfig(n_x=3 + seed % 10, model="linear_gaussian", seed=seed,
+                                  edge_probs=EdgeProbs(intra=0.1 + 0.05 * (seed % 8)))
+            intra = sample_random_dbn(cfg)[0].intra
+            assert topological_order(intra) == reference_topological_order(intra)
 
 
 class TestConfigurationIndex:
@@ -134,10 +180,11 @@ class TestDbnStructure:
                          static_edges=np.zeros((0, 2), dtype=bool))
 
     def test_intra_self_loop_rejected(self):
-        with pytest.raises(CycleError):
+        with pytest.raises(CycleError) as err:
             DbnStructure(n_x=2, n_z=0, p=1, intra=adj(2, [(0, 0)]),
                          inter=np.zeros((2, 2), dtype=bool), auto_lags=((), ()),
                          static_edges=np.zeros((0, 2), dtype=bool))
+        assert err.value.cycle == (0, 0)
 
     def test_double_spelled_self_dependence_rejected(self):
         # an inter self edge plus auto lag 1 would count X_i(t-1) twice
