@@ -14,10 +14,10 @@ as auto lag 1 but never both at once; everything this package generates
 uses the auto-lag spelling, and the metrics treat the two as the same
 edge.  All types are immutable after construction and safe to share
 across threads; the operations in this module are pure functions.  The
-one piece of state, a :class:`TrajectoryDataset`'s column bank, fills
-lazily with read-only copies of its own data: two threads filling the
-same column build equal arrays and the last write wins, the same rule as
-the score cache in :mod:`dbnlearn.scoring`.
+one piece of state, a :class:`TrajectoryDataset`'s banks, fills lazily
+with deterministic functions of its own data: two threads filling the same
+entry build equal values and the last write wins, the same rule as the
+score cache in :mod:`dbnlearn.scoring`.
 """
 
 from __future__ import annotations
@@ -421,18 +421,6 @@ def _key_rank(key: tuple) -> tuple[int, int, int]:
     return t0, -1 if lag is None else lag, j
 
 
-def _sorted_groups(keys: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Stable order sorting items by equal-length key arrays (first key first), and
-    the positions in that order where each run of items with equal keys starts."""
-    order = np.lexsort(keys[::-1])
-    new = np.zeros(order.size, dtype=bool)
-    new[:1] = True
-    for key in keys:  # one key at a time: no sorted copy of all of them
-        ordered = key[order]
-        new[1:] |= ordered[1:] != ordered[:-1]
-    return order, np.flatnonzero(new)
-
-
 @dataclass(frozen=True)
 class TrajectoryDataset:
     """N trajectories of T+1 time slices over n_x dynamic and n_z static variables.
@@ -442,21 +430,24 @@ class TrajectoryDataset:
     by temporal hold-out to carry lag context without double scoring).
 
     A column bank is the only row source of scores and learners: every
-    count, design, likelihood and one-shot regression reads it
-    (:meth:`family_columns`, :meth:`bank_matrix`) from the first target
-    time of :meth:`first_usable_t`.  It holds one flat, read-only copy per
-    (first target time, lag, variable), built on first use and kept for the
-    dataset's lifetime, in the spirit of the cached sufficient statistics of
-    Moore & Lee (JAIR 8, 1998): at most ``(1 + p) n_x + n_z`` columns per
-    first target time.  Next to the columns the dataset keeps their exact
-    sums (:meth:`column_sum`): one correctly rounded ``math.fsum`` per
-    column and per unordered pair of columns, filled the same way.  Their
-    Gram matrices (:meth:`pair_sums`) are the one sufficient-statistics
-    layer of the linear-Gaussian code: the BGe score assembles every
-    family's moments from them, and DYNOTEARS its loss.  Both are plain
-    attributes, not fields, so equality and repr ignore them.  Every entry
-    is a deterministic function of the data, so concurrent fills are
-    benign: the last write stores the same value.
+    count, design, likelihood and one-shot regression reads it, directly
+    (:meth:`family_rows`, :meth:`bank_matrix`) or through the banks below,
+    from the first target time of :meth:`first_usable_t`.  It holds one
+    flat, read-only copy per (first target time, lag, variable), built on
+    first use and kept for the dataset's lifetime, in the spirit of the
+    cached sufficient statistics of Moore & Lee (JAIR 8, 1998): at most
+    ``(1 + p) n_x + n_z`` columns per first target time.  Two more banks sit beside the columns, filled the
+    same way.  The sum bank (:meth:`column_sum`) keeps one correctly
+    rounded ``math.fsum`` per column and per unordered pair of columns;
+    their Gram matrices (:meth:`pair_sums`) are the sufficient statistics
+    of the linear-Gaussian code: the BGe score assembles every family's
+    moments from them, and DYNOTEARS its loss.  The row bank
+    (:meth:`distinct_rows`) keeps the distinct rows of sets of discrete
+    columns with their multiplicities, from which every discrete count is
+    tallied.  All three are plain attributes, not fields, so equality and
+    repr ignore them.  Every entry is a deterministic function of the
+    data, so concurrent fills are benign: the last write stores the same
+    value.
     """
 
     domain: Domain
@@ -497,9 +488,10 @@ class TrajectoryDataset:
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "_bank", {})
         object.__setattr__(self, "_sums", {})
+        object.__setattr__(self, "_rows", {})
 
     def __eq__(self, other):
-        """Same domain, burn-in and data; the column and sum banks play no part."""
+        """Same domain, burn-in and data; the banks play no part."""
         if not isinstance(other, TrajectoryDataset):
             return NotImplemented
         return (self.domain == other.domain and self.burn_in == other.burn_in
@@ -594,29 +586,54 @@ class TrajectoryDataset:
         return ((t0, 0, family.node),
                 *((t0, *_source(family.node, par)) for par in family.parents))
 
-    def distinct_rows(self, keys: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct rows of the bank columns ``keys`` and the number of times each occurs.
+    def column_id(self, lag: int | None, j: int) -> int:
+        """Row-bank id of bank column ``(lag, j)``: static ``j`` is ``j``, variable ``j`` at ``lag``
+        is ``n_z + lag n_x + j``, so sorted ids put statics first, then lag 0, 1, ..."""
+        return j if lag is None else self.n_z + lag * self.n_x + j
 
-        Returns ``(values, counts)``: ``values[c]`` holds column ``keys[c]``
-        over the distinct rows, shape ``(len(keys), U)``, and ``counts`` the
-        multiplicity of each row, shape ``(U,)``.  Every key must share one
-        first target time, so that the columns have one length.
+    def distinct_rows(self, t0: int, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Kept column ids, distinct rows (int32, one array row per id) and multiplicities.
+
+        ``columns`` holds sorted, distinct :meth:`column_id` ids of discrete
+        bank columns at first target time ``t0``, at least one.  A kept
+        compression whose ids cover ``columns`` is returned as it is, so its
+        ids may be more than were asked for; else exactly ``columns`` are
+        compressed (:meth:`_compress`) and kept, replacing the kept
+        compressions they cover.  Multiplicities are floats, the weights of
+        a ``bincount``.
         """
-        columns = [self._column(*key) for key in keys]
-        order, starts = _sorted_groups(columns)
-        first = order[starts]
-        return np.stack([col[first] for col in columns]), np.diff(starts, append=order.size)
+        kept = self._rows.get(t0, [])
+        wanted = frozenset(columns.tolist())
+        for covered, *hit in kept:
+            if wanted <= covered:
+                return tuple(hit)
+        hit = (columns, *self._compress(t0, columns))
+        # a new list, never one changed in place: a concurrent reader keeps a whole one
+        self._rows[t0] = [entry for entry in kept if not entry[0] <= wanted] + [(wanted, *hit)]
+        return hit
 
-    def family_columns(self, family: FamilySpec,
-                       t0: int | None = None) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """Child column (M,) and one column (M,) per parent over target times ``t0..T``.
+    def _compress(self, t0: int, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct rows (int32, one array row per column) and multiplicities of ``columns``.
 
-        ``t0`` defaults to the family's first usable time; rows run over
-        trajectories, then time.  The columns are the bank's shared,
-        read-only arrays.
+        Each row is keyed by one Horner index over its columns, re-ranked
+        with ``np.unique`` whenever the next digit would take the key space
+        past ``2**62``; one more ``np.unique`` groups the keys, the first
+        row of each standing for it.
         """
-        child, *cols = (self._column(*key) for key in self.family_keys(family, t0))
-        return child, tuple(cols)
+        keys = [(t0, None, c) if c < self.n_z else (t0, *divmod(c - self.n_z, self.n_x))
+                for c in columns.tolist()]
+        cols = [self._column(*key) for key in keys]
+        key, space = np.zeros(cols[0].size, dtype=np.int64), 1
+        for (_, lag, j), col in zip(keys, cols):
+            arity = self.domain.z_arities[j] if lag is None else self.domain.x_arities[j]
+            if space * arity > 1 << 62:
+                distinct, key = np.unique(key, return_inverse=True)
+                space = distinct.size
+            key *= arity
+            key += col
+            space *= arity
+        _, rows, counts = np.unique(key, return_index=True, return_counts=True)
+        return np.stack([col[rows] for col in cols]).astype(np.int32), counts.astype(float)
 
     def bank_matrix(self, t0: int, sources: Sequence[tuple[int | None, int]]) -> np.ndarray:
         """Bank columns ``(t0, lag, j)`` for each ``(lag, j)`` in ``sources``, side by side.
@@ -629,7 +646,11 @@ class TrajectoryDataset:
         return out
 
     def family_rows(self, family: FamilySpec, t0: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Child values (M,) and parent matrix (M, k) of :meth:`family_columns`."""
+        """Child column (M,) and parent matrix (M, k) over target times ``t0..T``.
+
+        ``t0`` defaults to the family's first usable time; rows run over
+        trajectories, then time.
+        """
         child, *parents = self.family_keys(family, t0)
         return self._column(*child), self.bank_matrix(child[0], [key[1:] for key in parents])
 

@@ -802,6 +802,11 @@ def bounded_oneshot(dataset: TrajectoryDataset, config: BoundedConfig | None = N
     t0 = dataset.first_usable_t(1)
     y = dataset.bank_matrix(t0, [(0, j) for j in range(n)])
     x_prev = dataset.bank_matrix(t0, [(1, j) for j in range(n)])
+    rows = np.hstack([y, x_prev])
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.all(np.isfinite(rows.T @ rows))
+    if not finite:  # every price is built from these products: refuse before any solve
+        raise DataError("the bounded learner's data products overflow a float (data too large?)")
 
     tally = Counter(bvls_calls=0, supports_pruned=0)
     total, chosen = _best_dag(_bounded_tables(y, x_prev, config, deadline, tally), deadline)

@@ -15,9 +15,12 @@ its values are *higher is better* for every kind:
 * ``bge``  -- log normal-Wishart marginal likelihood of the
   child-given-parents regression.
 
-On discrete data every kind but ``bge`` is counted in blocks over the
-distinct rows of the column bank; :func:`count_transitions` keeps the
-per-family table that refits and held-out likelihoods read.
+Every discrete count is tallied over the dataset's row bank, the
+distinct rows of its columns
+(:meth:`~dbnlearn.core.TrajectoryDataset.distinct_rows`), by
+:func:`_block_counts`: in blocks of families for every score kind but
+``bge``, and one family at a time by :func:`count_transitions` for the
+refits and held-out likelihoods.
 
 Effective sample sizes count usable transitions only: targets from
 ``max(family min time, burn_in + 1)`` to ``T``.
@@ -34,9 +37,9 @@ import numpy as np
 from scipy.special import gammaln
 
 from .core import (
-    ConfigError, Cpt, DataError, DbnStructure, DomainMismatchError, FactoredCpt, FamilySpec,
-    LinearGaussian, Logistic, ModelError, Parent, ParameterSet, SizeGuardError,
-    TrajectoryDataset, UnderdeterminedError, _sorted_groups, _source, canonical_parents,
+    ConfigError, Cpt, DataError, DbnStructure, DomainMismatchError, FamilySpec,
+    LinearGaussian, ModelError, Parent, ParameterSet, SizeGuardError,
+    TrajectoryDataset, UnderdeterminedError, _source, canonical_parents,
     n_configurations, parents_of,
 )
 
@@ -98,18 +101,24 @@ def count_transitions(dataset: TrajectoryDataset, family: FamilySpec,
     Transitions whose auto lags reach before the first observation (or
     into the burn-in window) are skipped, so the grand total is
     ``N * (T - first_usable + 1)``.  A later first target time ``t0``
-    skips the transitions before it too.
+    skips the transitions before it too.  The table is one family's
+    :func:`_block_counts` over the dataset's distinct rows of its columns,
+    so a compression a learner kept serves its refit.  A family of
+    ``2**31`` count cells or more raises :class:`SizeGuardError`.
     """
     if not dataset.domain.discrete:
         raise DomainMismatchError("count_transitions needs a discrete dataset")
     arities = dataset.family_arities(family)
     child_arity = dataset.domain.x_arities[family.node]
-    n_cfg = n_configurations(arities)
-    child, cols = dataset.family_columns(family, t0)
-    flat = _config_index((child, *cols), (child_arity, *arities))
-    counts = np.bincount(flat, minlength=n_cfg * child_arity).reshape(n_cfg, child_arity)
+    radix = [child_arity, *arities]
+    _guarded_cells(radix)
+    keys = dataset.family_keys(family, t0)
+    t0 = keys[0][0]  # the first target time, with the default resolved
+    columns = np.array([dataset.column_id(lag, j) for _, lag, j in keys])
+    ids, distinct, weights = dataset.distinct_rows(t0, np.unique(columns))
+    counts = _block_counts(np.searchsorted(ids, columns)[None], radix, distinct, weights)
     return CountTable(node=family.node, family=family, arities=arities,
-                      child_arity=child_arity, counts=counts)
+                      child_arity=child_arity, counts=counts[0])
 
 
 # ---------------------------------------------------------------------------
@@ -131,47 +140,6 @@ def mle_cpt(counts: CountTable, smoothing: "DirichletPrior | None" = None) -> Cp
     seen = totals > 0
     table[seen] = c[seen] / totals[seen, None]
     return Cpt(table=table)
-
-
-def mle_factored(dataset: TrajectoryDataset, node: int,
-                 dynamic_family: FamilySpec, static_family: FamilySpec) -> FactoredCpt:
-    """Factored kernel estimate for a binary child: two independent count ratios.
-
-    The dynamic factor is the conditional mean of the child per dynamic
-    configuration, the static factor the conditional mean per static
-    configuration; each empty family contributes the constant factor 1.
-    Both ratios tally the same transitions (the later first-usable time
-    of the two families).  Unseen configurations fall back to 0.5.  The
-    product kernel is clipped into [0, 1] at evaluation; ``clipped``
-    records whether any fitted product needed it.
-    """
-    if not dataset.domain.discrete:
-        raise DomainMismatchError("mle_factored needs a discrete dataset")
-    if dataset.domain.x_arities[node] != 2:
-        raise ModelError("factored kernel is defined for binary children")
-    if any(p.kind == "static" for p in dynamic_family.parents):
-        raise ModelError("dynamic family must not contain static parents")
-    if any(p.kind != "static" for p in static_family.parents):
-        raise ModelError("static family must contain only static parents")
-    t0 = max(dataset.first_usable_t(dynamic_family), dataset.first_usable_t(static_family))
-
-    def ratios(fam: FamilySpec) -> np.ndarray:
-        if not fam.parents:
-            return np.empty(0)
-        counts = count_transitions(dataset, fam, t0).counts
-        total = counts.sum(axis=1)
-        out = np.full(len(counts), 0.5)
-        seen = total > 0
-        out[seen] = counts[seen, 1] / total[seen]
-        return out
-
-    table_dyn = ratios(dynamic_family)
-    table_stat = ratios(static_family)
-    clipped = False
-    if table_dyn.size and table_stat.size:
-        prod = np.outer(table_dyn, table_stat)
-        clipped = bool(np.any(prod > 1.0))
-    return FactoredCpt(table_dyn=table_dyn, table_stat=table_stat, clipped=clipped)
 
 
 def _loglik_scores(counts: np.ndarray) -> np.ndarray:
@@ -211,87 +179,6 @@ def loglik_cpt(dataset: TrajectoryDataset, structure: DbnStructure, params: Para
             return float("-inf")
         total += float(np.sum(c[seen] * logt[seen]))
     return total
-
-
-# ---------------------------------------------------------------------------
-# Logistic fitting
-
-
-def logistic_design(dataset: TrajectoryDataset, family: FamilySpec) -> tuple[np.ndarray, np.ndarray]:
-    """Design matrix (with leading intercept column) and binary targets of a family."""
-    child, pcols = dataset.family_rows(family)
-    return np.hstack([np.ones((child.size, 1)), pcols.astype(float)]), child.astype(float)
-
-
-def logistic_objective(beta: np.ndarray, design: np.ndarray, y: np.ndarray,
-                       ridge: float) -> tuple[float, np.ndarray]:
-    """Penalized log-likelihood ``sum[y s - log(1 + e^s)] - ridge ||beta||^2`` and gradient."""
-    s = design @ beta
-    # log(1 + e^s) evaluated stably on both tails
-    softplus = np.where(s > 0, s + np.log1p(np.exp(-np.abs(s))), np.log1p(np.exp(-np.abs(s))))
-    value = float(np.dot(y, s) - softplus.sum() - ridge * float(np.dot(beta, beta)))
-    p = np.empty_like(s)
-    pos = s >= 0
-    p[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
-    e = np.exp(s[~pos])
-    p[~pos] = e / (1.0 + e)
-    grad = design.T @ (y - p) - 2.0 * ridge * beta
-    return value, grad
-
-
-_LOGISTIC_GUARD = 30.0  # |beta| beyond this saturates the sigmoid: separable data
-_LOGISTIC_FALLBACK_RIDGE = 1e-6
-
-
-def fit_logistic(dataset: TrajectoryDataset, node: int, family: FamilySpec,
-                 ridge: float = 0.0, tol: float = 1e-8,
-                 max_iter: int = 10_000) -> tuple[Logistic, float]:
-    """Maximize the logistic transition log-likelihood by gradient ascent.
-
-    Deterministic: backtracking (Armijo) line search from beta = 0,
-    stopping when the gradient norm drops below ``tol`` or after
-    ``max_iter`` steps.  Perfectly separable data makes the unpenalized
-    optimum escape to infinity; when any coefficient passes the guard
-    magnitude the fit restarts with a small ridge and flags the result.
-    Returns the fitted kernel and the attained (unpenalized)
-    log-likelihood.
-    """
-    if not dataset.domain.discrete:
-        raise DomainMismatchError("fit_logistic needs a discrete dataset")
-    if dataset.domain.x_arities[node] != 2:
-        raise ModelError("logistic kernel is defined for binary children")
-    if family.node != node:
-        raise ModelError("family spec does not belong to the requested node")
-    design, y = logistic_design(dataset, family)
-    beta, guard = _ascend_logistic(design, y, ridge, tol, max_iter)
-    if guard and ridge < _LOGISTIC_FALLBACK_RIDGE:
-        beta, _ = _ascend_logistic(design, y, _LOGISTIC_FALLBACK_RIDGE, tol, max_iter)
-    loglik, _ = logistic_objective(beta, design, y, 0.0)
-    model = Logistic(beta0=float(beta[0]), beta=beta[1:], separable_guard=guard)
-    return model, loglik
-
-
-def _ascend_logistic(design, y, ridge, tol, max_iter):
-    beta = np.zeros(design.shape[1])
-    if design.shape[0] == 0:
-        return beta, False
-    value, grad = logistic_objective(beta, design, y, ridge)
-    step = 1.0 / max(1.0, float(np.abs(design).sum(axis=1).max()))
-    for _ in range(max_iter):
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < tol:
-            break
-        trial = step * 2.0
-        while True:
-            cand = beta + trial * grad
-            cand_value, cand_grad = logistic_objective(cand, design, y, ridge)
-            if cand_value >= value + 1e-4 * trial * gnorm * gnorm or trial < 1e-18:
-                break
-            trial *= 0.5
-        beta, value, grad, step = cand, cand_value, cand_grad, trial
-        if np.max(np.abs(beta)) > _LOGISTIC_GUARD:
-            return beta, True
-    return beta, False
 
 
 # ---------------------------------------------------------------------------
@@ -601,13 +488,28 @@ _COUNTED_KINDS = ("ll", "aic", "aicc", "bic", "bde")
 _BATCH_ELEMENTS = 1 << 15  # cap on families x max(distinct rows, cells) per counting step
 
 
+def _guarded_cells(radix: list[int]) -> int:
+    """Count cells of a family whose columns have arities ``radix``, below ``2**31``.
+
+    A larger family raises :class:`SizeGuardError`; callers check before
+    they ask the dataset for distinct rows, so a refused family compresses
+    nothing.
+    """
+    n_cells = math.prod(radix)
+    if n_cells >= 1 << 31:
+        raise SizeGuardError(f"a family of {n_cells} count cells is past the 2**31 guard")
+    return n_cells
+
+
 def _block_counts(cols: np.ndarray, radix: list[int], distinct: np.ndarray,
                   weights: np.ndarray) -> np.ndarray:
     """Counts (F, n_configs, child arity) of F families over weighted distinct rows.
 
     ``cols[f]`` names the rows of ``distinct`` that family ``f`` reads,
-    child first; ``radix`` holds their arities as Python ints, so the
-    indices keep ``distinct``'s integer type and must fit it.
+    child first; ``radix`` holds their arities as Python ints, their
+    product within :func:`_guarded_cells`, so the indices keep
+    ``distinct``'s int32 type.  Integer weights sum exactly, so the counts
+    are whole numbers in any row order.
     """
     n_fam = len(cols)
     n_cells = math.prod(radix)
@@ -618,15 +520,29 @@ def _block_counts(cols: np.ndarray, radix: list[int], distinct: np.ndarray,
     return counts.reshape(n_fam, n_cells // radix[0], radix[0])
 
 
+def _sorted_groups(keys: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Stable order sorting items by equal-length key arrays (first key first), and
+    the positions in that order where each run of items with equal keys starts."""
+    order = np.lexsort(keys[::-1])
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for key in keys:  # one key at a time: no sorted copy of all of them
+        ordered = key[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    return order, np.flatnonzero(new)
+
+
 class FamilyScorer:
     """The one place where a family is scored: dataset, kind, priors and the score cache.
 
     ``scores`` maps (node, canonical parent tuple) to the family's score.
     Every lookup goes through :meth:`many`.  On discrete data the
-    count-based kinds are counted in blocks (:meth:`_counted_scores`) for
-    the exact search, hill climbing, :func:`family_score` and ``dbnlearn
-    score`` alike; BGe and the linear-Gaussian fits score one family at a
-    time (:meth:`_fitted_score`).  Values are deterministic functions of
+    count-based kinds are counted in blocks (:meth:`_counted_scores`) over
+    the dataset's row bank, for the exact search, hill climbing,
+    :func:`family_score` and ``dbnlearn score`` alike; the scorer keeps
+    scores only, so every scorer of a dataset shares its compressions.
+    BGe and the linear-Gaussian fits score one family at a time
+    (:meth:`_fitted_score`).  Values are deterministic functions of
     (dataset, family), so concurrent last-write-wins insertion is benign.
     """
 
@@ -639,7 +555,6 @@ class FamilyScorer:
         self.prior = prior
         self.hyper = hyper
         self.scores: dict[tuple[int, tuple[Parent, ...]], float] = {}
-        self._rows = {}  # first target time -> [(column ids, distinct rows, multiplicities)]
 
     def __call__(self, node: int, parents: Sequence[Parent]) -> float:
         """Score of ``node`` with ``parents``, memoized; parent order never matters."""
@@ -687,29 +602,26 @@ class FamilyScorer:
 
         Families with one first target time and one arity tuple form a
         block.  The bank columns that the families of one first target time
-        read are compressed into their distinct rows and multiplicities
-        (:meth:`_distinct_rows`).  Each step of a block builds every
-        family's configuration index over the distinct rows as one
-        (families, rows) array with :func:`_config_index`, child as the
-        lowest digit, and tallies it with one weighted ``bincount``; integer
-        weights sum exactly, so the counts are those of
+        read come from the dataset's row bank as distinct rows and
+        multiplicities (:meth:`~dbnlearn.core.TrajectoryDataset.distinct_rows`),
+        compressed once per dataset and shared by every scorer and
+        :func:`count_transitions`.  Each step of a block counts its
+        families with :func:`_block_counts`, so the counts are those of
         :func:`count_transitions`.  The block formulas then give each family
         the bits of its per-family score (:func:`bde_family_score`, or the
         plug-in log-likelihood), and the criteria come from
         :func:`information_criterion`, family by family in order.
         """
         ds = self.dataset
-        n_x, n_z = ds.n_x, ds.n_z
         # every distinct parent, in canonical order, then a padding slot of
-        # arity 1, which adds no digit: its column id (statics, then lag 0,
-        # 1, ... of every variable; see _distinct_rows), lag and arity
+        # arity 1, which adds no digit: its row-bank column id, lag and arity
         sources = sorted(set(itertools.chain.from_iterable(families)), key=Parent.sort_key)
         _check_parents(ds, node, sources)
         slot = {par: s for s, par in enumerate(sources)}
         column, lag, arity = [], [], []
         for par in sources:
             par_lag, var = _source(node, par)
-            column.append(var if par_lag is None else n_z + par_lag * n_x + var)
+            column.append(ds.column_id(par_lag, var))
             lag.append(par_lag or 0)
             arity.append(ds.domain.z_arities[var] if par_lag is None else ds.domain.x_arities[var])
         column, lag, arity = (np.array([*a, pad], dtype=np.int64)
@@ -723,7 +635,7 @@ class FamilyScorer:
         if np.any((slots[:, 1:] <= slots[:, :-1]) & filled[:, 1:]):
             raise ModelError("parent tuples must be canonical, without repeats")
         t_first = np.maximum(ds.burn_in + 1, lag[slots].max(axis=1, initial=0))
-        cols = np.column_stack([np.full(len(families), n_z + node), column[slots]])
+        cols = np.column_stack([np.full(len(families), ds.column_id(0, node)), column[slots]])
         radices = np.column_stack([np.full(len(families), ds.domain.x_arities[node]), arity[slots]])
 
         values = np.empty(len(families))
@@ -733,14 +645,10 @@ class FamilyScorer:
         for members in np.split(order, starts[1:]):
             t0 = int(t_first[members[0]])
             radix = radices[members[0]]
-            n_cells = int(np.prod(radix))
-            if n_cells >= 1 << 31:
-                raise SizeGuardError(f"a family of node {node} has {n_cells} count cells")
+            n_cells = _guarded_cells(radix.tolist())
             same_t0 = t_first == t0
-            ids, distinct, weights = self._distinct_rows(
+            ids, distinct, weights = ds.distinct_rows(
                 t0, np.unique(cols[same_t0][radices[same_t0] > 1]))
-            n_params[members] = n_cells // radix[0] * (radix[0] - 1)
-            n_eff[members] = ds.N * max(0, ds.T - t0 + 1)
             digits = np.flatnonzero(radix > 1)
             block = np.searchsorted(ids, cols[members][:, digits])
             step = max(1, _BATCH_ELEMENTS // max(weights.size, n_cells))
@@ -750,32 +658,12 @@ class FamilyScorer:
                                        distinct, weights)
                 values[members[begin:begin + step]] = _bde_scores(counts, self.prior) \
                     if self.kind == "bde" else _loglik_scores(counts)
+            n_params[members] = n_cells // radix[0] * (radix[0] - 1)
+            n_eff[members] = ds.N * max(0, ds.T - t0 + 1)
         if self.kind in ("bde", "ll"):
             return values.tolist()
         return [-information_criterion(ll, k, m, self.kind)
                 for ll, k, m in zip(values.tolist(), n_params.tolist(), n_eff.tolist())]
-
-    def _distinct_rows(self, t0: int, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Compressed ids, distinct rows (int32, one array row per id) and multiplicities.
-
-        ``columns`` holds sorted bank column ids at first target time
-        ``t0``: static ``j`` is ``j``, variable ``j`` at ``lag`` is ``n_z +
-        lag * n_x + j``.  A kept compression whose ids cover ``columns`` is
-        reused; else exactly ``columns`` are compressed and kept, replacing
-        the kept ones they cover.
-        """
-        kept = self._rows.setdefault(t0, [])
-        wanted = frozenset(columns.tolist())
-        for covered, *hit in kept:
-            if wanted <= covered:
-                return hit
-        ds = self.dataset
-        keys = [(t0, None, c) if c < ds.n_z else (t0, *divmod(c - ds.n_z, ds.n_x))
-                for c in columns.tolist()]
-        distinct, mult = ds.distinct_rows(keys)
-        hit = [columns, np.ascontiguousarray(distinct, dtype=np.int32), mult.astype(float)]
-        kept[:] = [entry for entry in kept if not entry[0] <= wanted] + [[wanted, *hit]]
-        return hit
 
     def structure_score(self, structure: DbnStructure) -> float:
         return sum(self(i, parents_of(structure, i).parents) for i in range(structure.n_x))

@@ -20,7 +20,7 @@ from dbnlearn.core import (
 )
 from dbnlearn.learn import BoundedConfig
 from dbnlearn.scoring import (
-    bde_family_score, count_transitions, family_score, information_criterion,
+    CountTable, bde_family_score, family_score, information_criterion,
 )
 from dbnlearn.simulate import substream
 
@@ -104,17 +104,36 @@ def _structure_with(structure: DbnStructure, move) -> DbnStructure:
     return structure.replace(static_edges=static)
 
 
+def reference_count_table(dataset, family, t0=None):
+    """One family's transition counts, tallied with one ``bincount`` over its bank columns.
+
+    Independent of the row bank and of the block counter it checks: the
+    child is the least significant digit of a Horner index written out
+    here, then the parents in family order.
+    """
+    arities = dataset.family_arities(family)
+    child_arity = dataset.domain.x_arities[family.node]
+    child, *cols = (dataset._column(*key) for key in dataset.family_keys(family, t0))
+    flat, base = child.copy(), child_arity
+    for col, a in zip(cols, arities):
+        flat += col * base
+        base *= a
+    counts = np.bincount(flat, minlength=base).reshape(-1, child_arity)
+    return CountTable(node=family.node, family=family, arities=arities,
+                      child_arity=child_arity, counts=counts)
+
+
 def discrete_family_score(dataset, node, parents, kind, prior=None):
     """One discrete family's count-based score, from its own count table.
 
     The per-family path that ``family_score`` took before every family was
-    counted in blocks: :func:`count_transitions`, then
+    counted in blocks: :func:`reference_count_table`, then
     :func:`bde_family_score` or the plug-in log-likelihood ``sum N log(N /
     N_xi)``, then the information criterion with ``k = n_configs (arity -
     1)`` free parameters.
     """
     family = FamilySpec(node=node, parents=canonical_parents(parents))
-    counts = count_transitions(dataset, family)
+    counts = reference_count_table(dataset, family)
     if kind == "bde":
         return bde_family_score(counts, prior)
     c = counts.counts.astype(float)

@@ -24,7 +24,7 @@ from dbnlearn.learn import (
 )
 from dbnlearn.scoring import (
     BgeHyper, CountTable, DirichletPrior, bde_family_score, bge_family_score,
-    count_transitions, mle_cpt, mle_factored,
+    count_transitions, mle_cpt,
 )
 from dbnlearn.acyclicity import h_expm_and_grad
 
@@ -103,7 +103,7 @@ class TestBdeVsQuadrature:
 
 
 class TestMleVsGridOracle:
-    """mle_cpt / mle_factored vs theta-grid likelihood maximization, 20 micro-datasets."""
+    """mle_cpt vs theta-grid likelihood maximization, 20 micro-datasets."""
 
     @staticmethod
     def grid_best_ratio(n0, n1, step=1e-3):
@@ -117,49 +117,35 @@ class TestMleVsGridOracle:
             ll[-1] = 0.0
         return float(grid[int(np.argmax(ll))])
 
+    def check_per_configuration(self, ds, fam):
+        counts = count_transitions(ds, fam)
+        cpt = mle_cpt(counts)
+        for cfg in range(counts.counts.shape[0]):
+            n0, n1 = int(counts.counts[cfg, 0]), int(counts.counts[cfg, 1])
+            if n0 + n1 == 0:
+                continue
+            assert cpt.table[cfg, 1] == pytest.approx(self.grid_best_ratio(n0, n1), abs=1e-3)
+
     def test_twenty_micro_datasets(self):
         t0 = time.perf_counter()
         rng = np.random.default_rng(11)
         checked = 0
 
-        # 12 plain CPT micro-datasets: per-configuration grid maximization
+        # 12 micro-datasets with an inter parent: per-configuration grid maximization
         for trial in range(12):
             n_traj, horizon = int(rng.integers(1, 4)), int(rng.integers(2, 6))
             ds = discrete_dataset((rng.random((n_traj, horizon + 1, 2)) < 0.5).astype(int))
-            fam = FamilySpec(node=0, parents=(Parent("inter", 1),))
-            counts = count_transitions(ds, fam)
-            cpt = mle_cpt(counts)
-            for cfg in range(2):
-                n0, n1 = int(counts.counts[cfg, 0]), int(counts.counts[cfg, 1])
-                if n0 + n1 == 0:
-                    continue
-                assert cpt.table[cfg, 1] == pytest.approx(
-                    self.grid_best_ratio(n0, n1), abs=1e-3)
+            self.check_per_configuration(ds, FamilySpec(node=0, parents=(Parent("inter", 1),)))
             checked += 1
 
-        # 8 factored micro-datasets with one empty side: the grid oracle runs
-        # on the live factor (the count ratio is the exact maximizer there)
+        # 8 with a static parent, which pools each trajectory's transitions,
+        # or an auto-lag parent
         for trial in range(8):
             n_traj, horizon = 2, 3
             x = (rng.random((n_traj, horizon + 1, 1)) < 0.6).astype(int)
-            z = np.array([[0], [1]])
-            ds = discrete_dataset(x, z=z)
-            stat = FamilySpec(node=0, parents=(Parent("static", 0),))
-            empty = FamilySpec(node=0, parents=())
-            if trial % 2 == 0:
-                fc = mle_factored(ds, 0, empty, stat)
-                counts = count_transitions(ds, stat)
-                live = fc.table_stat
-            else:
-                dyn = FamilySpec(node=0, parents=(Parent("auto", 1),))
-                fc = mle_factored(ds, 0, dyn, FamilySpec(node=0, parents=()))
-                counts = count_transitions(ds, dyn)
-                live = fc.table_dyn
-            for cfg in range(counts.counts.shape[0]):
-                n0, n1 = int(counts.counts[cfg, 0]), int(counts.counts[cfg, 1])
-                if n0 + n1 == 0:
-                    continue
-                assert live[cfg] == pytest.approx(self.grid_best_ratio(n0, n1), abs=1e-3)
+            ds = discrete_dataset(x, z=np.array([[0], [1]]))
+            parent = Parent("static", 0) if trial % 2 == 0 else Parent("auto", 1)
+            self.check_per_configuration(ds, FamilySpec(node=0, parents=(parent,)))
             checked += 1
 
         assert checked == 20

@@ -298,7 +298,6 @@ class TestDatasetEquality:
         a = np.random.default_rng(1).normal(size=(2, 5, 2))
         used, fresh = continuous_dataset(a), continuous_dataset(a)
         keys = used.family_keys(FamilySpec(0, (Parent("inter", 1),)))
-        used.family_columns(FamilySpec(0, (Parent("inter", 1),)))
         used.column_sum(*keys)
         assert used._bank and used._sums and not fresh._bank
         assert used == fresh

@@ -708,8 +708,10 @@ class TestOverflowingData:
         return continuous_dataset(np.random.default_rng(0).standard_normal((10, 21, 3)) * 1e200)
 
     def test_bounded_raises_data_error(self, huge):
-        with pytest.raises(DataError):
-            run_learner("bounded", huge)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # refused before any overflow
+            with pytest.raises(DataError):
+                run_learner("bounded", huge)
 
     @pytest.mark.parametrize("learner", ["hill", "exact"])
     def test_bge_raises_data_error(self, huge, learner):

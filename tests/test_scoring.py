@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.special import gammaln
 import dbnlearn.scoring as sc
 from dbnlearn.core import (
     ConfigError, Cpt, DataError, DbnStructure, DomainMismatchError, FamilySpec, ModelError,
-    ParameterSet, Parent, TrajectoryDataset, UnderdeterminedError,
+    ParameterSet, Parent, SizeGuardError, TrajectoryDataset, UnderdeterminedError,
     canonical_parents, configuration_index, parents_of,
 )
 from dbnlearn.evaluate import temporal_split
@@ -60,6 +61,15 @@ class TestCountTransitions:
         ds = continuous_dataset(np.zeros((1, 3, 1)))
         with pytest.raises(DomainMismatchError):
             sc.count_transitions(ds, family(0))
+
+    def test_family_of_two_to_the_31_cells_rejected(self):
+        ds = discrete_dataset(np.zeros((1, 3, 30), dtype=int))
+        parents = [Parent("inter", j) for j in range(30)]  # binary child: 2 * 2**30 cells
+        with pytest.raises(SizeGuardError):
+            sc.count_transitions(ds, family(0, *parents))
+        with pytest.raises(SizeGuardError):
+            sc.family_score(ds, 0, parents, "bic")
+        assert ds._rows == {}  # refused before any compression
 
     def test_parent_configuration_indexing(self):
         # child 0 with inter parent 1: parent value = x1 one step earlier
@@ -127,92 +137,6 @@ class TestMleCpt:
                 assert worse < base
 
 
-def factored_loglik(ds, node, dyn_fam, stat_fam, table_dyn, table_stat):
-    """Direct factored-kernel log-likelihood used by the grid oracle."""
-    t0 = max(ds.first_usable_t(dyn_fam), ds.first_usable_t(stat_fam))
-    total = 0.0
-    for (x, *dyn), (_, *stat) in zip(raw_family_rows(ds, dyn_fam, t0),
-                                     raw_family_rows(ds, stat_fam, t0)):
-        d_idx = 0
-        for m, v in enumerate(dyn):
-            d_idx += int(v) * (2 ** m)
-        s_idx = 0
-        for m, v in enumerate(stat):
-            s_idx += int(v) * (2 ** m)
-        p1 = (table_dyn[d_idx] if len(table_dyn) else 1.0) * \
-             (table_stat[s_idx] if len(table_stat) else 1.0)
-        p1 = min(1.0, max(0.0, p1))
-        prob = p1 if x == 1 else 1.0 - p1
-        if prob <= 0.0:
-            return -math.inf
-        total += math.log(prob)
-    return total
-
-
-def grid_argmax_1d(ds, node, dyn_fam, stat_fam, n_configs, dynamic_side, step=1e-3):
-    """Best per-config factor on a theta grid when the other factor is empty."""
-    grid = np.arange(0.0, 1.0 + step / 2, step)
-    best = []
-    for cfg in range(n_configs):
-        def ll(theta, cfg=cfg):
-            table = np.full(n_configs, 0.5)
-            for other in range(n_configs):
-                if other != cfg:
-                    table[other] = best[other] if other < len(best) else 0.5
-            table[cfg] = theta
-            if dynamic_side:
-                return factored_loglik(ds, node, dyn_fam, stat_fam, table, [])
-            return factored_loglik(ds, node, dyn_fam, stat_fam, [], table)
-        values = [ll(t) for t in grid]
-        best.append(float(grid[int(np.argmax(values))]))
-    return best
-
-
-class TestMleFactored:
-    def test_no_static_parents_reduces_to_cpt(self):
-        ds = discrete_dataset([[[0, 0], [1, 1], [0, 1], [1, 0], [1, 1]]])
-        dyn = family(0, Parent("inter", 1))
-        fc = sc.mle_factored(ds, 0, dyn, family(0))
-        cpt = sc.mle_cpt(sc.count_transitions(ds, dyn))
-        assert fc.table_stat.size == 0
-        assert fc.table_dyn == pytest.approx(cpt.table[:, 1])
-
-    def test_static_factor_uses_t_scaled_sample_size(self):
-        # one trajectory per Z value: the static factor pools all T transitions
-        ds = discrete_dataset(
-            [[[0], [1], [1], [0]], [[0], [0], [1], [1]]], z=[[0], [1]])
-        fc = sc.mle_factored(ds, 0, family(0), family(0, Parent("static", 0)))
-        assert fc.table_dyn.size == 0
-        assert fc.table_stat == pytest.approx([2 / 3, 2 / 3])
-
-    def test_hand_dataset_matches_grid_oracle(self):
-        # two trajectories with Z in {0, 1}, three transitions each
-        ds = discrete_dataset(
-            [[[1], [1], [0], [1]], [[0], [0], [1], [0]]], z=[[0], [1]])
-        stat = family(0, Parent("static", 0))
-        fc = sc.mle_factored(ds, 0, family(0), stat)
-        oracle = grid_argmax_1d(ds, 0, family(0), stat, 2, dynamic_side=False)
-        assert fc.table_stat == pytest.approx(oracle, abs=1e-3)
-
-    def test_unseen_configuration_fallback(self):
-        ds = discrete_dataset([[[0, 1], [1, 1], [1, 1]]])
-        fc = sc.mle_factored(ds, 0, family(0, Parent("inter", 1)), family(0))
-        assert fc.table_dyn[0] == 0.5  # parent value 0 never observed
-
-    def test_mixed_family_splits_cleanly(self):
-        ds = discrete_dataset(
-            [[[1], [1], [1], [1]], [[1], [0], [0], [0]]], z=[[1], [0]])
-        fc = sc.mle_factored(
-            ds, 0, family(0, Parent("auto", 1)), family(0, Parent("static", 0)))
-        assert fc.table_dyn.size == 2 and fc.table_stat.size == 2
-        assert not fc.clipped
-
-    def test_non_binary_child_rejected(self):
-        ds = discrete_dataset([[[0], [1], [2]]], x_arities=(3,))
-        with pytest.raises(ModelError):
-            sc.mle_factored(ds, 0, family(0), family(0))
-
-
 def tally_counts(x, z, x_arities, z_arities, node, parents, start):
     """Transition counts of one family, tallied row by row from the raw arrays."""
     arities = [z_arities[p.index] if p.kind == "static"
@@ -235,12 +159,6 @@ def tally_counts(x, z, x_arities, z_arities, node, parents, start):
                 base *= a
             counts[idx, x[n, t, node]] += 1
     return counts
-
-
-def tally_ratios(counts):
-    """Per-configuration share of child value 1; 0.5 where a configuration is unseen."""
-    totals = counts.sum(axis=1)
-    return [c[1] / tot if tot else 0.5 for c, tot in zip(counts.tolist(), totals.tolist())]
 
 
 def draw_discrete_arrays(draw):
@@ -281,19 +199,10 @@ def check_against_tally(ds, fam):
     start = max([1, ds.burn_in + 1] + lags)
     assert sc.count_transitions(ds, fam).counts.tolist() == \
         tally_counts(x, z, xa, za, fam.node, fam.parents, start).tolist()
-    if xa[fam.node] != 2:
-        return
-    dyn = FamilySpec(fam.node, tuple(p for p in fam.parents if p.kind != "static"))
-    stat = FamilySpec(fam.node, tuple(p for p in fam.parents if p.kind == "static"))
-    fc = sc.mle_factored(ds, fam.node, dyn, stat)  # both tallies start where both are usable
-    for part, table in ((dyn, fc.table_dyn), (stat, fc.table_stat)):
-        expected = tally_ratios(tally_counts(x, z, xa, za, fam.node, part.parents, start)) \
-            if part.parents else []
-        assert table.tolist() == expected
 
 
 class TestColumnBank:
-    """Counts and factored ratios read from the column bank against a row-by-row tally."""
+    """Counts read from the column bank against a row-by-row tally."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(bank_cases())
@@ -317,10 +226,10 @@ class TestColumnBank:
     def test_columns_are_memoised_read_only_and_contiguous(self):
         ds = discrete_dataset(np.arange(24).reshape(2, 4, 3) % 2, z=[[0], [1]])
         fam = family(0, Parent("inter", 1), Parent("intra", 2), Parent("auto", 2), Parent("static", 0))
-        child, cols = ds.family_columns(fam)
-        again_child, again = ds.family_columns(fam)
-        assert again_child is child and all(a is b for a, b in zip(again, cols))
-        for col in (child, *cols):
+        cols = [ds._column(*key) for key in ds.family_keys(fam)]
+        again = [ds._column(*key) for key in ds.family_keys(fam)]
+        assert all(a is b for a, b in zip(again, cols))
+        for col in cols:
             assert col.shape == (ds.N * (ds.T - 1),)
             assert col.flags.c_contiguous and not col.flags.writeable
             with pytest.raises(ValueError):
@@ -331,7 +240,7 @@ class TestColumnBank:
     def test_target_time_before_the_lags_rejected(self):
         ds = discrete_dataset(np.zeros((1, 5, 1), dtype=int))
         with pytest.raises(DataError):
-            ds.family_columns(family(0, Parent("auto", 2)), 1)
+            ds.family_keys(family(0, Parent("auto", 2)), 1)
 
 
 def oracle_moments(rows):
@@ -369,6 +278,83 @@ def continuous_cases(draw):
     x = rng.normal(size=ds.x.shape) * scale + rng.normal() * 10
     z = rng.normal(size=ds.z.shape) * scale
     return continuous_dataset(x, z, burn_in=ds.burn_in), fam
+
+
+def bank_rows(ds, t0, sources):
+    """Multiset of the rows ``(value of each (lag, j) source)`` over targets ``t0..T``, from x and z."""
+    return Counter(tuple(int(ds.z[n, j]) if lag is None else int(ds.x[n, t - lag, j])
+                         for lag, j in sources)
+                   for n in range(ds.N) for t in range(t0, ds.T + 1))
+
+
+def check_row_bank(ds, t0, sources):
+    by_id = {ds.column_id(lag, j): (lag, j) for lag, j in sources}
+    columns = np.array(sorted(by_id))
+    ids, distinct, weights = ds.distinct_rows(t0, columns)
+    assert ids.tolist() == columns.tolist()
+    assert distinct.dtype == np.int32 and distinct.shape == (columns.size, weights.size)
+    got = Counter(dict(zip(map(tuple, distinct.T.tolist()), weights.tolist())))
+    assert len(got) == weights.size  # every row once
+    assert got == bank_rows(ds, t0, [by_id[c] for c in columns.tolist()])
+
+
+@st.composite
+def row_bank_cases(draw):
+    """A small discrete dataset, a first target time (past T: no rows) and some of its columns."""
+    x, z, x_ar, z_ar = draw_discrete_arrays(draw)
+    ds = discrete_dataset(x, z, x_arities=x_ar, z_arities=z_ar)
+    t0 = draw(st.integers(1, ds.T + 2))
+    sources = [(lag, j) for lag in range(min(t0, 3) + 1) for j in range(ds.n_x)]
+    sources += [(None, j) for j in range(ds.n_z)]
+    return ds, t0, draw(st.lists(st.sampled_from(sources), min_size=1, unique=True))
+
+
+class TestRowBank:
+    """Distinct rows and multiplicities of the row bank against a multiset of raw rows."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(row_bank_cases())
+    def test_matches_raw_rows(self, case):
+        check_row_bank(*case)
+
+    @pytest.mark.parametrize("shape, key_space", [
+        ((5, 21, 1), "dense"),  # 2**3 keys against 100 rows
+        ((2, 7, 10), "sparse"),  # 2**21 keys against 12 rows
+        ((4, 12, 40), "re-ranked"),  # 2**81 keys: the leading digits would leave an int64
+    ])
+    def test_key_spaces(self, shape, key_space):
+        rng = np.random.default_rng(7)
+        x = rng.integers(0, 2, size=shape)
+        x[:, :, 4:] = 0  # rows differ in the leading columns only
+        ds = discrete_dataset(x, rng.integers(0, 2, size=(shape[0], 1)))
+        sources = [(None, 0)] + [(lag, j) for lag in (0, 1) for j in range(ds.n_x)]
+        space, rows = 2 ** len(sources), ds.N * ds.T
+        assert {"dense": space <= rows, "sparse": rows < space <= 1 << 62,
+                "re-ranked": space > 1 << 62}[key_space]
+        check_row_bank(ds, 1, sources)
+        for v in range(ds.n_x):  # one-family counts read the kept rows
+            fam = family(v, Parent("inter", (v + 1) % ds.n_x), Parent("static", 0))
+            assert sc.count_transitions(ds, fam).counts.tolist() == tally_counts(
+                ds.x, ds.z, ds.domain.x_arities, ds.domain.z_arities, v, fam.parents, 1).tolist()
+        assert len(ds._rows[1]) == 1
+
+    def test_covered_requests_reuse_and_wider_ones_replace(self, rng):
+        ds = discrete_dataset(rng.integers(0, 2, size=(3, 8, 4)), rng.integers(0, 2, size=(3, 1)))
+
+        def kept(t0):
+            return [sorted(entry[0]) for entry in ds._rows.get(t0, [])]
+
+        first = ds.distinct_rows(1, np.array([0, 2]))
+        again = ds.distinct_rows(1, np.array([2]))  # covered: the kept entry itself
+        assert len(again) == 3 and all(a is b for a, b in zip(again, first))
+        ds.distinct_rows(1, np.array([2, 3]))  # overlaps, covers nothing: kept beside
+        assert kept(1) == [[0, 2], [2, 3]]
+        before = ds._rows[1]
+        wide = ds.distinct_rows(1, np.array([0, 2, 3, 5]))  # covers both: replaces them
+        assert kept(1) == [[0, 2, 3, 5]] and len(before) == 2  # a new list, the old one intact
+        assert all(a is b for a, b in zip(ds.distinct_rows(1, np.array([0, 5])), wide))
+        ds.distinct_rows(2, np.array([0, 2]))  # another first target time is kept apart
+        assert kept(1) == [[0, 2, 3, 5]] and kept(2) == [[0, 2]]
 
 
 class TestSumBank:
@@ -497,50 +483,6 @@ class TestLoglikCpt:
         params = ParameterSet((Cpt(np.array([[0.5, 0.5], [0.5, 0.5]])),))
         with pytest.raises(ModelError):
             sc.loglik_cpt(ds, DbnStructure.empty(1), params)
-
-
-class TestFitLogistic:
-    def test_parent_free_symmetric_data(self):
-        ds = single_var_dataset([0, 1, 0, 1, 0, 1, 0, 1, 0])
-        model, _ = sc.fit_logistic(ds, 0, family(0), ridge=1e-6)
-        assert abs(model.beta0) < 1e-3
-
-    def test_gradient_matches_central_differences(self, rng):
-        design = np.hstack([np.ones((40, 1)), rng.normal(size=(40, 2))])
-        y = (rng.random(40) < 0.5).astype(float)
-        for _ in range(20):
-            beta = rng.normal(scale=1.5, size=3)
-            _, grad = sc.logistic_objective(beta, design, y, ridge=0.1)
-            num = np.zeros(3)
-            for k in range(3):
-                hi, lo = beta.copy(), beta.copy()
-                hi[k] += 1e-6
-                lo[k] -= 1e-6
-                num[k] = (sc.logistic_objective(hi, design, y, 0.1)[0]
-                          - sc.logistic_objective(lo, design, y, 0.1)[0]) / 2e-6
-            scale = max(1.0, float(np.linalg.norm(num)))
-            assert np.linalg.norm(grad - num) / scale < 1e-6
-
-    def test_recovers_ground_truth_coefficients(self):
-        structure = DbnStructure(
-            n_x=2, n_z=0, p=1, intra=np.zeros((2, 2), dtype=bool),
-            inter=np.array([[False, False], [True, False]]), auto_lags=((), ()),
-            static_edges=np.zeros((0, 2), dtype=bool))
-        from dbnlearn.core import Logistic
-        truth = ParameterSet((
-            Logistic(beta0=-1.0, beta=np.array([2.0])),
-            Logistic(beta0=0.0, beta=np.array([]))))
-        ds = sample_trajectories(structure, truth, 100, 100, seed=5)
-        model, _ = sc.fit_logistic(ds, 0, parents_of(structure, 0), ridge=1e-6)
-        assert model.beta0 == pytest.approx(-1.0, abs=0.15)
-        assert model.beta[0] == pytest.approx(2.0, abs=0.15)
-
-    def test_separable_data_triggers_guard(self):
-        ds = discrete_dataset([[[0, 0], [1, 1], [0, 0], [1, 1], [0, 0], [1, 1],
-                                [0, 0], [1, 1], [0, 0]]])
-        model, ll = sc.fit_logistic(ds, 0, family(0, Parent("intra", 1)), ridge=0.0)
-        assert model.separable_guard
-        assert math.isfinite(ll)
 
 
 class TestFitLinearGaussian:
@@ -986,18 +928,23 @@ class TestBatchedScorer:
     def test_one_family_compresses_only_its_columns(self, rng, monkeypatch):
         ds = discrete_dataset(rng.integers(0, 2, size=(4, 9, 5)), rng.integers(0, 2, size=(4, 2)))
         compressed = []
-        original = TrajectoryDataset.distinct_rows
-        monkeypatch.setattr(TrajectoryDataset, "distinct_rows",
-                            lambda self, keys: compressed.append(sorted(keys, key=str))
-                            or original(self, keys))
+        original = TrajectoryDataset._compress
+        monkeypatch.setattr(TrajectoryDataset, "_compress",
+                            lambda self, t0, columns: compressed.append((t0, columns.tolist()))
+                            or original(self, t0, columns))
         parents = (Parent("inter", 3), Parent("intra", 1), Parent("auto", 2), Parent("static", 1))
         scorer = sc.FamilyScorer(ds, "bic")
         scorer(0, parents)
-        fam = FamilySpec(0, parents)
-        assert compressed == [sorted(ds.family_keys(fam), key=str)]
-        assert len(compressed[0]) == len(parents) + 1
+        keys = ds.family_keys(FamilySpec(0, parents))
+        assert compressed == [(2, sorted(ds.column_id(lag, j) for _, lag, j in keys))]
+        assert len(compressed[0][1]) == len(parents) + 1
         scorer(0, parents[:2])  # first target time 1: compressed on its own
         scorer(0, parents[2:])  # first target time 2: read from the kept compression
+        assert len(compressed) == 2
+        # the compressions belong to the dataset: other scorers and the refit's counts reuse them
+        sc.FamilyScorer(ds, "bde")(0, parents)
+        sc.count_transitions(ds, FamilySpec(0, parents[:2]))
+        sc.count_transitions(ds, FamilySpec(0, parents[2:]))
         assert len(compressed) == 2
 
     def test_check_runs_before_every_counting_step(self, rng, monkeypatch):
