@@ -682,7 +682,8 @@ _PRUNE_MARGIN = 1e-9
 
 
 def _price_support(target: np.ndarray, cols: list, n_intra: int, config: BoundedConfig,
-                   cap: float = np.inf, tally: Counter | None = None) -> tuple[float, np.ndarray | None]:
+                   cap: float = np.inf, tally: Counter | None = None,
+                   rows: int = 0) -> tuple[float, np.ndarray | None]:
     """Min over sign patterns of SSE + sign-class L0 penalties on one support.
 
     ``cols`` holds the support's intra columns, then its lagged ones.  Each
@@ -713,6 +714,15 @@ def _price_support(target: np.ndarray, cols: list, n_intra: int, config: Bounded
     return any cost at or above ``cap``, with weights ``None`` when no
     pattern was solved.  ``tally`` counts ``bvls_calls`` and such
     ``supports_pruned``.
+
+    ``target`` and ``cols`` may be rows of data or the matching columns of
+    the triangular factor ``R`` of a QR of those rows: with ``Q``
+    orthonormal, ``||t - X w|| = ||R_t - R_X w||`` for every ``w`` and the
+    two designs share their singular values, so costs, bounds and margins
+    mean the same on both.  On a factor, ``rows`` is the data's row count
+    ``M``: the rank threshold stays the data's, ``eps * max(M, k)``, so a
+    support whose design is rank deficient stays so on the factor, which
+    carries the backward error of an ``M``-row QR.
     """
     # imported here, not at module level: only the bounded learner needs it,
     # so importing dbnlearn does not pay for it
@@ -732,7 +742,8 @@ def _price_support(target: np.ndarray, cols: list, n_intra: int, config: Bounded
         return float(np.dot(resid, resid)) + sum(
             p if w > 0 else q for w, p, q in zip(weights, pos, neg))
 
-    beta, _, rank, sv = np.linalg.lstsq(design, target, rcond=None)
+    rcond = np.finfo(float).eps * max(len(target), rows, k)
+    beta, _, rank, sv = np.linalg.lstsq(design, target, rcond=rcond)
     if config.lambda_w_pos == config.lambda_w_neg and config.lambda_a_pos == config.lambda_a_neg:
         if np.all(np.abs(beta) >= req):
             return cost(beta), beta
@@ -784,6 +795,10 @@ def bounded_oneshot(dataset: TrajectoryDataset, config: BoundedConfig | None = N
     enumerated first win.  ``extras`` counts the BVLS solves
     (``bvls_calls``) and the supports skipped without one
     (``supports_pruned``).
+    Every price reads the triangular factor ``R`` of one QR of the rows
+    ``[Y | X_prev]`` (at most 2n rows) rather than the M rows themselves:
+    least-squares costs and singular values are the same on both, and the
+    rank threshold stays the data's (:func:`_price_support`).
     The penalty is L0 per edge on summed SSE, unlike the L1 penalty on a
     (1/2M)-scaled SSE of ``continuous_oneshot``, so the two supports
     coincide only where the data pin the support down, not where several
@@ -803,13 +818,17 @@ def bounded_oneshot(dataset: TrajectoryDataset, config: BoundedConfig | None = N
     y = dataset.bank_matrix(t0, [(0, j) for j in range(n)])
     x_prev = dataset.bank_matrix(t0, [(1, j) for j in range(n)])
     rows = np.hstack([y, x_prev])
+    if not len(rows):  # no trajectory, or a burn-in that leaves no transition
+        raise DataError("cannot learn from an empty dataset")
     with np.errstate(over="ignore", invalid="ignore"):
         finite = np.all(np.isfinite(rows.T @ rows))
     if not finite:  # every price is built from these products: refuse before any solve
         raise DataError("the bounded learner's data products overflow a float (data too large?)")
 
+    factor = np.linalg.qr(rows, mode="r")
     tally = Counter(bvls_calls=0, supports_pruned=0)
-    total, chosen = _best_dag(_bounded_tables(y, x_prev, config, deadline, tally), deadline)
+    tables = _bounded_tables(factor[:, :n], factor[:, n:], config, deadline, tally, rows=len(rows))
+    total, chosen = _best_dag(tables, deadline)
     w_mat = np.zeros((n, n))
     a_mat = np.zeros((n, n))
     for v, (_, intra_js, inter_js, weights) in enumerate(chosen):
@@ -830,9 +849,13 @@ def bounded_oneshot(dataset: TrajectoryDataset, config: BoundedConfig | None = N
 
 
 def _bounded_tables(y: np.ndarray, x_prev: np.ndarray, config: BoundedConfig,
-                    deadline: Deadline, tally: Counter) -> list[dict]:
+                    deadline: Deadline, tally: Counter, rows: int = 0) -> list[dict]:
     """Per node: {intra parent bitmask -> (-cost, intra_js, inter_js, weights)} of its cheapest support.
 
+    ``y`` and ``x_prev`` are the rows of ``Y`` and ``X_prev``, or the two
+    column blocks of the triangular factor of a QR of ``[Y | X_prev]``;
+    ``rows`` is then the data's row count, which sets every support's rank
+    threshold (:func:`_price_support`).
     Inter sets are priced in enumeration order, each capped at the cheapest
     cost found so far for the same intra set, so a support that cannot be
     strictly cheaper is pruned and the first of equal costs is kept.
@@ -847,7 +870,7 @@ def _bounded_tables(y: np.ndarray, x_prev: np.ndarray, config: BoundedConfig,
             for inter_js in _class_subsets(range(n), n):
                 cols = [y[:, j] for j in intra_js] + [x_prev[:, j] for j in inter_js]
                 cost, weights = _price_support(y[:, i], cols, len(intra_js), config,
-                                               np.inf if best is None else -best[0], tally)
+                                               np.inf if best is None else -best[0], tally, rows)
                 if best is None or -cost > best[0]:
                     best = (-cost, intra_js, inter_js, weights)
             table[sum(1 << j for j in intra_js)] = best

@@ -367,7 +367,7 @@ def bounded_support_objective(y, x_prev, intra_mask, lag_mask, config) -> float:
 
 
 def price_support_unpruned(target: np.ndarray, cols: list, n_intra: int,
-                           config: BoundedConfig) -> tuple[float, np.ndarray]:
+                           config: BoundedConfig, rows: int = 0) -> tuple[float, np.ndarray]:
     """Min over sign patterns of SSE + sign-class L0 penalties on one support.
 
     ``cols`` holds the support's intra columns, then its lagged ones.  Each
@@ -380,6 +380,9 @@ def price_support_unpruned(target: np.ndarray, cols: list, n_intra: int,
 
     ``dbnlearn.learn._price_support`` before its sign patterns and supports
     were pruned, kept as the reference that the pruned one must match.
+    ``rows`` is the data's row count when ``target`` and ``cols`` are
+    columns of a triangular factor; the unconstrained fit's rank threshold
+    is then ``eps * max(rows, k)``.
     """
     if not cols:
         return float(np.dot(target, target)), np.empty(0)
@@ -395,7 +398,8 @@ def price_support_unpruned(target: np.ndarray, cols: list, n_intra: int,
             p if w > 0 else q for w, p, q in zip(weights, pos, neg))
 
     if config.lambda_w_pos == config.lambda_w_neg and config.lambda_a_pos == config.lambda_a_neg:
-        beta, *_ = np.linalg.lstsq(design, target, rcond=None)
+        rcond = np.finfo(float).eps * max(len(target), rows, k)
+        beta, *_ = np.linalg.lstsq(design, target, rcond=rcond)
         if np.all(np.abs(beta) >= req):
             return cost(beta), beta
     best = None
@@ -409,7 +413,7 @@ def price_support_unpruned(target: np.ndarray, cols: list, n_intra: int,
     return best
 
 
-def bounded_tables_unpruned(y, x_prev, config, deadline, tally):
+def bounded_tables_unpruned(y, x_prev, config, deadline, tally, rows=0):
     """``dbnlearn.learn._bounded_tables`` before pruning: every support priced in full.
 
     Takes the learner's arguments so a test can substitute it; ``tally`` is
@@ -424,7 +428,7 @@ def bounded_tables_unpruned(y, x_prev, config, deadline, tally):
             best = None
             for inter_js in class_subsets(range(n), n):
                 cols = [y[:, j] for j in intra_js] + [x_prev[:, j] for j in inter_js]
-                cost, weights = price_support_unpruned(y[:, i], cols, len(intra_js), config)
+                cost, weights = price_support_unpruned(y[:, i], cols, len(intra_js), config, rows)
                 if best is None or -cost > best[0]:
                     best = (-cost, intra_js, inter_js, weights)
             table[sum(1 << j for j in intra_js)] = best

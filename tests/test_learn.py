@@ -635,6 +635,86 @@ class TestBoundedPruning:
                 assert (cost, capped.tobytes()) == (exact, weights.tobytes())
 
 
+@st.composite
+def factor_cases(draw):
+    """Rows ``[Y | X_prev]``, a node, a support on them and bounded settings.
+
+    The support has fewer columns than there are rows, so its fit is
+    determined; the rows may still be fewer than the 2n columns of the
+    factor.  Penalties are equal across signs or not.
+    """
+    n = draw(st.integers(2, 3))
+    k = draw(st.integers(1, 2 * n - 1))
+    m = draw(st.integers(k + 1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.standard_normal((m, 2 * n)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    i = draw(st.integers(0, n - 1))
+    sources = draw(st.lists(st.sampled_from([j for j in range(2 * n) if j != i]),
+                            min_size=k, max_size=k, unique=True))
+    intra_js = sorted(j for j in sources if j < n)
+    inter_js = sorted(j for j in sources if j >= n)
+    pos = [draw(st.sampled_from([0.0, 0.05, 0.5, 2.0])) for _ in range(2)]
+    neg = pos if draw(st.booleans()) else [draw(st.sampled_from([0.0, 0.3, 3.0])) for _ in range(2)]
+    cfg = BoundedConfig(b_w=draw(st.sampled_from([0.02, 0.2, 0.7])),
+                        b_a=draw(st.sampled_from([0.02, 0.2, 0.7])),
+                        lambda_w_pos=pos[0], lambda_w_neg=neg[0],
+                        lambda_a_pos=pos[1], lambda_a_neg=neg[1])
+    return rows, i, intra_js + inter_js, len(intra_js), cfg
+
+
+class TestBoundedFactor:
+    """Supports priced on the triangular factor of ``[Y | X_prev]`` as on its rows."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(factor_cases())
+    def test_price_on_the_factor_matches_the_rows(self, case):
+        rows, i, sources, n_intra, cfg = case
+        factor = np.linalg.qr(rows, mode="r")
+        cost, weights = _price_support(rows[:, i], [rows[:, j] for j in sources], n_intra, cfg)
+        on_r, on_r_weights = _price_support(factor[:, i], [factor[:, j] for j in sources], n_intra,
+                                            cfg, rows=len(rows))
+        assert on_r == pytest.approx(cost, rel=1e-12)
+        assert np.sign(on_r_weights).tolist() == np.sign(weights).tolist()
+
+    @staticmethod
+    def assert_learner_matches_raw_rows(ds, cfg):
+        """The learner's support, counters and objective as the tables on the raw rows give them."""
+        report = bounded_oneshot(ds, cfg)
+        tally = Counter(bvls_calls=0, supports_pruned=0)
+        y, x_prev = lag1_design(ds)
+        total, chosen = learn._best_dag(
+            learn._bounded_tables(y, x_prev, cfg, Deadline(), tally), Deadline())
+        n = ds.n_x
+        w_mask, a_mask = np.zeros((n, n), dtype=bool), np.zeros((n, n), dtype=bool)
+        for v, (_, intra_js, inter_js, _) in enumerate(chosen):
+            w_mask[list(intra_js), v] = True
+            a_mask[list(inter_js), v] = True
+        assert (report.extras["w"] != 0.0).tolist() == w_mask.tolist()
+        assert (report.extras["a"] != 0.0).tolist() == a_mask.tolist()
+        assert {key: report.extras[key] for key in tally} == dict(tally)
+        assert report.extras["objective"] == pytest.approx(-total, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_learner_matches_the_tables_on_raw_rows(self, seed):
+        # the benchmark's bounded template: every node keeps its lag-1 self edge
+        cfg = GeneratorConfig(n_x=3, model="linear_gaussian", seed=seed, sigma=0.5,
+                              weight_range=(0.3, 1.0),
+                              edge_probs=EdgeProbs(intra=0.2, inter=0.1, auto=1.0))
+        ds = sample_trajectories(*sample_random_dbn(cfg), 50, 200, seed=seed + 3000)
+        self.assert_learner_matches_raw_rows(ds, BoundedConfig())
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_near_twins_keep_the_rank_threshold_of_the_rows(self, seed):
+        # variable 1 is variable 0 to 3e-13: over 2,000 rows the supports holding
+        # both are rank deficient, which the 6-row factor alone would not tell
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((20, 101, 3))
+        x[..., 1] = x[..., 0] + 3e-13 * rng.standard_normal(x.shape[:2])
+        x[:, 1:, 2] = 0.5 * x[:, :-1, 0] + 0.6 * x[:, 1:, 0] + 0.3 * x[:, 1:, 2]
+        self.assert_learner_matches_raw_rows(continuous_dataset(x), BoundedConfig(
+            lambda_w_pos=0.5, lambda_w_neg=0.5, lambda_a_pos=0.5, lambda_a_neg=0.5))
+
+
 def _structure_digest(report):
     return hashlib.sha256(json.dumps(report.structure.to_json_dict(), sort_keys=True)
                           .encode()).hexdigest()
@@ -735,6 +815,19 @@ class TestOverflowingData:
     def test_dynotears_raises_data_error_from_the_sum_bank(self, huge):
         with pytest.raises(DataError, match="sums overflow"):
             run_learner("dynotears", huge)
+
+
+class TestEmptyData:
+    @pytest.mark.parametrize("name", ["exact", "hill", "dynotears", "bounded"])
+    def test_no_trajectory_raises_data_error(self, name):
+        x = np.zeros((0, 5, 3))
+        ds = discrete_dataset(x) if name in ("exact", "hill") else continuous_dataset(x)
+        with pytest.raises(DataError):
+            run_learner(name, ds)
+
+    def test_bounded_refuses_a_burn_in_that_leaves_no_transition(self):
+        with pytest.raises(DataError):
+            run_learner("bounded", continuous_dataset(np.ones((2, 5, 3)), burn_in=4))
 
 
 class TestRegistry:
