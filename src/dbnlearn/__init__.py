@@ -9,7 +9,7 @@ from .acyclicity import h_expm_and_grad, threshold_and_repair
 from .scoring import (
     BgeHyper, CountTable, DirichletPrior, FamilyScorer,
     bde_family_score, bge_family_score, count_transitions, dump_scores, family_score,
-    fit_linear_gaussian, information_criterion, loglik_cpt, mle_cpt,
+    fit_linear_gaussian, information_criterion, loglik_cpt, loglik_gaussian, mle_cpt,
 )
 from .simulate import (
     FAVORABLE_REGIME, HIGH_DIMENSIONAL_REGIME, EdgeProbs, GeneratorConfig,

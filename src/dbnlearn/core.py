@@ -421,6 +421,22 @@ def _key_rank(key: tuple) -> tuple[int, int, int]:
     return t0, -1 if lag is None else lag, j
 
 
+def _exact_sum(values: np.ndarray) -> float:
+    """``math.fsum(values.tolist())``, bit for bit, by error-free extraction (Rump, Ogita & Oishi,
+    SIAM J. Sci. Comput. 31(1), 2008): with ``2^k > n`` and ``sigma >= 2^(k+1) max|r|`` a power of
+    two, ``q = (sigma + r) - sigma``, ``r - q`` and ``q.sum()`` are exact.  All-zero vectors (the
+    zero's sign) and those whose ``sigma`` would pass ``2^1023`` go to ``math.fsum`` itself."""
+    k, rest, levels = values.size.bit_length(), values, []
+    while rest.size and (top := float(np.max(np.abs(rest)))) > 0.0:
+        if not top < math.ldexp(1.0, 1022 - k):  # also an infinite entry
+            return math.fsum(values.tolist())
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + k + 1)
+        q = (sigma + rest) - sigma
+        levels.append(float(q.sum()))
+        rest = rest - q
+    return math.fsum(levels) if levels else math.fsum(values.tolist())
+
+
 @dataclass(frozen=True)
 class TrajectoryDataset:
     """N trajectories of T+1 time slices over n_x dynamic and n_z static variables.
@@ -430,24 +446,23 @@ class TrajectoryDataset:
     by temporal hold-out to carry lag context without double scoring).
 
     A column bank is the only row source of scores and learners: every
-    count, design, likelihood and one-shot regression reads it, directly
-    (:meth:`family_rows`, :meth:`bank_matrix`) or through the banks below,
-    from the first target time of :meth:`first_usable_t`.  It holds one
-    flat, read-only copy per (first target time, lag, variable), built on
-    first use and kept for the dataset's lifetime, in the spirit of the
-    cached sufficient statistics of Moore & Lee (JAIR 8, 1998): at most
-    ``(1 + p) n_x + n_z`` columns per first target time.  Two more banks sit beside the columns, filled the
-    same way.  The sum bank (:meth:`column_sum`) keeps one correctly
-    rounded ``math.fsum`` per column and per unordered pair of columns;
-    their Gram matrices (:meth:`pair_sums`) are the sufficient statistics
-    of the linear-Gaussian code: the BGe score assembles every family's
-    moments from them, and DYNOTEARS its loss.  The row bank
+    count, sum and one-shot regression reads it, directly
+    (:meth:`bank_matrix`) or through the banks below, from the first target
+    time of :meth:`first_usable_t`.  It holds one flat, read-only copy per
+    (first target time, lag, variable), built on first use and kept for the
+    dataset's lifetime, in the spirit of the cached sufficient statistics of
+    Moore & Lee (JAIR 8, 1998).  Two more banks sit beside it, filled the
+    same way.  The sum bank (:meth:`column_sum`) keeps one exact sum per
+    column and per unordered pair of columns; their Gram matrices
+    (:meth:`pair_sums`) are the one, row-order free statistic of the
+    linear-Gaussian code: every family's moments (BGe, the fit, the held-out
+    likelihood; centred, so they lose precision where means are large
+    against spread) and DYNOTEARS' loss.  The row bank
     (:meth:`distinct_rows`) keeps the distinct rows of sets of discrete
     columns with their multiplicities, from which every discrete count is
     tallied.  All three are plain attributes, not fields, so equality and
-    repr ignore them.  Every entry is a deterministic function of the
-    data, so concurrent fills are benign: the last write stores the same
-    value.
+    repr ignore them.  Every entry is a deterministic function of the data,
+    so concurrent fills are benign: the last write stores the same value.
     """
 
     domain: Domain
@@ -540,9 +555,9 @@ class TrajectoryDataset:
         """Exact sum of bank column ``a``, or of its elementwise product with column ``b``.
 
         ``a`` and ``b`` are bank keys from :meth:`family_keys`.  Each sum is
-        one correctly rounded ``math.fsum``, computed on first use and kept;
-        a pair is stored once, whatever its order.  Sums that overflow a
-        float raise :class:`DataError`.
+        ``math.fsum``'s correctly rounded one (:func:`_exact_sum`), computed
+        on first use and kept; a pair is stored once, whatever its order.
+        Sums that overflow a float raise :class:`DataError`.
         """
         if b is not None and _key_rank(b) < _key_rank(a):
             a, b = b, a
@@ -552,7 +567,7 @@ class TrajectoryDataset:
             col = self._column(*a)
             try:
                 with np.errstate(over="ignore"):
-                    s = math.fsum((col if b is None else col * self._column(*b)).tolist())
+                    s = _exact_sum(col if b is None else col * self._column(*b))
             except (ValueError, OverflowError) as e:  # inf - inf, or an intermediate overflow
                 raise DataError(f"column sums overflow a float: {e}") from e
             self._sums[key] = s
@@ -644,15 +659,6 @@ class TrajectoryDataset:
         for c, (lag, j) in enumerate(sources):
             out[:, c] = self._column(t0, lag, j)
         return out
-
-    def family_rows(self, family: FamilySpec, t0: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Child column (M,) and parent matrix (M, k) over target times ``t0..T``.
-
-        ``t0`` defaults to the family's first usable time; rows run over
-        trajectories, then time.
-        """
-        child, *parents = self.family_keys(family, t0)
-        return self._column(*child), self.bank_matrix(child[0], [key[1:] for key in parents])
 
     def family_arities(self, family: FamilySpec) -> tuple[int, ...]:
         if not self.domain.discrete:

@@ -20,12 +20,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (
-    ConfigError, DbnStructure, DimensionError, ParameterSet, SplitError, TrajectoryDataset,
-    parents_of,
-)
+from .core import ConfigError, DbnStructure, DimensionError, SplitError, TrajectoryDataset
 from .learn import CellTimeout, Deadline, LearnerReport, run_learner
-from .scoring import DirichletPrior, fit_structure_params, loglik_cpt
+from .scoring import DirichletPrior, fit_structure_params, loglik_cpt, loglik_gaussian
 from .simulate import GeneratorConfig, RegimeSpec, derive_seed, regime_datasets
 
 
@@ -196,18 +193,6 @@ def temporal_split(dataset: TrajectoryDataset, fraction: float = 0.7,
     return train, test
 
 
-def _gaussian_loglik(dataset: TrajectoryDataset, structure: DbnStructure,
-                     params: ParameterSet) -> float:
-    total = 0.0
-    for i in range(structure.n_x):
-        y, pcols = dataset.family_rows(parents_of(structure, i))
-        par = params[i]
-        resid = y - (par.beta0 + pcols @ par.beta)
-        total += float(-0.5 * y.size * math.log(2.0 * math.pi * par.sigma2)
-                       - 0.5 * np.dot(resid, resid) / par.sigma2)
-    return total
-
-
 @dataclass(frozen=True)
 class HoldoutResult:
     train_loglik: float
@@ -223,20 +208,17 @@ def holdout_loglik(dataset: TrajectoryDataset, learner: Callable[[TrajectoryData
     Discrete test scoring smooths unseen configurations with the
     Dirichlet posterior mean by default; ``strict=True`` scores with the
     raw maximum-likelihood tables, in which case a zero-probability test
-    event honestly yields ``-inf``.
+    event honestly yields ``-inf``.  Continuous windows are scored from
+    their exact moments (:func:`~dbnlearn.scoring.loglik_gaussian`).
     """
     train, test = temporal_split(dataset, fraction)
     report = learner(train)
     structure = report.structure
     smoothing = None if strict else DirichletPrior(smoothing_ess)
     params = fit_structure_params(train, structure, smoothing)
-    if dataset.domain.discrete:
-        train_ll = loglik_cpt(train, structure, params)
-        test_ll = loglik_cpt(test, structure, params)
-    else:
-        train_ll = _gaussian_loglik(train, structure, params)
-        test_ll = _gaussian_loglik(test, structure, params)
-    return HoldoutResult(train_loglik=train_ll, test_loglik=test_ll, report=report)
+    loglik = loglik_cpt if dataset.domain.discrete else loglik_gaussian
+    return HoldoutResult(train_loglik=loglik(train, structure, params),
+                         test_loglik=loglik(test, structure, params), report=report)
 
 
 # ---------------------------------------------------------------------------

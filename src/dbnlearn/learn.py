@@ -820,10 +820,8 @@ def bounded_oneshot(dataset: TrajectoryDataset, config: BoundedConfig | None = N
     rows = np.hstack([y, x_prev])
     if not len(rows):  # no trajectory, or a burn-in that leaves no transition
         raise DataError("cannot learn from an empty dataset")
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.all(np.isfinite(rows.T @ rows))
-    if not finite:  # every price is built from these products: refuse before any solve
-        raise DataError("the bounded learner's data products overflow a float (data too large?)")
+    # every price is built from these products: overflowing ones raise DataError before any solve
+    dataset.pair_sums([(t0, lag, j) for lag in (0, 1) for j in range(n)])
 
     factor = np.linalg.qr(rows, mode="r")
     tally = Counter(bvls_calls=0, supports_pruned=0)

@@ -20,7 +20,8 @@ distinct rows of its columns
 (:meth:`~dbnlearn.core.TrajectoryDataset.distinct_rows`), by
 :func:`_block_counts`: in blocks of families for every score kind but
 ``bge``, and one family at a time by :func:`count_transitions` for the
-refits and held-out likelihoods.
+refits and held-out likelihoods.  Every continuous score, fit and
+held-out likelihood reads a family's exact moments (:func:`_exact_moments`).
 
 Effective sample sizes count usable transitions only: targets from
 ``max(family min time, burn_in + 1)`` to ``T``.
@@ -34,6 +35,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrf
 from scipy.special import gammaln
 
 from .core import (
@@ -181,50 +184,89 @@ def loglik_cpt(dataset: TrajectoryDataset, structure: DbnStructure, params: Para
     return total
 
 
+def loglik_gaussian(dataset: TrajectoryDataset, structure: DbnStructure,
+                    params: ParameterSet) -> float:
+    """Log-likelihood of every usable transition under per-node linear Gaussian kernels.
+
+    From each family's exact moments (:func:`_exact_moments`), with ``c = (1, -beta)``:
+    ``rss = max(0, c' S c) + m (mean . c - beta0)^2``."""
+    total = 0.0
+    for node in range(structure.n_x):
+        family, par = parents_of(structure, node), params[node]
+        if not isinstance(par, LinearGaussian) or par.beta.size != len(family.parents):
+            raise ModelError(f"node {node} parameters are not a linear Gaussian kernel of its parents")
+        m, mean, scatter = _exact_moments(dataset, family)
+        c = np.concatenate(([1.0], -par.beta))
+        rss = max(0.0, float(c @ scatter @ c)) + m * (mean @ c - par.beta0) ** 2
+        total += -0.5 * m * math.log(2.0 * math.pi * par.sigma2) - 0.5 * rss / par.sigma2
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Linear Gaussian fitting
 
-_LSTSQ_RIDGE = 1e-10  # rank safety only; far below any signal scale
-_SIGMA2_FLOOR = 1e-300  # keeps exact fits representable (sigma2 must stay positive)
 
+def _exact_moments(dataset: TrajectoryDataset, family: FamilySpec) -> tuple[int, np.ndarray, np.ndarray]:
+    """Row count, column means and centered scatter of the family's rows, child first.
 
-def gaussian_design(dataset: TrajectoryDataset, family: FamilySpec) -> tuple[np.ndarray, np.ndarray]:
-    if dataset.domain.discrete:
-        raise DomainMismatchError("gaussian design needs a continuous dataset")
-    child, pcols = dataset.family_rows(family)
-    return np.hstack([np.ones((child.size, 1)), pcols]), child
+    Assembled from the dataset's exact-sum bank
+    (:meth:`~dbnlearn.core.TrajectoryDataset.column_sum` and
+    :meth:`~dbnlearn.core.TrajectoryDataset.pair_sums`):
+    ``mean_j = S_j / m`` and ``scatter_jk = S_jk - (m mean_j) mean_k`` for
+    ``j <= k``, mirrored below the diagonal, where every ``S`` is a
+    correctly rounded exact sum, so permuting rows cannot change the
+    result.  Moments too large for a float raise :class:`DataError`.
+    """
+    keys, m = dataset.family_keys(family), dataset.usable_transitions(family)
+    d = len(keys)
+    if m == 0:
+        return 0, np.zeros(d), np.zeros((d, d))
+    mean = np.array([dataset.column_sum(a) / m for a in keys])
+    with np.errstate(over="ignore", invalid="ignore"):
+        scatter = dataset.pair_sums(keys) - np.outer(m * mean, mean)
+    lower = np.tril_indices(d, -1)
+    scatter[lower] = scatter.T[lower]
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(scatter))):
+        raise DataError("data moments overflow a float")
+    return m, mean, scatter
 
 
 def fit_linear_gaussian(dataset: TrajectoryDataset, node: int,
                         family: FamilySpec) -> tuple[LinearGaussian, float]:
-    """Least-squares fit of a linear Gaussian family; returns kernel and log-likelihood.
+    """Least-squares fit of a linear Gaussian family; returns kernel and maximised log-likelihood.
 
-    Normal equations carry a tiny ridge for rank safety; the noise
-    variance is the mean squared residual (floored at a representable
-    minimum so exact fits stay valid).  Data whose products overflow a
-    float, or whose normal equations are singular even with the ridge,
-    raise :class:`DataError`.
+    From the exact moments (:func:`_exact_moments`; centred, so they lose precision where means
+    are large against spread): Cholesky solves ``S_PP beta = S_Py``, ``beta0 = mean_y - mean_P .
+    beta``, ``rss = max(0, S_yy - S_yP beta)``.  A parent whose pivot is at most ``eps d`` (``d =
+    1 + len(parents)``) times its uncentred sum of squares is affine in the ones before it (a
+    constant twins the intercept): :class:`DataError`, as for a child that is zero in every usable
+    transition.  ``sigma2 = max(rss / m, eps sum(y^2) / m)`` and the log-likelihood ``-m/2 (log(2
+    pi sigma2) + 1)``, one value for every exact fit.
     """
     if family.node != node:
         raise ModelError("family spec does not belong to the requested node")
-    design, y = gaussian_design(dataset, family)
-    m, k = design.shape
-    if m < k:
-        raise UnderdeterminedError(f"{m} usable transitions for {k} parameters")
+    if dataset.domain.discrete:
+        raise DomainMismatchError("a linear Gaussian fit needs a continuous dataset")
+    d, m = 1 + len(family.parents), dataset.usable_transitions(family)
+    if m < d:
+        raise UnderdeterminedError(f"{m} usable transitions for {d} parameters")
+    _, mean, scatter = _exact_moments(dataset, family)
+    sumsq = np.array([dataset.column_sum(key, key) for key in dataset.family_keys(family)])
+    if sumsq[0] == 0.0:
+        raise DataError(f"node {node} is zero in every usable transition")
+    eps = np.finfo(float).eps
+    factor, info = dpotrf(scatter[1:, 1:], lower=1)  # info > 0: a pivot is not positive
+    if info or np.any(np.diag(factor) ** 2 <= eps * d * sumsq[1:]):
+        raise DataError(f"least-squares fit of node {node} on parents "
+                        f"{list(family.parents)} is singular: a parent is affine in the ones before it")
+    beta = cho_solve((factor, True), scatter[1:, 0], check_finite=False)
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = design.T @ design + _LSTSQ_RIDGE * np.eye(k)
-        try:
-            beta = np.linalg.solve(gram, design.T @ y)
-        except np.linalg.LinAlgError as e:
-            raise DataError(f"least-squares fit of node {node} on parents "
-                            f"{list(family.parents)} is singular: {e}") from e
-        resid = y - design @ beta
-        rss = float(np.dot(resid, resid))
-    if not (math.isfinite(rss) and np.all(np.isfinite(beta))):
+        rss, beta0 = scatter[0, 0] - scatter[0, 1:] @ beta, mean[0] - mean[1:] @ beta
+    if not (math.isfinite(rss) and math.isfinite(beta0) and np.all(np.isfinite(beta))):
         raise DataError("least-squares fit overflows a float (data too large?)")
-    sigma2 = max(rss / m, _SIGMA2_FLOOR)
-    loglik = -0.5 * m * math.log(2.0 * math.pi * sigma2) - 0.5 * rss / sigma2
-    return LinearGaussian(beta0=float(beta[0]), beta=beta[1:], sigma2=sigma2), loglik
+    sigma2 = max(max(0.0, rss) / m, eps * sumsq[0] / m)
+    loglik = -0.5 * m * (math.log(2.0 * math.pi * sigma2) + 1.0)
+    return LinearGaussian(beta0=float(beta0), beta=beta, sigma2=float(sigma2)), loglik
 
 
 def fit_structure_params(dataset: TrajectoryDataset, structure: DbnStructure,
@@ -235,14 +277,10 @@ def fit_structure_params(dataset: TrajectoryDataset, structure: DbnStructure,
     given (so unseen test configurations keep finite likelihood) and the
     raw count ratios otherwise; continuous families use least squares.
     """
-    fams = []
-    for i in range(structure.n_x):
-        family = parents_of(structure, i)
-        if dataset.domain.discrete:
-            fams.append(mle_cpt(count_transitions(dataset, family), smoothing=smoothing))
-        else:
-            fams.append(fit_linear_gaussian(dataset, i, family)[0])
-    return ParameterSet(families=tuple(fams))
+    families = [parents_of(structure, i) for i in range(structure.n_x)]
+    if dataset.domain.discrete:
+        return ParameterSet(tuple(mle_cpt(count_transitions(dataset, f), smoothing) for f in families))
+    return ParameterSet(tuple(fit_linear_gaussian(dataset, f.node, f)[0] for f in families))
 
 
 # ---------------------------------------------------------------------------
@@ -370,32 +408,6 @@ def _log_wishart_norm(d: int, alpha: float) -> float:
         + d * (d - 1) / 4.0 * math.log(math.pi)
         + float(sum(gammaln((alpha + 1 - i) / 2.0) for i in range(1, d + 1)))
     )
-
-
-def _exact_moments(dataset: TrajectoryDataset, family: FamilySpec) -> tuple[int, np.ndarray, np.ndarray]:
-    """Row count, column means and centered scatter of the family's rows, child first.
-
-    Assembled from the dataset's exact-sum bank
-    (:meth:`~dbnlearn.core.TrajectoryDataset.column_sum` and
-    :meth:`~dbnlearn.core.TrajectoryDataset.pair_sums`):
-    ``mean_j = S_j / m`` and ``scatter_jk = S_jk - (m mean_j) mean_k`` for
-    ``j <= k``, mirrored below the diagonal, where every ``S`` is a
-    correctly rounded ``math.fsum``, so permuting rows cannot change the
-    result.  Moments too large for a float raise :class:`DataError`.
-    """
-    keys = dataset.family_keys(family)
-    m = dataset.usable_transitions(family)
-    d = len(keys)
-    if m == 0:
-        return 0, np.zeros(d), np.zeros((d, d))
-    mean = np.array([dataset.column_sum(a) / m for a in keys])
-    with np.errstate(over="ignore", invalid="ignore"):
-        scatter = dataset.pair_sums(keys) - np.outer(m * mean, mean)
-    lower = np.tril_indices(d, -1)
-    scatter[lower] = scatter.T[lower]
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(scatter))):
-        raise DataError("data moments overflow a float")
-    return m, mean, scatter
 
 
 def log_nw_marginal(m: int, mean: np.ndarray, scatter: np.ndarray, alpha_mu: float,

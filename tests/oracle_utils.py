@@ -273,6 +273,32 @@ def raw_family_rows(ds, fam, start=None):
     return np.array(rows, dtype=float).reshape(len(rows), 1 + len(fam.parents))
 
 
+def row_least_squares(ds, fam):
+    """``(beta0, beta, rss, m)``: the family's least-squares fit over its design matrix of raw rows.
+
+    The design is a ones column beside the parent columns of
+    :func:`raw_family_rows`; ``numpy.linalg.lstsq`` solves it (no normal
+    equations), and the residuals are summed row by row.
+    """
+    rows = raw_family_rows(ds, fam)
+    y, design = rows[:, 0], np.hstack([np.ones((rows.shape[0], 1)), rows[:, 1:]])
+    coef = np.linalg.lstsq(design, y, rcond=None)[0]
+    resid = y - design @ coef
+    return coef[0], coef[1:], float(np.dot(resid, resid)), rows.shape[0]
+
+
+def row_gaussian_loglik(ds, structure, params):
+    """Log-likelihood of every usable transition under linear Gaussian kernels, residual by residual."""
+    total = 0.0
+    for i in range(structure.n_x):
+        rows = raw_family_rows(ds, parents_of(structure, i))
+        par = params[i]
+        resid = rows[:, 0] - (par.beta0 + rows[:, 1:] @ par.beta)
+        total += float(-0.5 * rows.shape[0] * math.log(2.0 * math.pi * par.sigma2)
+                       - 0.5 * np.dot(resid, resid) / par.sigma2)
+    return total
+
+
 # ---------------------------------------------------------------------------
 # DYNOTEARS' smooth objective in residual form
 

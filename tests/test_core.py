@@ -1,12 +1,14 @@
 import itertools
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dbnlearn.core import (
-    CycleError, DbnStructure, DimensionError, FamilySpec, ModelError, Parent,
+    CycleError, DataError, DbnStructure, DimensionError, FamilySpec, ModelError, Parent, _exact_sum,
     canonical_parents, configuration_index, is_acyclic,
     parents_of, structure_from_families, topological_order,
 )
@@ -301,3 +303,49 @@ class TestDatasetEquality:
         used.column_sum(*keys)
         assert used._bank and used._sums and not fresh._bank
         assert used == fresh
+
+
+@st.composite
+def float_vectors(draw):
+    """Vectors of 0 to 20k floats: one scale, magnitudes spread over 1e-300..1e290, cancelling
+    halves, a few repeated values, signed zeros."""
+    n = draw(st.one_of(st.integers(0, 40), st.integers(0, 20_000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["scale", "spread", "cancelling", "repeated", "zeros"]))
+    if kind == "scale":
+        v = rng.standard_normal(n) * 10.0 ** draw(st.integers(-300, 290))
+    elif kind == "spread":
+        v = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 291, size=n)
+    elif kind == "cancelling":
+        half = rng.standard_normal(n // 2) * 10.0 ** rng.integers(-300, 291, size=n // 2)
+        v = rng.permutation(np.concatenate([half, -half]))
+    elif kind == "repeated":
+        v = rng.choice(rng.standard_normal(3) * 10.0 ** rng.integers(-300, 291, size=3), size=n)
+    else:
+        v = rng.choice([0.0, -0.0], size=n)
+    return v
+
+
+class TestExactSum:
+    """The sum bank's vectorised exact sum against ``math.fsum``."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(float_vectors())
+    def test_bit_identical_to_fsum(self, v):
+        got, want = _exact_sum(v), math.fsum(v.tolist())
+        assert struct.pack("<d", got) == struct.pack("<d", want)  # sign of zero included
+
+    @pytest.mark.parametrize("values, error", [
+        ([1.2e154, 1.2e154], OverflowError),  # each product finite, their sum not
+        ([1e200, -1e200], ValueError),  # products +inf and -inf
+    ])
+    def test_overflowing_products_raise_data_error(self, values, error):
+        x = np.zeros((1, 3, 2))  # targets t = 1, 2 hold the values
+        x[0, 1:, 0], x[0, 1:, 1] = values, np.abs(values)
+        ds = continuous_dataset(x)
+        child, parent = ds.family_keys(FamilySpec(0, (Parent("intra", 1),)))
+        with np.errstate(over="ignore"):
+            with pytest.raises(error):
+                _exact_sum(ds._column(*child) * ds._column(*parent))
+        with pytest.raises(DataError, match="sums overflow"):
+            ds.column_sum(child, parent)

@@ -8,7 +8,7 @@ import pytest
 import scipy.stats
 
 from dbnlearn.core import (
-    Cpt, DbnStructure, DimensionError, ParameterSet, SplitError, parents_of,
+    Cpt, DbnStructure, DimensionError, LinearGaussian, ParameterSet, SplitError, parents_of,
 )
 from dbnlearn.evaluate import (
     BenchmarkResult, EdgeUniverse, EvalReport, _average_ranks, auroc, holdout_loglik,
@@ -20,6 +20,7 @@ from dbnlearn.simulate import (
 )
 
 from conftest import discrete_dataset
+from oracle_utils import row_gaussian_loglik, row_least_squares
 
 
 def structure_with(n=3, n_z=0, p=1, intra=(), inter=(), auto=(), static=()):
@@ -252,6 +253,31 @@ class TestHoldoutLoglik:
         smoothed = holdout_loglik(ds, empty_learner, 0.7, strict=False)
         assert strict.test_loglik == -math.inf
         assert math.isfinite(smoothed.test_loglik)
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_continuous_values_match_row_oracle(self, seed):
+        # auto lags up to 2 and static parents; the test side carries a burn-in
+        cfg = GeneratorConfig(n_x=3, n_z=2, p=2, model="linear_gaussian", seed=seed,
+                              weight_range=(0.2, 0.6),
+                              edge_probs=EdgeProbs(intra=0.3, inter=0.4, auto=0.6, static=0.5))
+        structure, params = sample_random_dbn(cfg)
+        ds = sample_trajectories(structure, params, 6, 30, seed=seed + 100)
+
+        def true_learner(train):
+            return LearnerReport(learner="true", structure=structure, params=None,
+                                 score=0.0, trace=(), seed=0)
+
+        result = holdout_loglik(ds, true_learner, 0.7)
+        train, test = temporal_split(ds, 0.7)
+        assert test.burn_in > 0
+        fitted = []
+        for i in range(3):
+            beta0, beta, rss, m = row_least_squares(train, parents_of(structure, i))
+            fitted.append(LinearGaussian(beta0=beta0, beta=beta, sigma2=rss / m))
+        fitted = ParameterSet(tuple(fitted))
+        assert result.train_loglik == pytest.approx(row_gaussian_loglik(train, structure, fitted), rel=1e-9)
+        assert result.test_loglik == pytest.approx(row_gaussian_loglik(test, structure, fitted), rel=1e-9)
 
 
 class TestRunBenchmark:

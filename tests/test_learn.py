@@ -817,6 +817,21 @@ class TestOverflowingData:
             run_learner("dynotears", huge)
 
 
+class TestConstantColumn:
+    """A variable fixed at 3.0 is a twin of every fit's intercept: no learner builds on it."""
+
+    @pytest.fixture(scope="class")
+    def constant(self):
+        x = np.random.default_rng(0).standard_normal((20, 30, 4))
+        x[..., 2] = 3.0
+        return continuous_dataset(x)
+
+    @pytest.mark.parametrize("name, kwargs", [("hill", {"score": "bic"}), ("dynotears", {}), ("bounded", {})])
+    def test_learners_raise_data_error(self, constant, name, kwargs):
+        with pytest.raises(DataError, match="is singular"):
+            run_learner(name, constant, **kwargs)
+
+
 class TestEmptyData:
     @pytest.mark.parametrize("name", ["exact", "hill", "dynotears", "bounded"])
     def test_no_trajectory_raises_data_error(self, name):

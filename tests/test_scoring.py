@@ -13,13 +13,15 @@ import dbnlearn.scoring as sc
 from dbnlearn.core import (
     ConfigError, Cpt, DataError, DbnStructure, DomainMismatchError, FamilySpec, ModelError,
     ParameterSet, Parent, SizeGuardError, TrajectoryDataset, UnderdeterminedError,
-    canonical_parents, configuration_index, parents_of,
+    canonical_parents, configuration_index, parents_of, structure_from_families,
 )
 from dbnlearn.evaluate import temporal_split
 from dbnlearn.simulate import EdgeProbs, GeneratorConfig, sample_random_dbn, sample_trajectories
 
 from conftest import continuous_dataset, discrete_dataset
-from oracle_utils import class_subsets, discrete_family_score, raw_family_rows
+from oracle_utils import (
+    class_subsets, discrete_family_score, raw_family_rows, row_gaussian_loglik, row_least_squares,
+)
 
 
 def family(node, *parents):
@@ -215,13 +217,11 @@ class TestColumnBank:
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(bank_cases(), st.integers(0, 4))
-    def test_family_rows_are_parent_columns(self, case, later):
+    def test_bank_matrix_rows_are_family_columns(self, case, later):
         ds, fam = case
         t0 = ds.first_usable_t(fam) + later
-        child, pcols = ds.family_rows(fam, t0)
-        rows = raw_family_rows(ds, fam, t0)
-        assert child.tolist() == rows[:, 0].tolist()
-        assert np.array_equal(pcols, rows[:, 1:]) and pcols.flags.c_contiguous
+        rows = ds.bank_matrix(t0, [key[1:] for key in ds.family_keys(fam, t0)])
+        assert np.array_equal(rows, raw_family_rows(ds, fam, t0)) and rows.flags.c_contiguous
 
     def test_columns_are_memoised_read_only_and_contiguous(self):
         ds = discrete_dataset(np.arange(24).reshape(2, 4, 3) % 2, z=[[0], [1]])
@@ -444,6 +444,83 @@ class TestSumBank:
         assert ds == continuous_dataset(ds.x, ds.z)
 
 
+@st.composite
+def fit_cases(draw):
+    """A continuous family (lags up to 3, static covariates, a burn-in) with at least ``2d + 2`` rows.
+
+    No two parents read one column (self lags are auto lags only), and
+    static parents stay fewer than the trajectories: else the parents and
+    the intercept are collinear, a singular fit.  Centred moments lose
+    precision when means are large relative to spread, so these data keep
+    the two of one order.
+    """
+    n_x, n_z = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    n_traj, burn_in = draw(st.integers(n_z + 1, 4)), draw(st.integers(0, 3))
+    horizon = draw(st.integers(burn_in + 14, 30))
+    node = draw(st.integers(0, n_x - 1))
+    flags = st.lists(st.booleans(), min_size=n_x, max_size=n_x)
+    parents = [Parent("inter", j) for j, on in enumerate(draw(flags)) if on and j != node]
+    parents += [Parent("intra", j) for j, on in enumerate(draw(flags)) if on and j != node]
+    parents += [Parent("auto", tau) for tau in draw(st.sets(st.integers(1, 3), max_size=2))]
+    parents += [Parent("static", j) for j in draw(st.sets(st.integers(0, max(n_z - 1, 0)), max_size=n_z))]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    x = (rng.normal(size=(n_traj, horizon + 1, n_x)) + rng.normal(size=n_x)) * scale
+    z = (rng.normal(size=(n_traj, n_z)) + rng.normal(size=n_z)) * scale
+    return (continuous_dataset(x, z, burn_in=burn_in),
+            FamilySpec(node=node, parents=canonical_parents(parents)))
+
+
+class TestMomentFit:
+    """The fit, its scores and the likelihood of given kernels, from moments, against raw rows."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(fit_cases())
+    def test_fit_and_scores_match_row_least_squares(self, case):
+        ds, fam = case
+        model, loglik = sc.fit_linear_gaussian(ds, fam.node, fam)
+        beta0, beta, rss, m = row_least_squares(ds, fam)
+        rel = 1e-9
+        coef, want = np.concatenate(([model.beta0], model.beta)), np.concatenate(([beta0], beta))
+        assert np.linalg.norm(coef - want) <= rel * np.linalg.norm(want)
+        assert model.sigma2 == pytest.approx(rss / m, rel=rel)
+        want_ll = -0.5 * m * math.log(2.0 * math.pi * rss / m) - 0.5 * m
+        assert loglik == pytest.approx(want_ll, rel=rel)
+        for kind in ("ll", "aic", "bic"):
+            want_score = want_ll if kind == "ll" else -sc.information_criterion(
+                want_ll, len(fam.parents) + 2, m, kind)
+            assert sc.family_score(ds, fam.node, fam.parents, kind) == pytest.approx(want_score, rel=rel)
+        structure = structure_of_family(ds, fam)
+        params = ParameterSet(tuple(model if i == fam.node else sc.fit_linear_gaussian(
+            ds, i, parents_of(structure, i))[0] for i in range(ds.n_x)))
+        assert sc.loglik_gaussian(ds, structure, params) == \
+            pytest.approx(row_gaussian_loglik(ds, structure, params), rel=rel)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(fit_cases(), st.integers(0, 2 ** 32 - 1))
+    def test_trajectory_permutation_bit_identical(self, case, seed):
+        ds, fam = case
+        perm = np.random.default_rng(seed).permutation(ds.N)
+        shuffled = continuous_dataset(ds.x[perm], ds.z[perm], burn_in=ds.burn_in)
+        structure = structure_of_family(ds, fam)
+
+        def bits(data):
+            model, loglik = sc.fit_linear_gaussian(data, fam.node, fam)
+            params = sc.fit_structure_params(data, structure, None)
+            return (np.concatenate(([model.beta0, model.sigma2, loglik], model.beta)).tobytes(),
+                    [(p.beta0, p.sigma2, p.beta.tobytes()) for p in params.families],
+                    repr(sc.loglik_gaussian(data, structure, params)))
+
+        assert bits(shuffled) == bits(ds)
+
+
+def structure_of_family(ds, fam):
+    """Structure over ``ds`` whose node ``fam.node`` has the parents of ``fam`` and no other edges."""
+    lags = [par.index for par in fam.parents if par.kind == "auto"]
+    return structure_from_families(ds.n_x, ds.n_z, max(lags, default=1),
+                                   [fam.parents if i == fam.node else () for i in range(ds.n_x)])
+
+
 class TestLoglikCpt:
     @staticmethod
     def chain_structure():
@@ -526,6 +603,51 @@ class TestFitLinearGaussian:
             else (lambda: sc.FamilyScorer(ds, "ll")(0, parents))
         with pytest.raises(DataError, match=r"node 0 on parents .*inter.*index=0.*inter.*index=1"):
             score()
+
+    @pytest.mark.parametrize("parents", [
+        (Parent("inter", 2),),  # constant: a twin of the intercept
+        (Parent("inter", 0), Parent("inter", 1)),  # 0.5 x0 + 1, affine in the one before it
+        (Parent("static", 0),),  # one trajectory: constant
+    ], ids=["constant", "affine", "static-of-one-trajectory"])
+    def test_parent_affine_in_earlier_ones_raises_data_error(self, rng, parents):
+        x = rng.normal(size=(1, 30, 3))
+        x[..., 1], x[..., 2] = 0.5 * x[..., 0] + 1.0, 3.0
+        ds = continuous_dataset(x, z=[[2.0]])
+        with pytest.raises(DataError, match="is singular"):
+            sc.fit_linear_gaussian(ds, 0, family(0, *parents))
+
+    def test_exact_fit_floors_sigma2_at_the_child_scale(self, rng):
+        x = rng.normal(size=(2, 25, 2))
+        x[:, 1:, 1] = 3.0 * x[:, :-1, 0] - 2.0  # node 1 is exact on inter 0
+        ds = continuous_dataset(x)
+        fam = family(1, Parent("inter", 0))
+        m = ds.usable_transitions(fam)
+        child = ds.family_keys(fam)[0]
+        floor = np.finfo(float).eps * ds.column_sum(child, child) / m
+        model, loglik = sc.fit_linear_gaussian(ds, 1, fam)
+        assert model.sigma2 == floor
+        assert loglik == -0.5 * m * (math.log(2.0 * math.pi * floor) + 1.0)
+        _, more = sc.fit_linear_gaussian(ds, 1, family(1, Parent("inter", 0), Parent("auto", 1)))
+        assert more == loglik  # every exact fit of one child scores the same
+        assert sc.family_score(ds, 1, (Parent("inter", 0),), "bic") > \
+            sc.family_score(ds, 1, (Parent("inter", 0), Parent("auto", 1)), "bic")
+
+    def test_all_zero_child_raises_data_error(self, rng):
+        x = rng.normal(size=(2, 10, 2))
+        x[:, 1:, 0] = 0.0  # zero at every target time, not at t = 0
+        ds = continuous_dataset(x)
+        for parents in ((), (Parent("inter", 1),)):
+            with pytest.raises(DataError, match="zero in every usable transition"):
+                sc.fit_linear_gaussian(ds, 0, family(0, *parents))
+
+    def test_constant_child_scores_as_any_exact_fit(self):
+        x = np.random.default_rng(0).standard_normal((20, 30, 4))
+        x[..., 2] = 3.0
+        ds = continuous_dataset(x)
+        alone = sc.family_score(ds, 2, (), "ll")
+        assert alone == sc.family_score(ds, 2, (Parent("inter", 0),), "ll")
+        m = ds.usable_transitions(family(2))
+        assert alone == -0.5 * m * (math.log(2.0 * math.pi * np.finfo(float).eps * 9.0) + 1.0)
 
 
 class TestInformationCriterion:
