@@ -242,15 +242,20 @@ def exact_search(dataset: TrajectoryDataset, score: str | None = None,
                  deadline: Deadline | None = None) -> LearnerReport:
     """Globally optimal structure under a decomposable score.
 
-    Per node, the best completion over inter/auto/static subsets is
+    Per node, the best choice of inter/auto/static subsets is
     tabulated for every admissible intra parent set (those classes never
     participate in a cycle, so they decouple given the intra choice);
     dynamic programming over node subsets then maximizes the total score
     subject to same-slice acyclicity.  Ties go to the parent sets
     enumerated first, i.e. smaller then lexicographically earlier sets.
     Each node's whole lattice is scored by one
-    :meth:`~dbnlearn.scoring.FamilyScorer.many` call.  The score kind is
-    ``config.score``, ``bde`` by default.
+    :meth:`~dbnlearn.scoring.FamilyScorer.lattice` call, which on discrete
+    data tallies only the families that add, class by class, the
+    lowest-index candidates up to the caps without moving the first target
+    time, and sums every other family's counts out of theirs: exact, as
+    counts are whole numbers.  ``extras`` reports the cached families
+    (``cache_entries``) and the families tallied (``families_counted``).
+    The score kind is ``config.score``, ``bde`` by default.
     """
     t_start = time.perf_counter()
     config = _search_config(score, config, "bde")
@@ -262,29 +267,28 @@ def exact_search(dataset: TrajectoryDataset, score: str | None = None,
         raise DataError("cannot learn from an empty dataset")
     scorer = FamilyScorer(dataset, config.score, prior=prior, hyper=hyper)
 
-    completions = []  # per node: {intra parent bitmask -> (score, full parent tuple)}
+    tables = []  # per node: {intra parent bitmask -> (score, full parent tuple)}
     for i in range(n):
         deadline.check()
-        inter_sets = _class_subsets([Parent("inter", j) for j in range(n) if j != i], config.max_inter)
-        auto_sets = _class_subsets([Parent("auto", t) for t in range(1, config.p + 1)], config.max_auto)
-        static_sets = _class_subsets([Parent("static", j) for j in range(dataset.n_z)], config.max_static)
-        intra_sets = _class_subsets([Parent("intra", j) for j in range(n) if j != i], config.max_intra)
-        # concatenating the classes in this order already gives canonical tuples
-        lattice = [inter + intra + auto + stat for intra in intra_sets for inter in inter_sets
-                   for auto in auto_sets for stat in static_sets]
-        values = scorer.many(i, lattice, deadline.check).reshape(len(intra_sets), -1)
-        width = values.shape[1]
+        others = [j for j in range(n) if j != i]
+        intra_sets, inter_sets, auto_sets, static_sets = classes = (
+            _class_subsets([Parent("intra", j) for j in others], config.max_intra),
+            _class_subsets([Parent("inter", j) for j in others], config.max_inter),
+            _class_subsets([Parent("auto", t) for t in range(1, config.p + 1)], config.max_auto),
+            _class_subsets([Parent("static", j) for j in range(dataset.n_z)], config.max_static))
         # argmax keeps the first of equal values, as the enumeration order promises
         table = {}
-        for b, (intra, k) in enumerate(zip(intra_sets, values.argmax(axis=1).tolist())):
-            table[sum(1 << p.index for p in intra)] = (float(values[b, k]), lattice[b * width + k])
-        completions.append(table)
+        for intra, row in zip(intra_sets, scorer.lattice(i, classes, deadline.check)):
+            a, b, c = np.unravel_index(row.argmax(), row.shape)
+            table[sum(1 << p.index for p in intra)] = (
+                float(row[a, b, c]), inter_sets[a] + intra + auto_sets[b] + static_sets[c])
+        tables.append(table)
 
-    _, chosen = _best_dag(completions, deadline)
+    _, chosen = _best_dag(tables, deadline)
     families = [parents for _, parents in chosen]
     structure = structure_from_families(n, dataset.n_z, config.p, families)
     return _finish("exact", dataset, structure, scorer, t_start, config.seed,
-                   extras={"cache_entries": len(scorer.scores)})
+                   extras={"cache_entries": len(scorer.scores), "families_counted": scorer.counted})
 
 
 def _best_dag(tables: list[dict], deadline: Deadline) -> tuple[float, list]:

@@ -20,7 +20,9 @@ distinct rows of its columns
 (:meth:`~dbnlearn.core.TrajectoryDataset.distinct_rows`), by
 :func:`_block_counts`: in blocks of families for every score kind but
 ``bge``, and one family at a time by :func:`count_transitions` for the
-refits and held-out likelihoods.  Every continuous score, fit and
+refits and held-out likelihoods.  The exact search's lattices tally only
+their largest families and sum every other family's counts out of theirs
+(:meth:`FamilyScorer.lattice`).  Every continuous score, fit and
 held-out likelihood reads a family's exact moments (:func:`_exact_moments`).
 
 Effective sample sizes count usable transitions only: targets from
@@ -32,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -357,13 +359,25 @@ def _bde_scores(counts: np.ndarray, prior: DirichletPrior | None) -> np.ndarray:
 
     Both sums of the formula run as row-wise reductions, one row per
     family, so every family scores the same bits in a block of any size.
+    Under a uniform prior each term is ``lgamma`` of the one pseudo-count,
+    or of its row total, plus a whole count; a block whose largest row
+    total is below its number of cells reads the terms from a table of
+    those values, which holds the same bits.
     """
     prior = prior or DirichletPrior(1.0)
     n_fam, n_cfg, arity = counts.shape
     alpha = prior.pseudo_counts(n_cfg, arity)
     a_tot = alpha.sum(axis=1)
-    per_config = gammaln(a_tot) - gammaln(a_tot + counts.sum(axis=2))
-    per_cell = gammaln(alpha + counts) - gammaln(alpha)
+    totals = counts.sum(axis=2)
+    top = int(totals.max(initial=0))
+    if prior.table is None and top < counts.size:
+        # one pseudo-count in every cell, and whole counts: read each term from a table
+        n = np.arange(top + 1.0)
+        per_config = (gammaln(a_tot[0]) - gammaln(a_tot[0] + n))[totals.astype(np.intp)]
+        per_cell = (gammaln(alpha[0, 0] + n) - gammaln(alpha[0, 0]))[counts.astype(np.intp)]
+    else:
+        per_config = gammaln(a_tot) - gammaln(a_tot + totals)
+        per_cell = gammaln(alpha + counts) - gammaln(alpha)
     return per_config.sum(axis=1) + per_cell.reshape(n_fam, -1).sum(axis=1)
 
 
@@ -497,15 +511,16 @@ def family_score(dataset: TrajectoryDataset, node: int, parents: Sequence[Parent
 
 
 _COUNTED_KINDS = ("ll", "aic", "aicc", "bic", "bde")
-_BATCH_ELEMENTS = 1 << 15  # cap on families x max(distinct rows, cells) per counting step
+_BATCH_ELEMENTS = 1 << 15  # cap on families x max(distinct rows, cells) per counting or scoring step
+_TABLE_ELEMENTS = 1 << 21  # cap on the completions' count cells FamilyScorer.lattice holds at once
 
 
 def _guarded_cells(radix: list[int]) -> int:
     """Count cells of a family whose columns have arities ``radix``, below ``2**31``.
 
-    A larger family raises :class:`SizeGuardError`; callers check before
-    they ask the dataset for distinct rows, so a refused family compresses
-    nothing.
+    A larger family raises :class:`SizeGuardError`; callers check every
+    family before they ask the dataset for distinct rows, so a refused call
+    compresses nothing.
     """
     n_cells = math.prod(radix)
     if n_cells >= 1 << 31:
@@ -544,17 +559,60 @@ def _sorted_groups(keys: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return order, np.flatnonzero(new)
 
 
+class _Block(NamedTuple):
+    """Families of one node with one first target time and one arity tuple, counted together."""
+
+    t0: int
+    radix: list  # arities of the columns the families read, child first, as Python ints
+    members: np.ndarray  # the families' positions in the list they came from
+    cols: np.ndarray  # (families, len(radix)) row-bank column ids, child first
+    columns: np.ndarray  # every column that the listed families of first target time t0 read
+
+
+def _class_completions(node: int, subsets: Sequence[tuple[Parent, ...]], t_floor: int):
+    """Each subset's completion in one class of an exact-search lattice.
+
+    ``subsets`` is every subset of the class's candidates up to its cap,
+    by (size, lexicographic) order, so its singletons are the candidates
+    and its last subset has the cap's size.  A completion adds the
+    lowest-index candidates the subset lacks, up to the cap, whose lag is
+    at most ``max(t_floor, the subset's largest lag)``.  Returns the
+    distinct completions in order of first use, and per subset the index of
+    its completion, the completion's size and the bits of the completion's
+    positions the subset lacks.
+    """
+    cap = len(subsets[-1])
+    lags = {s[0]: _source(node, s[0])[0] or 0 for s in subsets if len(s) == 1}
+    distinct, index, size, lacking = {}, [], [], []
+    for subset in subsets:
+        bound = max([t_floor, *map(lags.__getitem__, subset)])
+        added = [par for par, lag in lags.items() if lag <= bound and par not in subset]
+        full = tuple(sorted(subset + tuple(added[:cap - len(subset)]), key=Parent.sort_key))
+        index.append(distinct.setdefault(full, len(distinct)))
+        size.append(len(full))
+        lacking.append(sum(1 << j for j, par in enumerate(full) if par not in subset))
+    return list(distinct), *(np.array(a, dtype=np.int64) for a in (index, size, lacking))
+
+
+def _joined(intra: Sequence, inter: Sequence, auto: Sequence, static: Sequence) -> list:
+    """Every family of one subset per class, intra-major, its parents in canonical order."""
+    return [b + a + c + d for a in intra for b in inter for c in auto for d in static]
+
+
 class FamilyScorer:
     """The one place where a family is scored: dataset, kind, priors and the score cache.
 
     ``scores`` maps (node, canonical parent tuple) to the family's score.
-    Every lookup goes through :meth:`many`.  On discrete data the
-    count-based kinds are counted in blocks (:meth:`_counted_scores`) over
-    the dataset's row bank, for the exact search, hill climbing,
-    :func:`family_score` and ``dbnlearn score`` alike; the scorer keeps
-    scores only, so every scorer of a dataset shares its compressions.
-    BGe and the linear-Gaussian fits score one family at a time
-    (:meth:`_fitted_score`).  Values are deterministic functions of
+    Lookups go through :meth:`many`, and the exact search fills each
+    node's lattice with :meth:`lattice`, which gives the same bits.  On
+    discrete data the count-based kinds share one block counter
+    (:meth:`_blocks` and :meth:`_tally`, over the dataset's row bank) and
+    one block scorer (:meth:`_block_scores`), for the exact search, hill
+    climbing, :func:`family_score` and ``dbnlearn score`` alike; the scorer
+    keeps scores only, so every scorer of a dataset shares its
+    compressions.  ``counted`` is the number of families whose counts it
+    has tallied.  BGe and the linear-Gaussian fits score one family at a
+    time (:meth:`_fitted_score`).  Values are deterministic functions of
     (dataset, family), so concurrent last-write-wins insertion is benign.
     """
 
@@ -567,6 +625,7 @@ class FamilyScorer:
         self.prior = prior
         self.hyper = hyper
         self.scores: dict[tuple[int, tuple[Parent, ...]], float] = {}
+        self.counted = 0
 
     def __call__(self, node: int, parents: Sequence[Parent]) -> float:
         """Score of ``node`` with ``parents``, memoized; parent order never matters."""
@@ -594,6 +653,87 @@ class FamilyScorer:
                 entries[key] = self._fitted_score(*key)
         return np.fromiter(map(entries.__getitem__, keys), dtype=float, count=len(keys))
 
+    def lattice(self, node: int, classes: Sequence[Sequence[tuple[Parent, ...]]],
+                check: Callable[[], None] | None = None) -> np.ndarray:
+        """Scores of ``node`` with every family of an exact-search lattice, every one left in the cache.
+
+        ``classes`` holds the intra, inter, auto and static subsets, in that
+        order, each every subset of the class's candidates up to its cap by
+        (size, lexicographic) order; entry ``[a, b, c, d]`` scores
+        ``inter[b] + intra[a] + auto[c] + static[d]``.  Values and cache
+        entries are :meth:`many`'s, bit for bit; a family already cached is
+        scored again to the same value.  ``check`` runs before every
+        counting step.
+
+        On discrete data the count-based kinds tally only the families'
+        *completions*.  Class by class, a completion adds the lowest-index
+        candidates the family lacks, up to the class cap, whose lag is at
+        most the family's first target time; only an auto lag can pass it,
+        so a completion counts the family's rows.  Each distinct completion
+        is counted once by the block counter, before which every one is
+        guarded; every family's table is then its completion's table summed
+        over the axes of the added parents.  Counts are whole numbers, so
+        the sums equal a direct tally exactly and the block scorer gives
+        each family its bits.  The completions are counted in blocks of at
+        most ``_TABLE_ELEMENTS`` cells; the families of one block with one
+        set of summed axes are gathered, summed and scored in steps of at
+        most ``_BATCH_ELEMENTS`` completion cells.  Other kinds and continuous
+        data are scored by :meth:`many`.
+        """
+        check = check or (lambda: None)
+        shape = tuple(map(len, classes))
+        families = _joined(*classes)
+        ds = self.dataset
+        if not (ds.domain.discrete and self.kind in _COUNTED_KINDS):
+            return self.many(node, families, check).reshape(shape)
+
+        # per class: distinct completions, and per subset its completion's index and size and
+        # the bits of the completion positions it lacks; broadcast over the lattice's axes
+        parts = [_class_completions(node, subsets, ds.burn_in + 1) for subsets in classes]
+        grid = np.ix_(*(np.arange(n) for n in shape))
+        completion = np.ravel_multi_index([index[axis] for (_, index, _, _), axis in zip(parts, grid)],
+                                          [len(distinct) for distinct, *_ in parts]).reshape(-1)
+        summed, offset = 0, 0
+        for c in (1, 0, 2, 3):  # inter, intra, auto, static: the canonical order of the parents
+            _, _, size, lacking = parts[c]
+            summed = summed | lacking[grid[c]] << offset
+            offset = offset + size[grid[c]]
+        summed = summed.reshape(-1)
+
+        completions = _joined(*(distinct for distinct, *_ in parts))
+        blocks = [block._replace(members=block.members[i:i + size], cols=block.cols[i:i + size])
+                  for block in self._blocks(node, completions)
+                  for size in [max(1, _TABLE_ELEMENTS // math.prod(block.radix))]
+                  for i in range(0, block.members.size, size)]
+        block_of = np.empty(len(completions), dtype=np.int64)
+        position = np.empty_like(block_of)
+        for b, block in enumerate(blocks):
+            block_of[block.members] = b
+            position[block.members] = np.arange(block.members.size)
+
+        values, held = np.empty(completion.size), None
+        order, starts = _sorted_groups([block_of[completion], summed])
+        for group in np.split(order, starts[1:]):
+            b = block_of[completion[group[0]]]
+            block = blocks[b]
+            if held != b:
+                held = b
+                table = np.empty((block.members.size, math.prod(block.radix[1:]), block.radix[0]))
+                for members, counts in self._tally(block, check):
+                    table[position[members]] = counts
+                table = table.reshape(-1, *block.radix[::-1])  # the child last, the first parent next
+            k = len(block.radix) - 1
+            axes = tuple(k - j for j in range(k) if summed[group[0]] >> j & 1)
+            rows = position[completion[group]]
+            step = max(1, _BATCH_ELEMENTS // table[0].size)
+            for begin in range(0, group.size, step):
+                counts = table[rows[begin:begin + step]].sum(axis=axes)
+                values[group[begin:begin + step]] = self._block_scores(
+                    counts.reshape(len(counts), -1, block.radix[0]), block.t0)
+        del table  # before the cache grows, which sets the peak of the process's memory
+        self.scores.update(zip([(node, parents) for parents in families], values.tolist()))
+        return values.reshape(shape)
+
     def _fitted_score(self, node: int, parents: tuple[Parent, ...]) -> float:
         """One family's BGe or least-squares score; a kind on the wrong domain raises DomainMismatchError."""
         ds = self.dataset
@@ -612,17 +752,22 @@ class FamilyScorer:
     def _counted_scores(self, node: int, families: list, check: Callable[[], None]) -> list:
         """Count-based scores of ``node`` with each canonical parent tuple, in order.
 
+        Each block of :meth:`_blocks` is counted by :meth:`_tally` and scored
+        by :meth:`_block_scores`, step by step.
+        """
+        values = np.empty(len(families))
+        for block in self._blocks(node, families):
+            for members, counts in self._tally(block, check):
+                values[members] = self._block_scores(counts, block.t0)
+        return values.tolist()
+
+    def _blocks(self, node: int, families: list) -> list[_Block]:
+        """``node``'s canonical parent tuples, sorted into counting blocks, every one guarded.
+
         Families with one first target time and one arity tuple form a
-        block.  The bank columns that the families of one first target time
-        read come from the dataset's row bank as distinct rows and
-        multiplicities (:meth:`~dbnlearn.core.TrajectoryDataset.distinct_rows`),
-        compressed once per dataset and shared by every scorer and
-        :func:`count_transitions`.  Each step of a block counts its
-        families with :func:`_block_counts`, so the counts are those of
-        :func:`count_transitions`.  The block formulas then give each family
-        the bits of its per-family score (:func:`bde_family_score`, or the
-        plug-in log-likelihood), and the criteria come from
-        :func:`information_criterion`, family by family in order.
+        block.  Every block passes :func:`_guarded_cells` before any is
+        returned, so a family past the guard raises before anything is
+        compressed.
         """
         ds = self.dataset
         # every distinct parent, in canonical order, then a padding slot of
@@ -650,32 +795,53 @@ class FamilyScorer:
         cols = np.column_stack([np.full(len(families), ds.column_id(0, node)), column[slots]])
         radices = np.column_stack([np.full(len(families), ds.domain.x_arities[node]), arity[slots]])
 
-        values = np.empty(len(families))
-        n_params = np.empty(len(families), dtype=np.int64)
-        n_eff = np.empty(len(families), dtype=np.int64)
+        blocks = []
         order, starts = _sorted_groups(np.vstack([t_first, radices.T]))
         for members in np.split(order, starts[1:]):
-            t0 = int(t_first[members[0]])
-            radix = radices[members[0]]
-            n_cells = _guarded_cells(radix.tolist())
+            t0, radix = int(t_first[members[0]]), radices[members[0]]
+            _guarded_cells(radix.tolist())
             same_t0 = t_first == t0
-            ids, distinct, weights = ds.distinct_rows(
-                t0, np.unique(cols[same_t0][radices[same_t0] > 1]))
             digits = np.flatnonzero(radix > 1)
-            block = np.searchsorted(ids, cols[members][:, digits])
-            step = max(1, _BATCH_ELEMENTS // max(weights.size, n_cells))
-            for begin in range(0, members.size, step):
-                check()
-                counts = _block_counts(block[begin:begin + step], radix[digits].tolist(),
-                                       distinct, weights)
-                values[members[begin:begin + step]] = _bde_scores(counts, self.prior) \
-                    if self.kind == "bde" else _loglik_scores(counts)
-            n_params[members] = n_cells // radix[0] * (radix[0] - 1)
-            n_eff[members] = ds.N * max(0, ds.T - t0 + 1)
-        if self.kind in ("bde", "ll"):
-            return values.tolist()
-        return [-information_criterion(ll, k, m, self.kind)
-                for ll, k, m in zip(values.tolist(), n_params.tolist(), n_eff.tolist())]
+            blocks.append(_Block(t0, radix[digits].tolist(), members, cols[members][:, digits],
+                                 np.unique(cols[same_t0][radices[same_t0] > 1])))
+        return blocks
+
+    def _tally(self, block: _Block, check: Callable[[], None]):
+        """The counts of a block's families, step by step: ``(members, counts)`` per step.
+
+        The block's columns come from the dataset's row bank as distinct
+        rows and multiplicities
+        (:meth:`~dbnlearn.core.TrajectoryDataset.distinct_rows`), asked for
+        every column its first target time reads, so they are compressed
+        once per dataset and shared by every scorer and
+        :func:`count_transitions`.  ``check`` runs before every step, and
+        each step counts its families with :func:`_block_counts`, so the
+        counts are those of :func:`count_transitions`.
+        """
+        ids, distinct, weights = self.dataset.distinct_rows(block.t0, block.columns)
+        rows = np.searchsorted(ids, block.cols)
+        step = max(1, _BATCH_ELEMENTS // max(weights.size, math.prod(block.radix)))
+        for begin in range(0, len(rows), step):
+            check()
+            counts = _block_counts(rows[begin:begin + step], block.radix, distinct, weights)
+            self.counted += len(counts)
+            yield block.members[begin:begin + step], counts
+
+    def _block_scores(self, counts: np.ndarray, t0: int):
+        """Scores of a block of families from their counts (F, n_configs, arity), first target time ``t0``.
+
+        The block formulas give each family the bits of its per-family score
+        (:func:`bde_family_score`, or the plug-in log-likelihood), and the
+        criteria come from :func:`information_criterion`, family by family.
+        """
+        if self.kind == "bde":
+            return _bde_scores(counts, self.prior)
+        loglik = _loglik_scores(counts)
+        if self.kind == "ll":
+            return loglik
+        ds = self.dataset
+        n_params, n_eff = counts.shape[1] * (counts.shape[2] - 1), ds.N * max(0, ds.T - t0 + 1)
+        return [-information_criterion(ll, n_params, n_eff, self.kind) for ll in loglik.tolist()]
 
     def structure_score(self, structure: DbnStructure) -> float:
         return sum(self(i, parents_of(structure, i).parents) for i in range(structure.n_x))

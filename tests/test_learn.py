@@ -109,22 +109,39 @@ class TestExactSearch:
         b = exact_search(ds, "bde", SearchConfig(score="bde", seed=9)).to_json()
         assert a == b
 
-    @pytest.mark.parametrize("kind", ["bde", "bic", "ll"])
+    @pytest.mark.parametrize("kind", ["bde", "bic", "ll", "aic"])
     def test_batched_cache_equals_per_family_fill(self, kind, monkeypatch):
-        # static covariates, auto lags up to 2 and a burn-in (the test side)
-        _, ds = discrete_instance(6, n_traj=12, horizon=12, n_z=2, static=0.3)
         scorers = []
         monkeypatch.setattr(learn, "FamilyScorer",
                             lambda *a, **k: scorers.append(FamilyScorer(*a, **k)) or scorers[-1])
-        cfg = SearchConfig(score=kind, p=2, max_auto=2)
-        for side in (ds, temporal_split(ds)[1]):
-            report = exact_search(side, kind, cfg, prior=DirichletPrior(3.0))
-            batched = scorers[-1]
-            one_by_one = FamilyScorer(side, kind, prior=DirichletPrior(3.0))
-            for node, parents in batched.scores:
-                one_by_one(node, parents)
-            assert dump_scores(batched) == dump_scores(one_by_one)
-            assert report.extras["cache_entries"] == len(one_by_one.scores)
+        # static covariates, auto lags up to 2 and a burn-in (the test side)
+        _, binary = discrete_instance(6, n_traj=12, horizon=12, n_z=2, static=0.3)
+        # ternary variables and a ternary static; an inter cap past its 2 candidates, two
+        # statics under a cap of 2, and lags up to 3 under a cap of 2: without a burn-in a
+        # completion may add lag 1 only, under a burn-in of 2 any lag
+        rng = np.random.default_rng(6)
+        x, z = rng.integers(0, 3, (10, 9, 3)), np.column_stack([rng.integers(0, 3, 10),
+                                                                 rng.integers(0, 2, 10)])
+        ternary = [discrete_dataset(x, z, (3, 3, 3), (3, 2), burn_in=b) for b in (0, 2)]
+        cases = ((SearchConfig(score=kind, p=2, max_auto=2), (binary, temporal_split(binary)[1])),
+                 (SearchConfig(score=kind, p=3, max_auto=2, max_inter=3, max_static=2), ternary))
+        for cfg, sides in cases:
+            for side in sides:
+                report = exact_search(side, kind, cfg, prior=DirichletPrior(3.0))
+                batched = scorers[-1]
+                one_by_one = FamilyScorer(side, kind, prior=DirichletPrior(3.0))
+                for node, parents in batched.scores:
+                    one_by_one(node, parents)
+                assert dump_scores(batched) == dump_scores(one_by_one)
+                assert report.extras["cache_entries"] == len(one_by_one.scores)
+
+    def test_lattice_past_the_guard_is_refused_before_anything_is_compressed(self):
+        # every family with three parents or more has 300**4 cells or more
+        x = np.random.default_rng(0).integers(0, 300, (5, 20, 3))
+        ds = discrete_dataset(x, x_arities=(300,) * 3)
+        with pytest.raises(SizeGuardError):
+            exact_search(ds)
+        assert ds._rows == {}
 
     def test_respects_deadline(self):
         _, ds = discrete_instance(9, n_traj=50, horizon=30)
@@ -743,20 +760,23 @@ class TestGoldenOutputs:
         structure, params = sample_random_dbn(cfg)
         return sample_trajectories(structure, params, 20, 15, seed=2042)
 
-    @pytest.mark.parametrize("learn_fn, kind, digest, score, entries", [
+    # the exact search tallies 72 families: per node 3 x 3 inter and intra pairs x 2 auto
+    # completions, (1) and (1, 2), as a completion never adds a later lag, x 1 static
+    @pytest.mark.parametrize("learn_fn, kind, digest, score, entries, counted", [
         (exact_search, "bde", "5b1af5df0938c9251a5d1dc8331c8d0832f79e2a6e6711d1af7a6e122c5dda99",
-         "-101.28625769944063", 1568),
+         "-101.28625769944063", 1568, 72),
         (exact_search, "bic", "cb585cbf7953b86c7286e178dbf28ae192fc8da7fc3c4f4d5eb69ac85c52b0df",
-         "-272.72161634445746", 1568),
+         "-272.72161634445746", 1568, 72),
         (hill_climb, "bde", "5b1af5df0938c9251a5d1dc8331c8d0832f79e2a6e6711d1af7a6e122c5dda99",
-         "-101.28625769944063", 238),
+         "-101.28625769944063", 238, None),
         (hill_climb, "bic", "11b666d99a9db809a697d4edbd35e7ed6a5b0d698853aef99845ca8ddc91c415",
-         "-274.67955628177197", 200),
+         "-274.67955628177197", 200, None),
     ], ids=["exact-bde", "exact-bic", "hill-bde", "hill-bic"])
-    def test_discrete_search(self, discrete, learn_fn, kind, digest, score, entries):
+    def test_discrete_search(self, discrete, learn_fn, kind, digest, score, entries, counted):
         report = learn_fn(discrete, kind, SearchConfig(score=kind, p=2, max_auto=2, seed=5))
         assert (_structure_digest(report), repr(report.score)) == (digest, score)
         assert report.extras["cache_entries"] == entries
+        assert report.extras.get("families_counted") == counted
 
     @pytest.mark.parametrize("kind, digest, moves", [
         ("bde", "5781319503dc733bb3bacd39a2091a00311d1c32a39a823fc5baf2d78246ec5f", 27),

@@ -880,8 +880,9 @@ COUNTED_KINDS = ("ll", "aic", "aicc", "bic", "bde")
 
 
 @st.composite
-def lattice_cases(draw):
-    """A small discrete dataset and one node's exact-search lattice (auto lags up to 2)."""
+def lattice_classes(draw):
+    """A small discrete dataset, one node, and the intra, inter, auto (lags up to 2) and
+    static subsets of its exact-search lattice."""
     x, z, x_ar, z_ar = draw_discrete_arrays(draw)
     n_x, n_z = len(x_ar), len(z_ar)
     ds = discrete_dataset(x, z, x_arities=x_ar, z_arities=z_ar)
@@ -889,12 +890,21 @@ def lattice_cases(draw):
     p = draw(st.integers(1, 2))
     caps = draw(st.lists(st.integers(0, 2), min_size=4, max_size=4))
     others = [j for j in range(n_x) if j != node]
-    lattice = [inter + intra + auto + stat
-               for intra in class_subsets([Parent("intra", j) for j in others], caps[0])
-               for inter in class_subsets([Parent("inter", j) for j in range(n_x)], caps[1])
-               for auto in class_subsets([Parent("auto", t) for t in range(1, p + 1)], caps[2])
-               for stat in class_subsets([Parent("static", j) for j in range(n_z)], caps[3])]
-    return ds, node, lattice
+    return ds, node, (class_subsets([Parent("intra", j) for j in others], caps[0]),
+                      class_subsets([Parent("inter", j) for j in range(n_x)], caps[1]),
+                      class_subsets([Parent("auto", t) for t in range(1, p + 1)], caps[2]),
+                      class_subsets([Parent("static", j) for j in range(n_z)], caps[3]))
+
+
+def joined(intra, inter, auto, static):
+    return [b + a + c + d for a in intra for b in inter for c in auto for d in static]
+
+
+@st.composite
+def lattice_cases(draw):
+    """A small discrete dataset and one node's exact-search lattice (auto lags up to 2)."""
+    ds, node, classes = draw(lattice_classes())
+    return ds, node, joined(*classes)
 
 
 def per_family_scores(ds, node, lattice, kind, prior):
@@ -980,6 +990,48 @@ class TestBatchedScorer:
         if ds.T >= 3:
             for side in temporal_split(ds):  # the test side carries a burn-in
                 self.check_lattice(side, node, lattice, prior)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(lattice_classes(), st.sampled_from([None, 0.5, 7.5]))
+    def test_lattice_matches_per_family_scores(self, case, ess):
+        # every family's table summed out of its completion's: the values and the cache of
+        # one lattice call against one count table per family and against many
+        ds, node, classes = case
+        prior = None if ess is None else sc.DirichletPrior(ess)
+        lattice = joined(*classes)
+        for side in [ds, *(temporal_split(ds) if ds.T >= 3 else ())]:
+            for kind in COUNTED_KINDS:
+                want = per_family_scores(side, node, lattice, kind, prior)
+                scorer = sc.FamilyScorer(side, kind, prior=prior)
+                if want is DataError:
+                    with pytest.raises(DataError):
+                        scorer.lattice(node, classes)
+                    continue
+                got = scorer.lattice(node, classes)
+                assert got.shape == tuple(map(len, classes))
+                assert bits(got.reshape(-1)) == bits(want)
+                batched = sc.FamilyScorer(side, kind, prior=prior)
+                batched.many(node, lattice)
+                assert sc.dump_scores(scorer) == sc.dump_scores(batched)
+                assert 0 < scorer.counted <= batched.counted == len(lattice)
+
+    def test_lattice_in_the_smallest_steps_matches_many(self, rng, monkeypatch):
+        # one completion per table and per counting step, one family per scoring step
+        ds = discrete_dataset(rng.integers(0, 3, size=(6, 10, 3)), rng.integers(0, 2, size=(6, 1)),
+                              x_arities=(3, 3, 3))
+        classes = (class_subsets([Parent("intra", 1), Parent("intra", 2)], 1),
+                   class_subsets([Parent("inter", 1)], 1),
+                   class_subsets([Parent("auto", 1), Parent("auto", 2)], 2),
+                   class_subsets([Parent("static", 0)], 1))
+        monkeypatch.setattr(sc, "_TABLE_ELEMENTS", 1)
+        monkeypatch.setattr(sc, "_BATCH_ELEMENTS", 1)
+        calls = []
+        for kind in ("bde", "bic"):
+            scorer = sc.FamilyScorer(ds, kind)
+            got = scorer.lattice(0, classes, lambda: calls.append(1))
+            assert bits(got.reshape(-1)) == bits(sc.FamilyScorer(ds, kind).many(0, joined(*classes)))
+            assert len(calls) == scorer.counted == 4  # intra 1 or 2, auto (1) or (1, 2)
+            calls.clear()
 
     def test_cached_families_are_kept_and_repeats_share_one_entry(self, rng):
         ds = discrete_dataset(rng.integers(0, 2, size=(4, 9, 3)))
