@@ -246,15 +246,14 @@ def exact_search(dataset: TrajectoryDataset, score: str | None = None,
     tabulated for every admissible intra parent set (those classes never
     participate in a cycle, so they decouple given the intra choice);
     dynamic programming over node subsets then maximizes the total score
-    subject to same-slice acyclicity.  Ties go to the parent sets
-    enumerated first, i.e. smaller then lexicographically earlier sets.
-    Each node's whole lattice is scored by one
-    :meth:`~dbnlearn.scoring.FamilyScorer.lattice` call, which on discrete
-    data tallies only the families that add, class by class, the
-    lowest-index candidates up to the caps without moving the first target
-    time, and sums every other family's counts out of theirs: exact, as
-    counts are whole numbers.  ``extras`` reports the cached families
-    (``cache_entries``) and the families tallied (``families_counted``).
+    subject to same-slice acyclicity.  Ties among a node's inter, auto and
+    static subsets go to those enumerated first (smaller, then
+    lexicographically earlier); an intra set beats its subsets only when
+    strictly better.  Each node's lattice is scored into an array by one
+    :meth:`~dbnlearn.scoring.FamilyScorer.lattice` call, which caches
+    nothing and on discrete data sums most families' counts out of a few
+    tallied ones.  ``extras`` reports the lattice families scored
+    (``cache_entries``) and tallied (``families_counted``).
     The score kind is ``config.score``, ``bde`` by default.
     """
     t_start = time.perf_counter()
@@ -263,11 +262,11 @@ def exact_search(dataset: TrajectoryDataset, score: str | None = None,
     n = dataset.n_x
     if n > 12:
         raise SizeGuardError(f"exact search is guarded at 12 nodes, got {n}")
-    if dataset.N * dataset.T == 0:
-        raise DataError("cannot learn from an empty dataset")
+    if dataset.N * (dataset.T - dataset.burn_in) == 0:
+        raise DataError("cannot learn from a dataset with no usable transition")
     scorer = FamilyScorer(dataset, config.score, prior=prior, hyper=hyper)
 
-    tables = []  # per node: {intra parent bitmask -> (score, full parent tuple)}
+    tables, scored = [], 0  # per node: {intra parent bitmask -> (score, full parent tuple)}
     for i in range(n):
         deadline.check()
         others = [j for j in range(n) if j != i]
@@ -277,8 +276,9 @@ def exact_search(dataset: TrajectoryDataset, score: str | None = None,
             _class_subsets([Parent("auto", t) for t in range(1, config.p + 1)], config.max_auto),
             _class_subsets([Parent("static", j) for j in range(dataset.n_z)], config.max_static))
         # argmax keeps the first of equal values, as the enumeration order promises
-        table = {}
-        for intra, row in zip(intra_sets, scorer.lattice(i, classes, deadline.check)):
+        table, lattice = {}, scorer.lattice(i, classes, deadline.check)
+        scored += lattice.size
+        for intra, row in zip(intra_sets, lattice):
             a, b, c = np.unravel_index(row.argmax(), row.shape)
             table[sum(1 << p.index for p in intra)] = (
                 float(row[a, b, c]), inter_sets[a] + intra + auto_sets[b] + static_sets[c])
@@ -288,7 +288,7 @@ def exact_search(dataset: TrajectoryDataset, score: str | None = None,
     families = [parents for _, parents in chosen]
     structure = structure_from_families(n, dataset.n_z, config.p, families)
     return _finish("exact", dataset, structure, scorer, t_start, config.seed,
-                   extras={"cache_entries": len(scorer.scores), "families_counted": scorer.counted})
+                   extras={"cache_entries": scored, "families_counted": scorer.counted})
 
 
 def _best_dag(tables: list[dict], deadline: Deadline) -> tuple[float, list]:
@@ -297,7 +297,7 @@ def _best_dag(tables: list[dict], deadline: Deadline) -> tuple[float, list]:
     ``tables[i]`` maps the bitmask of an intra parent set of node ``i``
     (bit ``j`` set for parent ``j``) to an entry whose first item is the
     value to maximize.  Returns the best total and the chosen entry per
-    node; on ties the candidate met first is kept.
+    node; on ties a subset's entry beats its superset's, else the first met.
     """
     n = len(tables)
     # g[i][mask] = best table value of node i with intra parents inside mask
@@ -309,13 +309,12 @@ def _best_dag(tables: list[dict], deadline: Deadline) -> tuple[float, list]:
             if mask & (1 << i):
                 continue
             best, chosen = -np.inf, None
-            if mask in tables[i]:
-                best, chosen = tables[i][mask][0], mask
             for j in range(n):
-                if mask & (1 << j):
-                    sub = mask & ~(1 << j)
-                    if g[i][sub] > best:
-                        best, chosen = g[i][sub], pick[i][sub]
+                sub = mask & ~(1 << j)
+                if sub != mask and g[i][sub] > best:
+                    best, chosen = g[i][sub], pick[i][sub]
+            if mask in tables[i] and tables[i][mask][0] > best:
+                best, chosen = tables[i][mask][0], mask
             g[i][mask] = best
             pick[i][mask] = chosen
 
@@ -461,8 +460,8 @@ def hill_climb(dataset: TrajectoryDataset, score: str | None = None,
     t_start = time.perf_counter()
     config = _search_config(score, config, "bic")
     deadline = deadline or _NO_DEADLINE
-    if dataset.N * dataset.T == 0:
-        raise DataError("cannot learn from an empty dataset")
+    if dataset.N * (dataset.T - dataset.burn_in) == 0:
+        raise DataError("cannot learn from a dataset with no usable transition")
     scorer = FamilyScorer(dataset, config.score, prior=prior, hyper=hyper)
 
     best_structure, best_score, best_trace, moves_used = None, -np.inf, (), 0

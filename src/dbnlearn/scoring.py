@@ -1,10 +1,10 @@
 """Sufficient statistics, likelihoods, information criteria and Bayesian scores.
 
-Every score here is decomposable: the score of a structure is the sum of
-independent per-(node, parent set) family terms, which is what makes the
-cache and the exact search work.  :class:`FamilyScorer` is the one place
-where a family is scored, for every learner and for :func:`family_score`;
-its values are *higher is better* for every kind:
+Every score here is decomposable: a structure's score is the sum of
+independent per-(node, parent set) family terms, so hill climbing memoises
+families and the exact search scores each node alone.  :class:`FamilyScorer`
+is the one place where a family is scored, for every learner and for
+:func:`family_score`; its values are *higher is better* for every kind:
 
 * ``ll``   -- maximized family log-likelihood,
 * ``aic`` / ``aicc`` / ``bic`` -- minus the information criterion
@@ -602,9 +602,10 @@ def _joined(intra: Sequence, inter: Sequence, auto: Sequence, static: Sequence) 
 class FamilyScorer:
     """The one place where a family is scored: dataset, kind, priors and the score cache.
 
-    ``scores`` maps (node, canonical parent tuple) to the family's score.
-    Lookups go through :meth:`many`, and the exact search fills each
-    node's lattice with :meth:`lattice`, which gives the same bits.  On
+    ``scores`` maps (node, canonical parent tuple) to the score of each
+    family looked up through :meth:`many`: hill climbing's, :func:`family_score`'s
+    and a learned structure's rescoring.  :meth:`lattice` scores the exact
+    search's lattices into arrays, bit for bit alike, and caches nothing.  On
     discrete data the count-based kinds share one block counter
     (:meth:`_blocks` and :meth:`_tally`, over the dataset's row bank) and
     one block scorer (:meth:`_block_scores`), for the exact search, hill
@@ -655,15 +656,13 @@ class FamilyScorer:
 
     def lattice(self, node: int, classes: Sequence[Sequence[tuple[Parent, ...]]],
                 check: Callable[[], None] | None = None) -> np.ndarray:
-        """Scores of ``node`` with every family of an exact-search lattice, every one left in the cache.
+        """Scores of ``node`` with every family of an exact-search lattice; nothing is cached.
 
         ``classes`` holds the intra, inter, auto and static subsets, in that
         order, each every subset of the class's candidates up to its cap by
         (size, lexicographic) order; entry ``[a, b, c, d]`` scores
-        ``inter[b] + intra[a] + auto[c] + static[d]``.  Values and cache
-        entries are :meth:`many`'s, bit for bit; a family already cached is
-        scored again to the same value.  ``check`` runs before every
-        counting step.
+        ``inter[b] + intra[a] + auto[c] + static[d]`` with :meth:`many`'s bits.
+        ``check`` runs before every counting step, or every family.
 
         On discrete data the count-based kinds tally only the families'
         *completions*.  Class by class, a completion adds the lowest-index
@@ -678,14 +677,17 @@ class FamilyScorer:
         most ``_TABLE_ELEMENTS`` cells; the families of one block with one
         set of summed axes are gathered, summed and scored in steps of at
         most ``_BATCH_ELEMENTS`` completion cells.  Other kinds and continuous
-        data are scored by :meth:`many`.
+        data score each family by :meth:`_fitted_score`, in lattice order.
         """
         check = check or (lambda: None)
         shape = tuple(map(len, classes))
-        families = _joined(*classes)
         ds = self.dataset
+        values = np.empty(math.prod(shape))
         if not (ds.domain.discrete and self.kind in _COUNTED_KINDS):
-            return self.many(node, families, check).reshape(shape)
+            for f, (intra, inter, auto, static) in enumerate(itertools.product(*classes)):
+                check()
+                values[f] = self._fitted_score(node, inter + intra + auto + static)
+            return values.reshape(shape)
 
         # per class: distinct completions, and per subset its completion's index and size and
         # the bits of the completion positions it lacks; broadcast over the lattice's axes
@@ -711,7 +713,7 @@ class FamilyScorer:
             block_of[block.members] = b
             position[block.members] = np.arange(block.members.size)
 
-        values, held = np.empty(completion.size), None
+        held = None
         order, starts = _sorted_groups([block_of[completion], summed])
         for group in np.split(order, starts[1:]):
             b = block_of[completion[group[0]]]
@@ -730,8 +732,6 @@ class FamilyScorer:
                 counts = table[rows[begin:begin + step]].sum(axis=axes)
                 values[group[begin:begin + step]] = self._block_scores(
                     counts.reshape(len(counts), -1, block.radix[0]), block.t0)
-        del table  # before the cache grows, which sets the peak of the process's memory
-        self.scores.update(zip([(node, parents) for parents in families], values.tolist()))
         return values.reshape(shape)
 
     def _fitted_score(self, node: int, parents: tuple[Parent, ...]) -> float:

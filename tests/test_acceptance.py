@@ -227,8 +227,17 @@ class TestExactSearchOptimality:
             report = exact_search(ds, kind, SearchConfig(score=kind))
             oracle = brute_force_best_score(ds, kind)
             assert report.score == oracle, (seed, kind)
+        for seed, kind in ((10, "bge"), (11, "bic")):  # linear-Gaussian, one static
+            cfg = dl.GeneratorConfig(
+                n_x=3, n_z=1, model="linear_gaussian", seed=seed, sigma=0.5,
+                edge_probs=dl.EdgeProbs(intra=0.3, inter=0.4, auto=0.3, static=0.5))
+            truth, params = dl.sample_random_dbn(cfg)
+            ds = dl.sample_trajectories(truth, params, 12, 8, seed=seed + 300)
+            report = exact_search(ds, kind, SearchConfig(score=kind))
+            oracle = brute_force_best_score(ds, kind)
+            assert report.score == oracle, (seed, kind)
         _budget("exact-search-optimality", t0, 60.0)
-        _report("exact search equals exhaustive enumeration (10 seeded datasets)")
+        _report("exact search equals exhaustive enumeration (10 discrete, 2 linear-Gaussian datasets)")
 
 
 class TestDiscreteRecovery:

@@ -27,8 +27,8 @@ from dbnlearn.learn import (
 import dbnlearn.learn as learn
 from dbnlearn.evaluate import EvalReport, temporal_split
 from dbnlearn.scoring import (
-    SCORE_KINDS, DirichletPrior, FamilyScorer, bge_family_score, dump_scores, family_score,
-    information_criterion,
+    SCORE_KINDS, DirichletPrior, FamilyScorer, bge_family_score, family_score,
+    information_criterion, _joined,
 )
 from dbnlearn.simulate import substream
 from dbnlearn.simulate import (
@@ -40,6 +40,10 @@ from oracle_utils import (
     _structure_with, bounded_support_objective, bounded_tables_unpruned, brute_force_best_score,
     lag1_design, residual_smooth,
 )
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
 
 
 def discrete_instance(seed, n=3, n_traj=30, horizon=10, sharpen=3.0, n_z=0, static=0.0):
@@ -111,9 +115,15 @@ class TestExactSearch:
 
     @pytest.mark.parametrize("kind", ["bde", "bic", "ll", "aic"])
     def test_batched_cache_equals_per_family_fill(self, kind, monkeypatch):
-        scorers = []
+        # every node's lattice array against one-by-one many calls, bit for bit; the search's
+        # scorer is left holding only the rescored families, one per node
+        scorers, arrays = [], []
         monkeypatch.setattr(learn, "FamilyScorer",
                             lambda *a, **k: scorers.append(FamilyScorer(*a, **k)) or scorers[-1])
+        lattice = FamilyScorer.lattice
+        monkeypatch.setattr(FamilyScorer, "lattice", lambda self, node, classes, check=None:
+                            arrays.append((node, classes, lattice(self, node, classes, check)))
+                            or arrays[-1][2])
         # static covariates, auto lags up to 2 and a burn-in (the test side)
         _, binary = discrete_instance(6, n_traj=12, horizon=12, n_z=2, static=0.3)
         # ternary variables and a ternary static; an inter cap past its 2 candidates, two
@@ -127,13 +137,30 @@ class TestExactSearch:
                  (SearchConfig(score=kind, p=3, max_auto=2, max_inter=3, max_static=2), ternary))
         for cfg, sides in cases:
             for side in sides:
+                arrays.clear()
                 report = exact_search(side, kind, cfg, prior=DirichletPrior(3.0))
-                batched = scorers[-1]
                 one_by_one = FamilyScorer(side, kind, prior=DirichletPrior(3.0))
-                for node, parents in batched.scores:
-                    one_by_one(node, parents)
-                assert dump_scores(batched) == dump_scores(one_by_one)
+                assert [node for node, _, _ in arrays] == list(range(side.n_x))
+                for node, classes, got in arrays:
+                    assert got.shape == tuple(map(len, classes))
+                    want = [one_by_one.many(node, [parents])[0] for parents in _joined(*classes)]
+                    assert bits(got.reshape(-1)) == bits(want)
                 assert report.extras["cache_entries"] == len(one_by_one.scores)
+                assert len(scorers[-1].scores) == side.n_x
+                assert sorted(scorers[-1].scores) == sorted(
+                    (i, parents_of(report.structure, i).parents) for i in range(side.n_x))
+
+    def test_exact_ties_keep_the_smaller_intra_set(self):
+        # constant data: every family's log-likelihood is 0, so every structure ties
+        ds = discrete_dataset(np.zeros((4, 6, 3), dtype=int))
+        for name in ("exact", "hill"):
+            report = run_learner(name, ds, score="ll")
+            assert report.structure == DbnStructure.empty(3, 0, 1), name
+        # planted: each node's entry with the other node as intra parent ties its empty entry
+        tables = [{0: (1.0, "none"), 2: (1.0, "from 1")}, {0: (1.0, "none"), 1: (1.0, "from 0")}]
+        assert learn._best_dag(tables, Deadline(None)) == (2.0, [(1.0, "none"), (1.0, "none")])
+        tables[1][1] = (1.5, "from 0")  # strictly better: kept
+        assert learn._best_dag(tables, Deadline(None)) == (2.5, [(1.0, "none"), (1.5, "from 0")])
 
     def test_lattice_past_the_guard_is_refused_before_anything_is_compressed(self):
         # every family with three parents or more has 300**4 cells or more
@@ -860,9 +887,12 @@ class TestEmptyData:
         with pytest.raises(DataError):
             run_learner(name, ds)
 
-    def test_bounded_refuses_a_burn_in_that_leaves_no_transition(self):
+    @pytest.mark.parametrize("name", ["exact", "hill", "dynotears", "bounded"])
+    def test_burn_in_leaving_no_transition_raises_data_error(self, name):
+        x = np.ones((2, 5, 3), dtype=int)
+        ds = (discrete_dataset if name in ("exact", "hill") else continuous_dataset)(x, burn_in=4)
         with pytest.raises(DataError):
-            run_learner("bounded", continuous_dataset(np.ones((2, 5, 3)), burn_in=4))
+            run_learner(name, ds)
 
 
 class TestRegistry:

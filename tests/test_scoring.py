@@ -994,8 +994,8 @@ class TestBatchedScorer:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(lattice_classes(), st.sampled_from([None, 0.5, 7.5]))
     def test_lattice_matches_per_family_scores(self, case, ess):
-        # every family's table summed out of its completion's: the values and the cache of
-        # one lattice call against one count table per family and against many
+        # every family's table summed out of its completion's: the values of one lattice call
+        # against one count table per family and against many; the lattice caches nothing
         ds, node, classes = case
         prior = None if ess is None else sc.DirichletPrior(ess)
         lattice = joined(*classes)
@@ -1010,9 +1010,9 @@ class TestBatchedScorer:
                 got = scorer.lattice(node, classes)
                 assert got.shape == tuple(map(len, classes))
                 assert bits(got.reshape(-1)) == bits(want)
+                assert scorer.scores == {}
                 batched = sc.FamilyScorer(side, kind, prior=prior)
-                batched.many(node, lattice)
-                assert sc.dump_scores(scorer) == sc.dump_scores(batched)
+                assert bits(batched.many(node, lattice)) == bits(want)
                 assert 0 < scorer.counted <= batched.counted == len(lattice)
 
     def test_lattice_in_the_smallest_steps_matches_many(self, rng, monkeypatch):
@@ -1032,6 +1032,24 @@ class TestBatchedScorer:
             assert bits(got.reshape(-1)) == bits(sc.FamilyScorer(ds, kind).many(0, joined(*classes)))
             assert len(calls) == scorer.counted == 4  # intra 1 or 2, auto (1) or (1, 2)
             calls.clear()
+
+    @pytest.mark.parametrize("kind", ["bge", "ll", "aic", "bic"])
+    def test_continuous_lattice_matches_many(self, rng, kind):
+        # statics, auto lags up to 2 under a cap of 2, and the burn-in side of a split
+        ds = continuous_dataset(rng.normal(size=(6, 12, 3)), rng.normal(size=(6, 2)))
+        classes = (class_subsets([Parent("intra", 0), Parent("intra", 2)], 2),
+                   class_subsets([Parent("inter", 0), Parent("inter", 2)], 1),
+                   class_subsets([Parent("auto", 1), Parent("auto", 2)], 2),
+                   class_subsets([Parent("static", 0), Parent("static", 1)], 2))
+        for side in (ds, *temporal_split(ds)):
+            calls = []
+            scorer = sc.FamilyScorer(side, kind)
+            got = scorer.lattice(1, classes, lambda: calls.append(1))
+            assert got.shape == tuple(map(len, classes)) and scorer.scores == {}
+            one_by_one = sc.FamilyScorer(side, kind)
+            want = [one_by_one.many(1, [parents])[0] for parents in joined(*classes)]
+            assert bits(got.reshape(-1)) == bits(want)
+            assert len(calls) == got.size  # one check per family
 
     def test_cached_families_are_kept_and_repeats_share_one_entry(self, rng):
         ds = discrete_dataset(rng.integers(0, 2, size=(4, 9, 3)))
