@@ -8,7 +8,12 @@ a nonnegative matrix with a cycle has positive diagonal mass.
 
 The matrix exponential is evaluated with scipy's scaling-and-squaring
 Pade implementation; it is a pure function of its input, so repeated
-runs reproduce scores to the last bit.  Turning weights into a graph,
+runs reproduce scores to the last bit.  ``h`` and its gradient
+``2 exp(W o W)^T o W`` are defined once here: :func:`_h_exp` returns the
+value with the exponential, and :func:`_h_grad` turns that exponential
+into the gradient, so a line search (``continuous_oneshot``) pays for
+the gradient only on the trials it accepts; :func:`h_expm_and_grad` is
+the two together.  Turning weights into a graph,
 :func:`threshold_and_repair` reads the transitive closure of
 :mod:`dbnlearn.core`, the package's one graph traversal.
 """
@@ -30,11 +35,22 @@ def _square_zero_diag(w) -> np.ndarray:
     return a
 
 
+def _h_exp(w: np.ndarray) -> tuple[float, np.ndarray]:
+    """``h(W)`` and ``exp(W o W)`` of a square ``W`` whose diagonal is already zero."""
+    e = scipy.linalg.expm(w * w)
+    return float(e.trace() - w.shape[0]), e
+
+
+def _h_grad(e: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The gradient ``2 exp(W o W)^T o W`` of ``h`` at ``W``, from :func:`_h_exp`'s ``e``."""
+    return 2.0 * e.T * w
+
+
 def h_expm_and_grad(w: np.ndarray) -> tuple[float, np.ndarray]:
     """``h(W)`` and its gradient ``2 exp(W o W)^T o W`` (diagonal of ``W`` ignored), from one expm."""
     a = _square_zero_diag(w)
-    e = scipy.linalg.expm(a * a)
-    return float(np.trace(e) - a.shape[0]), 2.0 * e.T * a
+    h, e = _h_exp(a)
+    return h, _h_grad(e, a)
 
 
 def threshold_and_repair(w: np.ndarray, w_threshold: float) -> np.ndarray:

@@ -69,6 +69,10 @@ class DataError(DbnError):
     """Dataset malformed or unusable for the requested operation."""
 
 
+class SingularFitError(DataError):
+    """A least-squares fit whose parents are rank deficient: one is affine in the ones before it."""
+
+
 class SizeGuardError(DbnError):
     """Problem size exceeds a learner's safety guard."""
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import json
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -46,13 +47,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .acyclicity import h_expm_and_grad, threshold_and_repair
+from .acyclicity import _h_exp, _h_grad, threshold_and_repair
 from .core import (
     ConfigError, DataError, DbnError, DbnStructure, DomainMismatchError, Parent, ParameterSet,
     SizeGuardError, OptimizerError, TrajectoryDataset, _reachability, parents_of,
     structure_from_families,
 )
-from .scoring import BgeHyper, DirichletPrior, FamilyScorer, fit_structure_params
+from .scoring import (
+    BgeHyper, DirichletPrior, FamilyScorer, _SearchScorer, fit_structure_params,
+)
 from .simulate import substream
 
 
@@ -252,7 +255,9 @@ def exact_search(dataset: TrajectoryDataset, score: str | None = None,
     strictly better.  Each node's lattice is scored into an array by one
     :meth:`~dbnlearn.scoring.FamilyScorer.lattice` call, which caches
     nothing and on discrete data sums most families' counts out of a few
-    tallied ones.  ``extras`` reports the lattice families scored
+    tallied ones.  A family whose least-squares fit is singular scores
+    ``-inf`` (:class:`~dbnlearn.scoring._SearchScorer`), so it is never
+    chosen.  ``extras`` reports the lattice families scored
     (``cache_entries``) and tallied (``families_counted``).
     The score kind is ``config.score``, ``bde`` by default.
     """
@@ -264,7 +269,7 @@ def exact_search(dataset: TrajectoryDataset, score: str | None = None,
         raise SizeGuardError(f"exact search is guarded at 12 nodes, got {n}")
     if dataset.N * (dataset.T - dataset.burn_in) == 0:
         raise DataError("cannot learn from a dataset with no usable transition")
-    scorer = FamilyScorer(dataset, config.score, prior=prior, hyper=hyper)
+    scorer = _SearchScorer(dataset, config.score, prior=prior, hyper=hyper)
 
     tables, scored = [], 0  # per node: {intra parent bitmask -> (score, full parent tuple)}
     for i in range(n):
@@ -454,15 +459,16 @@ def hill_climb(dataset: TrajectoryDataset, score: str | None = None,
     per-node parent tuples, and the structure is rebuilt from them.  Restart 0
     starts from ``initial`` (the empty graph by default), its lag order
     raised to ``config.p`` if smaller, later restarts from random
-    structures (edge probability 0.2).  The score kind is ``config.score``,
-    ``bic`` by default.
+    structures (edge probability 0.2).  A family whose least-squares fit is
+    singular scores ``-inf``, as in :func:`exact_search`, so no move
+    chooses it.  The score kind is ``config.score``, ``bic`` by default.
     """
     t_start = time.perf_counter()
     config = _search_config(score, config, "bic")
     deadline = deadline or _NO_DEADLINE
     if dataset.N * (dataset.T - dataset.burn_in) == 0:
         raise DataError("cannot learn from a dataset with no usable transition")
-    scorer = FamilyScorer(dataset, config.score, prior=prior, hyper=hyper)
+    scorer = _SearchScorer(dataset, config.score, prior=prior, hyper=hyper)
 
     best_structure, best_score, best_trace, moves_used = None, -np.inf, (), 0
     for restart in range(config.restarts):
@@ -509,10 +515,6 @@ def hill_climb(dataset: TrajectoryDataset, score: str | None = None,
 # Continuous one-shot (augmented Lagrangian)
 
 
-def _soft(x: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
-
-
 # The augmented-Lagrangian loop stops, unconverged, once rho would exceed
 # this, as the NOTEARS reference code does (arXiv:1803.01422).
 _RHO_MAX = 1e16
@@ -535,26 +537,46 @@ def _sem_gram(dataset: TrajectoryDataset, max_lag: int) -> tuple[np.ndarray, int
     return dataset.pair_sums(keys), m
 
 
-def _sem_smooth(gram: np.ndarray, m: int, w: np.ndarray, a: np.ndarray,
-                alpha: float, rho: float) -> tuple[float, float, np.ndarray, np.ndarray, float]:
-    """Smooth part of the augmented Lagrangian, its least-squares loss, gradients in W and A, and h.
+class _SemSmooth:
+    """Smooth part of the augmented Lagrangian on the stacked parameter ``theta = [W; A]``.
 
     With ``B = [I - W; -A]`` the residual is ``Z B``, so the loss
-    ``(1/2M)||Y - Y W - L A||_F^2`` is ``tr(B^T G B) / 2M`` and its W and
-    A gradients are the two row blocks of ``-(G B) / M``, read from the
-    Gram matrix ``G`` of :func:`_sem_gram`.  The value adds
-    ``alpha h + rho h^2 / 2`` to the loss.  An overshooting trial may
-    overflow; :func:`continuous_oneshot` calls this under ``np.errstate``.
+    ``(1/2M)||Y - Y W - L A||_F^2`` is ``tr(B^T G B) / 2M`` and its
+    gradient in ``theta`` is ``-(G B) / M``, read from the Gram matrix
+    ``G`` of :func:`_sem_gram`; ``B`` is filled in place in one buffer.
+    :meth:`value` adds ``alpha h + rho h^2 / 2`` to the loss, and
+    :meth:`gradient` is the gradient at the point :meth:`value` evaluated
+    last, so a line search pays for it only on the trial it accepts.
+    ``calls`` counts the evaluations, one ``expm`` each.  An overshooting
+    trial may overflow; :func:`continuous_oneshot` evaluates under
+    ``np.errstate``.
     """
-    n = w.shape[0]
-    b = np.vstack((np.eye(n) - w, -a))
-    gb = gram @ b
-    loss = 0.5 / m * float(np.sum(b * gb))
-    h, h_grad = h_expm_and_grad(w)
-    value = loss + alpha * h + 0.5 * rho * h * h
-    gw = -gb[:n] / m + (alpha + rho * h) * h_grad
-    ga = -gb[n:] / m
-    return value, loss, gw, ga, h
+
+    def __init__(self, gram: np.ndarray, m: int, n: int):
+        self.gram, self.m, self.n = gram, m, n
+        self.eye = np.eye(n)
+        self.b = np.empty((gram.shape[0], n))
+        self.calls = 0
+
+    def value(self, theta: np.ndarray, alpha: float, rho: float) -> tuple[float, float, float]:
+        """The smooth value at ``theta``, its least-squares loss and ``h(W)``."""
+        n, b = self.n, self.b
+        self.w = theta[:n]
+        np.subtract(self.eye, self.w, out=b[:n])
+        np.negative(theta[n:], out=b[n:])  # -A exactly: 0 - A differs in the sign of its zeros
+        self.gb = self.gram @ b
+        loss = 0.5 / self.m * float((b * self.gb).sum())
+        h, self.e = _h_exp(self.w)
+        self.h_weight = alpha + rho * h
+        self.calls += 1
+        return loss + alpha * h + 0.5 * rho * h * h, loss, h
+
+    def gradient(self) -> np.ndarray:
+        """Gradient in ``theta`` at the point of the last :meth:`value`."""
+        g = np.negative(self.gb)
+        g /= self.m
+        g[:self.n] += self.h_weight * _h_grad(self.e, self.w)
+        return g
 
 
 def continuous_oneshot(dataset: TrajectoryDataset, config: ContinuousConfig | None = None,
@@ -567,20 +589,29 @@ def continuous_oneshot(dataset: TrajectoryDataset, config: ContinuousConfig | No
     (soft-thresholding, backtracking line search, zero-diagonal
     projection on W), with the multiplier update ``alpha += rho h`` and
     ``rho *= growth`` per outer round until ``h < tol``, or unconverged
-    once rho would exceed 1e16.  The loss and its gradient come in Gram
-    form (:func:`_sem_smooth`) from the exact pair sums of the dataset's
+    once rho would exceed 1e16.  The solver steps one stacked parameter
+    ``theta = [W; A]``: each trial is one soft-threshold (the L1 strength
+    per row, ``lambda_w`` on W's rows and ``lambda_a`` on A's), one
+    difference and one product over ``theta``.  The loss comes in Gram
+    form (:class:`_SemSmooth`) from the exact pair sums of the dataset's
     sum bank, built once per call, so no evaluation touches the M rows
-    and the result does not depend on row order.  Each trace entry and
-    ``extras["objective"]`` report the penalized least-squares objective,
-    without the augmented-Lagrangian terms; ``inner_objectives`` (with
-    ``record_inner``) include them, the quantity the inner solver
-    decreases.  The final support is thresholded and cycle-repaired,
-    linear-Gaussian parameters are refit on it, and the raw weight
-    matrices stay in ``extras`` for ranking-based evaluation.  The penalty
-    is L1 on a (1/2M)-scaled SSE, unlike the per-edge L0 penalty on summed
-    SSE of ``bounded_oneshot``, so the two supports coincide only where
-    the data pin the support down, not where several supports fit equally
-    well.
+    and the result does not depend on row order; the gradient is formed
+    only for the trials the line search accepts, and the penalty of each
+    iteration only with ``record_inner``.  Every element sees the same
+    operations, and every sum runs over W's rows or A's rows alone, as in a
+    solve over separate W and A, so the bits equal that solve's.  Each
+    trace entry and ``extras["objective"]`` report the penalized
+    least-squares objective, without the augmented-Lagrangian terms;
+    ``inner_objectives`` (with ``record_inner``) include them, the
+    quantity the inner solver decreases.  ``extras["smooth_calls"]``
+    counts the evaluations (one ``expm`` each) and ``extras["iterations"]``
+    the accepted steps.  The final support is thresholded and
+    cycle-repaired, linear-Gaussian parameters are refit on it, and the raw
+    weight matrices stay in ``extras`` for ranking-based evaluation.  The
+    penalty is L1 on a (1/2M)-scaled SSE, unlike the per-edge L0 penalty on
+    summed SSE of ``bounded_oneshot``, so the two supports coincide only
+    where the data pin the support down, not where several supports fit
+    equally well.
     """
     t_start = time.perf_counter()
     config = config or ContinuousConfig()
@@ -591,50 +622,60 @@ def continuous_oneshot(dataset: TrajectoryDataset, config: ContinuousConfig | No
         raise DataError(f"horizon T={dataset.T} too short for max lag {config.max_lag}")
     n = dataset.n_x
     gram, m = _sem_gram(dataset, config.max_lag)
+    smooth = _SemSmooth(gram, m, n)
 
-    w = np.zeros((n, n))
-    a = np.zeros((n * config.max_lag, n))
+    theta = np.zeros((gram.shape[0], n))  # W's n rows, then A's n rows per lag
+    lam = np.full((gram.shape[0], 1), config.lambda_a)
+    lam[:n] = config.lambda_w
+    diagonal = slice(0, n * n, n + 1)  # W's diagonal in theta's flat view
     alpha, rho = 0.0, config.rho0
     trace = []
     converged = False
+    iterations = 0
 
-    def penalty(wm, am):
-        return config.lambda_w * float(np.abs(wm).sum()) + config.lambda_a * float(np.abs(am).sum())
+    def penalty(t):
+        mag = np.abs(t)
+        return config.lambda_w * float(mag[:n].sum()) + config.lambda_a * float(mag[n:].sum())
 
     step = 1.0
     # overshooting trial steps may overflow; backtracking rejects them
     with np.errstate(over="ignore", invalid="ignore"):
         for outer in range(config.max_outer):
-            value, loss, gw, ga, h = _sem_smooth(gram, m, w, a, alpha, rho)
-            inner_objectives = [value + penalty(w, a)]
+            value, loss, h = smooth.value(theta, alpha, rho)
+            grad = smooth.gradient()
+            inner_objectives = [value + penalty(theta)] if config.record_inner else None
             for inner in range(config.max_inner):
                 if inner % 25 == 0:
                     deadline.check()
                 while True:
-                    w_new = _soft(w - step * gw, step * config.lambda_w)
-                    np.fill_diagonal(w_new, 0.0)
-                    a_new = _soft(a - step * ga, step * config.lambda_a)
-                    val_new, loss_new, gw_new, ga_new, h_new = _sem_smooth(
-                        gram, m, w_new, a_new, alpha, rho)
-                    dw, da = w_new - w, a_new - a
-                    quad = value + float(np.sum(gw * dw) + np.sum(ga * da)) \
-                        + 0.5 / step * (float(np.sum(dw * dw)) + float(np.sum(da * da)))
+                    x = theta - step * grad
+                    trial = np.sign(x) * np.maximum(np.abs(x) - step * lam, 0.0)
+                    trial.ravel()[diagonal] = 0.0
+                    val_new, loss_new, h_new = smooth.value(trial, alpha, rho)
+                    d = trial - theta
+                    gd, dd = grad * d, d * d
+                    # W's and A's sums apart, as pairwise summation over all of theta has other bits
+                    quad = value + float(gd[:n].sum() + gd[n:].sum()) \
+                        + 0.5 / step * (float(dd[:n].sum()) + float(dd[n:].sum()))
                     # a non-finite trial just means the step overshot: backtrack
-                    if np.isfinite(val_new) and val_new <= quad + 1e-15:
+                    if math.isfinite(val_new) and val_new <= quad + 1e-15:
                         break
                     if step < 1e-14:
-                        if not np.isfinite(val_new):
+                        if not math.isfinite(val_new):
                             raise OptimizerError(
                                 f"inner solve diverged at outer {outer}; trace: {trace}")
                         break
                     step *= 0.5
-                move = max(float(np.abs(dw).max(initial=0.0)), float(np.abs(da).max(initial=0.0)))
-                w, a, value, loss, gw, ga, h = w_new, a_new, val_new, loss_new, gw_new, ga_new, h_new
+                move = float(np.abs(d).max(initial=0.0))
+                theta, value, loss, h = trial, val_new, loss_new, h_new
+                grad = smooth.gradient()
+                iterations += 1
                 step = min(step * 2.0, 1e6)
-                inner_objectives.append(value + penalty(w, a))
+                if config.record_inner:
+                    inner_objectives.append(value + penalty(theta))
                 if move < config.inner_tol:
                     break
-            entry = {"outer": outer, "objective": loss + penalty(w, a), "h": h, "rho": rho}
+            entry = {"outer": outer, "objective": loss + penalty(theta), "h": h, "rho": rho}
             if config.record_inner:
                 entry["inner_objectives"] = inner_objectives
             trace.append(entry)
@@ -647,13 +688,15 @@ def continuous_oneshot(dataset: TrajectoryDataset, config: ContinuousConfig | No
             alpha += rho * h
             rho *= config.rho_growth
 
+    w, a = theta[:n], theta[n:]
     support = threshold_and_repair(w, config.w_threshold)
     structure = _sem_structure(dataset.n_z, support, a, config.w_threshold)
     return _finish(
         "dynotears", dataset, structure, FamilyScorer(dataset, "ll"), t_start, config.seed,
         tuple(trace), flags={"converged": converged},
         extras={"w": np.where(support, w, 0.0), "a": a,
-                "objective": trace[-1]["objective"], "h": trace[-1]["h"]})
+                "objective": trace[-1]["objective"], "h": trace[-1]["h"],
+                "smooth_calls": smooth.calls, "iterations": iterations})
 
 
 def _sem_structure(n_z: int, intra: np.ndarray, a: np.ndarray, threshold: float) -> DbnStructure:

@@ -43,7 +43,7 @@ from scipy.special import gammaln
 
 from .core import (
     ConfigError, Cpt, DataError, DbnStructure, DomainMismatchError, FamilySpec,
-    LinearGaussian, ModelError, Parent, ParameterSet, SizeGuardError,
+    LinearGaussian, ModelError, Parent, ParameterSet, SingularFitError, SizeGuardError,
     TrajectoryDataset, UnderdeterminedError, _source, canonical_parents,
     n_configurations, parents_of,
 )
@@ -241,9 +241,10 @@ def fit_linear_gaussian(dataset: TrajectoryDataset, node: int,
     are large against spread): Cholesky solves ``S_PP beta = S_Py``, ``beta0 = mean_y - mean_P .
     beta``, ``rss = max(0, S_yy - S_yP beta)``.  A parent whose pivot is at most ``eps d`` (``d =
     1 + len(parents)``) times its uncentred sum of squares is affine in the ones before it (a
-    constant twins the intercept): :class:`DataError`, as for a child that is zero in every usable
-    transition.  ``sigma2 = max(rss / m, eps sum(y^2) / m)`` and the log-likelihood ``-m/2 (log(2
-    pi sigma2) + 1)``, one value for every exact fit.
+    constant twins the intercept): :class:`~dbnlearn.core.SingularFitError`, a :class:`DataError`;
+    a child that is zero in every usable transition raises :class:`DataError`.  ``sigma2 =
+    max(rss / m, eps sum(y^2) / m)`` and the log-likelihood ``-m/2 (log(2 pi sigma2) + 1)``, one
+    value for every exact fit.
     """
     if family.node != node:
         raise ModelError("family spec does not belong to the requested node")
@@ -259,8 +260,8 @@ def fit_linear_gaussian(dataset: TrajectoryDataset, node: int,
     eps = np.finfo(float).eps
     factor, info = dpotrf(scatter[1:, 1:], lower=1)  # info > 0: a pivot is not positive
     if info or np.any(np.diag(factor) ** 2 <= eps * d * sumsq[1:]):
-        raise DataError(f"least-squares fit of node {node} on parents "
-                        f"{list(family.parents)} is singular: a parent is affine in the ones before it")
+        raise SingularFitError(f"least-squares fit of node {node} on parents {list(family.parents)} "
+                               "is singular: a parent is affine in the ones before it")
     beta = cho_solve((factor, True), scatter[1:, 0], check_finite=False)
     with np.errstate(over="ignore", invalid="ignore"):
         rss, beta0 = scatter[0, 0] - scatter[0, 1:] @ beta, mean[0] - mean[1:] @ beta
@@ -845,6 +846,21 @@ class FamilyScorer:
 
     def structure_score(self, structure: DbnStructure) -> float:
         return sum(self(i, parents_of(structure, i).parents) for i in range(structure.n_x))
+
+
+class _SearchScorer(FamilyScorer):
+    """The searches' scorer: a family whose least-squares fit is singular scores ``-inf``.
+
+    A search never chooses such a family, so one rank-deficient candidate
+    (:class:`~dbnlearn.core.SingularFitError`) does not abort it;
+    :class:`FamilyScorer`, :func:`family_score` and the refit raise.
+    """
+
+    def _fitted_score(self, node: int, parents: tuple[Parent, ...]) -> float:
+        try:
+            return super()._fitted_score(node, parents)
+        except SingularFitError:
+            return -math.inf
 
 
 def dump_scores(scorer: FamilyScorer) -> str:

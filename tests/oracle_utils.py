@@ -8,19 +8,23 @@ checks, integrals by quadrature on scipy primitives.
 import heapq
 import itertools
 import math
+import time
 
 import numpy as np
 import scipy.linalg
 import scipy.optimize
 from scipy import optimize, stats
 
+from dbnlearn.acyclicity import h_expm_and_grad, threshold_and_repair
 from dbnlearn.core import (
-    Cpt, DbnStructure, FactoredCpt, FamilySpec, LinearGaussian, Logistic, NoisyOr, Parent,
-    canonical_parents, configuration_index, n_configurations, parents_of,
+    Cpt, DbnStructure, FactoredCpt, FamilySpec, LinearGaussian, Logistic, NoisyOr,
+    OptimizerError, Parent, canonical_parents, configuration_index, n_configurations, parents_of,
 )
-from dbnlearn.learn import BoundedConfig
+from dbnlearn.learn import (
+    _RHO_MAX, BoundedConfig, ContinuousConfig, _finish, _sem_gram, _sem_structure,
+)
 from dbnlearn.scoring import (
-    CountTable, bde_family_score, family_score, information_criterion,
+    CountTable, FamilyScorer, bde_family_score, family_score, information_criterion,
 )
 from dbnlearn.simulate import substream
 
@@ -332,6 +336,102 @@ def residual_smooth(dataset, max_lag, w, a, alpha, rho):
     gw = -(y.T @ resid) / m + (alpha + rho * h) * 2.0 * e.T * w
     ga = -(lags.T @ resid) / m
     return loss + alpha * h + 0.5 * rho * h * h, loss, gw, ga
+
+
+def _reference_soft(x, t):
+    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+
+
+def _reference_sem_smooth(gram, m, w, a, alpha, rho):
+    """The Gram-form smooth value, loss, W and A gradients and h, over separate W and A."""
+    n = w.shape[0]
+    b = np.vstack((np.eye(n) - w, -a))
+    gb = gram @ b
+    loss = 0.5 / m * float(np.sum(b * gb))
+    h, h_grad = h_expm_and_grad(w)
+    value = loss + alpha * h + 0.5 * rho * h * h
+    gw = -gb[:n] / m + (alpha + rho * h) * h_grad
+    ga = -gb[n:] / m
+    return value, loss, gw, ga, h
+
+
+def reference_continuous_oneshot(dataset, config=None):
+    """DYNOTEARS' solve over separate W and A, with a gradient for every trial.
+
+    The loop :func:`dbnlearn.learn.continuous_oneshot` steps on one stacked
+    parameter must reproduce bit for bit: trace, weights, structure, flags
+    and the counts of evaluations (``smooth_calls``) and accepted steps
+    (``iterations``), which this loop counts as it goes.  Only the loop is
+    the reference: the Gram matrix, the structure and the report come from
+    the library's own ``_sem_gram``, ``_sem_structure`` and ``_finish``.
+    """
+    t_start = time.perf_counter()
+    config = config or ContinuousConfig()
+    n = dataset.n_x
+    gram, m = _sem_gram(dataset, config.max_lag)
+
+    w = np.zeros((n, n))
+    a = np.zeros((n * config.max_lag, n))
+    alpha, rho = 0.0, config.rho0
+    trace = []
+    converged = False
+    calls = iterations = 0
+
+    def penalty(wm, am):
+        return config.lambda_w * float(np.abs(wm).sum()) + config.lambda_a * float(np.abs(am).sum())
+
+    step = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for outer in range(config.max_outer):
+            value, loss, gw, ga, h = _reference_sem_smooth(gram, m, w, a, alpha, rho)
+            calls += 1
+            inner_objectives = [value + penalty(w, a)]
+            for _ in range(config.max_inner):
+                while True:
+                    w_new = _reference_soft(w - step * gw, step * config.lambda_w)
+                    np.fill_diagonal(w_new, 0.0)
+                    a_new = _reference_soft(a - step * ga, step * config.lambda_a)
+                    val_new, loss_new, gw_new, ga_new, h_new = _reference_sem_smooth(
+                        gram, m, w_new, a_new, alpha, rho)
+                    calls += 1
+                    dw, da = w_new - w, a_new - a
+                    quad = value + float(np.sum(gw * dw) + np.sum(ga * da)) \
+                        + 0.5 / step * (float(np.sum(dw * dw)) + float(np.sum(da * da)))
+                    if np.isfinite(val_new) and val_new <= quad + 1e-15:
+                        break
+                    if step < 1e-14:
+                        if not np.isfinite(val_new):
+                            raise OptimizerError(
+                                f"inner solve diverged at outer {outer}; trace: {trace}")
+                        break
+                    step *= 0.5
+                move = max(float(np.abs(dw).max(initial=0.0)), float(np.abs(da).max(initial=0.0)))
+                w, a, value, loss, gw, ga, h = w_new, a_new, val_new, loss_new, gw_new, ga_new, h_new
+                iterations += 1
+                step = min(step * 2.0, 1e6)
+                inner_objectives.append(value + penalty(w, a))
+                if move < config.inner_tol:
+                    break
+            entry = {"outer": outer, "objective": loss + penalty(w, a), "h": h, "rho": rho}
+            if config.record_inner:
+                entry["inner_objectives"] = inner_objectives
+            trace.append(entry)
+            if h < config.h_tol:
+                converged = True
+                break
+            if rho * config.rho_growth > _RHO_MAX:
+                break
+            alpha += rho * h
+            rho *= config.rho_growth
+
+    support = threshold_and_repair(w, config.w_threshold)
+    structure = _sem_structure(dataset.n_z, support, a, config.w_threshold)
+    return _finish(
+        "dynotears", dataset, structure, FamilyScorer(dataset, "ll"), t_start, config.seed,
+        tuple(trace), flags={"converged": converged},
+        extras={"w": np.where(support, w, 0.0), "a": a,
+                "objective": trace[-1]["objective"], "h": trace[-1]["h"],
+                "smooth_calls": calls, "iterations": iterations})
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 from dbnlearn.acyclicity import threshold_and_repair
 from dbnlearn.core import (
     ConfigError, DataError, DbnError, DbnStructure, DomainMismatchError, FamilySpec,
-    OptimizerError, Parent, SizeGuardError, configuration_index, is_acyclic, parents_of,
-    structure_from_families,
+    OptimizerError, Parent, SingularFitError, SizeGuardError, configuration_index, is_acyclic,
+    parents_of, structure_from_families,
 )
 from dbnlearn.learn import (
     LEARNERS, BoundedConfig, CellTimeout, ContinuousConfig, Deadline, SearchConfig,
@@ -28,7 +28,7 @@ import dbnlearn.learn as learn
 from dbnlearn.evaluate import EvalReport, temporal_split
 from dbnlearn.scoring import (
     SCORE_KINDS, DirichletPrior, FamilyScorer, bge_family_score, family_score,
-    information_criterion, _joined,
+    information_criterion, _joined, _SearchScorer,
 )
 from dbnlearn.simulate import substream
 from dbnlearn.simulate import (
@@ -38,7 +38,7 @@ from dbnlearn.simulate import (
 from conftest import continuous_dataset, discrete_dataset
 from oracle_utils import (
     _structure_with, bounded_support_objective, bounded_tables_unpruned, brute_force_best_score,
-    lag1_design, residual_smooth,
+    lag1_design, reference_continuous_oneshot, residual_smooth,
 )
 
 
@@ -118,8 +118,8 @@ class TestExactSearch:
         # every node's lattice array against one-by-one many calls, bit for bit; the search's
         # scorer is left holding only the rescored families, one per node
         scorers, arrays = [], []
-        monkeypatch.setattr(learn, "FamilyScorer",
-                            lambda *a, **k: scorers.append(FamilyScorer(*a, **k)) or scorers[-1])
+        monkeypatch.setattr(learn, "_SearchScorer",
+                            lambda *a, **k: scorers.append(_SearchScorer(*a, **k)) or scorers[-1])
         lattice = FamilyScorer.lattice
         monkeypatch.setattr(FamilyScorer, "lattice", lambda self, node, classes, check=None:
                             arrays.append((node, classes, lattice(self, node, classes, check)))
@@ -436,7 +436,10 @@ class TestGramForm:
             np.fill_diagonal(w, 0.0)
             a = rng.normal(scale=0.4, size=(n * max_lag, n))
             alpha, rho = float(rng.uniform(0.0, 2.0)), float(10.0 ** rng.integers(0, 4))
-            value, loss, gw, ga, h = learn._sem_smooth(gram, m, w, a, alpha, rho)
+            smooth = learn._SemSmooth(gram, m, n)
+            value, loss, h = smooth.value(np.vstack((w, a)), alpha, rho)
+            grad = smooth.gradient()
+            gw, ga = grad[:n], grad[n:]
             want_value, want_loss, want_gw, want_ga = residual_smooth(ds, max_lag, w, a, alpha, rho)
             assert h > 0.0
             assert abs(value - want_value) <= 1e-12 * abs(want_value)
@@ -453,6 +456,13 @@ class TestGramForm:
         assert moved.trace == base.trace and moved.structure == base.structure
         for key in ("w", "a"):
             assert moved.extras[key].tobytes() == base.extras[key].tobytes()
+
+
+def two_copies():
+    """Two noisy copies of one signal: each explains the other, so h stays above 1e-300."""
+    rng = np.random.default_rng(0)
+    common = rng.normal(size=(20, 16, 1))
+    return continuous_dataset(common + 0.1 * rng.normal(size=(20, 16, 2)))
 
 
 class TestPenaltySchedule:
@@ -482,14 +492,91 @@ class TestPenaltySchedule:
         assert 0.0 < report.extras["objective"] < 0.5 / len(y) * float(np.sum(y * y))
 
     def test_outer_loop_stops_unconverged_at_the_cap(self):
-        # two noisy copies of one signal: each explains the other, so h stays above 1e-300
-        rng = np.random.default_rng(0)
-        common = rng.normal(size=(20, 16, 1))
-        ds = continuous_dataset(common + 0.1 * rng.normal(size=(20, 16, 2)))
-        report = continuous_oneshot(ds, ContinuousConfig(
+        report = continuous_oneshot(two_copies(), ContinuousConfig(
             lambda_w=0.0, lambda_a=0.0, h_tol=1e-300, max_inner=100))
         assert [entry["rho"] for entry in report.trace] == [float(10 ** k) for k in range(17)]
         assert not report.flags["converged"] and report.extras["h"] > 0.0
+
+
+class TestStackedSolve:
+    """The solve on one stacked [W; A] against the earlier loop over separate W and A, bit for bit."""
+
+    @staticmethod
+    def assert_same_solve(got, want):
+        assert repr(got.trace) == repr(want.trace)
+        assert got.structure == want.structure and got.flags == want.flags
+        assert repr(got.score) == repr(want.score)
+        assert got.extras.keys() == want.extras.keys()
+        for key in ("w", "a"):
+            assert got.extras[key].tobytes() == want.extras[key].tobytes()
+        for key in ("objective", "h", "smooth_calls", "iterations"):
+            assert repr(got.extras[key]) == repr(want.extras[key])
+
+    @pytest.mark.parametrize("make, cfg", [
+        pytest.param(lambda: continuous_instance(21, n=4)[1],
+                     ContinuousConfig(lambda_w=0.05, lambda_a=0.05, max_outer=3), id="lag-1"),
+        pytest.param(lambda: continuous_instance(22, n=4, n_traj=20, horizon=20)[1],
+                     ContinuousConfig(lambda_w=0.05, lambda_a=0.05, max_lag=2, max_outer=3),
+                     id="lag-2"),
+        pytest.param(lambda: continuous_dataset(continuous_instance(23, n=4)[1].x, burn_in=3),
+                     ContinuousConfig(lambda_w=0.02, lambda_a=0.2, max_lag=2, max_outer=3,
+                                      record_inner=True),
+                     id="burn-in-unequal-lambdas-record-inner"),
+        pytest.param(two_copies,
+                     ContinuousConfig(lambda_w=0.0, lambda_a=0.0, h_tol=1e-300, max_inner=100),
+                     id="rho-cap"),
+        pytest.param(lambda: continuous_instance(1)[1],
+                     ContinuousConfig(lambda_w=1e6, lambda_a=1e6), id="huge-lambda"),
+    ])
+    def test_matches_the_separate_loop(self, make, cfg):
+        ds = make()
+        self.assert_same_solve(continuous_oneshot(ds, cfg), reference_continuous_oneshot(ds, cfg))
+
+    def test_early_inner_exit(self):
+        _, ds = continuous_instance(24, n=5)
+        cfg = ContinuousConfig(lambda_w=0.2, lambda_a=0.01, inner_tol=1e-3, max_inner=400)
+        got = continuous_oneshot(ds, cfg)
+        self.assert_same_solve(got, reference_continuous_oneshot(ds, cfg))
+        assert got.extras["iterations"] < len(got.trace) * cfg.max_inner
+
+    def test_benchmark_budget_keeps_the_trial_count(self):
+        # the high-dimensional DYNOTEARS cell's size and budget: 4 x 250 iterations, tolerance 0
+        template = GeneratorConfig(n_x=1, model="linear_gaussian", sigma=0.5,
+                                   weight_range=(0.3, 1.0),
+                                   edge_probs=EdgeProbs(intra=0.05, inter=0.05, auto=0.5))
+        ds = next(regime_datasets(RegimeSpec("sparse", ((20, 40, 50),)), template,
+                                  replicates=1, seed=2)).dataset
+        cfg = ContinuousConfig(max_outer=4, max_inner=250, inner_tol=0.0)
+        got = continuous_oneshot(ds, cfg)
+        self.assert_same_solve(got, reference_continuous_oneshot(ds, cfg))
+        assert got.extras["iterations"] == 1000
+        assert got.extras["smooth_calls"] > 1000 + 4
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_divergence_raises_the_same_error_silently(self):
+        ds = continuous_dataset(np.random.default_rng(0).standard_normal((10, 21, 3)) * 1e100)
+        messages = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for solve in (continuous_oneshot, reference_continuous_oneshot):
+                with pytest.raises(OptimizerError) as info:
+                    solve(ds)
+                messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("inner solve diverged at outer 0")
+
+    def test_counts_evaluations_and_accepted_steps(self, monkeypatch):
+        import dbnlearn.acyclicity as acyclicity
+        _, ds = continuous_instance(21, n=4)
+        expm, calls = acyclicity.scipy.linalg.expm, []
+        monkeypatch.setattr(acyclicity.scipy.linalg, "expm", lambda m: calls.append(1) or expm(m))
+        report = continuous_oneshot(ds, ContinuousConfig(lambda_w=0.05, lambda_a=0.05,
+                                                         max_outer=4, record_inner=True))
+        assert report.extras["smooth_calls"] == len(calls)
+        # record_inner keeps the objective before the first step and after each accepted one
+        assert report.extras["iterations"] == sum(
+            len(entry["inner_objectives"]) - 1 for entry in report.trace)
+        assert report.extras["smooth_calls"] > report.extras["iterations"] + len(report.trace)
 
 
 class TestBoundedOneshot:
@@ -873,10 +960,52 @@ class TestConstantColumn:
         x[..., 2] = 3.0
         return continuous_dataset(x)
 
-    @pytest.mark.parametrize("name, kwargs", [("hill", {"score": "bic"}), ("dynotears", {}), ("bounded", {})])
+    @pytest.mark.parametrize("name, kwargs", [("dynotears", {}), ("bounded", {})])
     def test_learners_raise_data_error(self, constant, name, kwargs):
         with pytest.raises(DataError, match="is singular"):
             run_learner(name, constant, **kwargs)
+
+    @pytest.mark.parametrize("name", ["hill", "exact"])
+    def test_searches_leave_the_column_out(self, constant, name):
+        # every family with the constant as a parent scores -inf, so the search never chooses one
+        structure = run_learner(name, constant, score="bic").structure
+        assert not (structure.intra[2].any() or structure.inter[2].any())
+        assert structure.auto_lags[2] == ()
+        with pytest.raises(SingularFitError, match="is singular"):
+            family_score(constant, 0, (Parent("inter", 2),), "bic")
+
+
+class TestSingularCandidate:
+    """One trajectory with a static covariate: the covariate is constant, so its family is singular."""
+
+    @pytest.fixture(scope="class")
+    def one_trajectory(self):
+        x = np.random.default_rng(0).standard_normal((1, 40, 3))
+        return continuous_dataset(x, z=np.random.default_rng(1).standard_normal((1, 1)))
+
+    @pytest.mark.parametrize("name, hyper", [
+        ("hill", {"score": "bic"}), ("hill", {"score": "bic", "restarts": 8}),
+        ("exact", {"score": "bic"}), ("exact", {"score": "ll"})],
+        ids=["hill-bic", "hill-bic-restarts", "exact-bic", "exact-ll"])
+    def test_searches_return_a_structure_without_the_static_edge(self, one_trajectory, name, hyper):
+        report = run_learner(name, one_trajectory, **hyper)
+        assert not report.structure.static_edges.any()
+        assert math.isfinite(report.score)
+
+    def test_family_score_still_raises(self, one_trajectory):
+        for kind in ("ll", "bic"):
+            with pytest.raises(SingularFitError, match=r"parents \[Parent\(kind='static'"):
+                family_score(one_trajectory, 0, (Parent("static", 0),), kind)
+        assert issubclass(SingularFitError, DataError)
+
+    @pytest.mark.parametrize("name", ["hill", "exact"])
+    def test_a_child_zero_everywhere_still_aborts(self, one_trajectory, name):
+        x = one_trajectory.x.copy()
+        x[..., 1] = 0.0
+        ds = continuous_dataset(x, z=one_trajectory.z)
+        with pytest.raises(DataError, match="zero in every usable transition") as info:
+            run_learner(name, ds, score="bic")
+        assert not isinstance(info.value, SingularFitError)
 
 
 class TestEmptyData:
