@@ -7,9 +7,10 @@ Four learners share the :class:`LearnerReport` result type:
   set per vertex, cluster-style acyclicity), realized by dynamic
   programming over node subsets instead of a MIP solver.
 * :func:`hill_climb`     -- steepest-ascent local search with restarts
-  over add/delete/reverse moves, each listed as the parent tuples it
-  changes and scored in one batch per node per step; the transitive
-  closure of :mod:`dbnlearn.core` decides which intra moves are legal.
+  over add/delete/reverse moves, read from a table of per-node score
+  deltas in which a move rescores only the nodes it changed; the
+  transitive closure of :mod:`dbnlearn.core` decides which intra moves
+  are legal.
 * :func:`continuous_oneshot` -- one-shot least squares over weighted
   adjacencies with an augmented-Lagrangian acyclicity constraint and L1
   shrinkage, finished by threshold-and-repair.
@@ -36,7 +37,6 @@ reports; wall time is tracked on the object but never serialized.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import json
 import math
@@ -49,9 +49,9 @@ import numpy as np
 
 from .acyclicity import _h_exp, _h_grad, threshold_and_repair
 from .core import (
-    ConfigError, DataError, DbnError, DbnStructure, DomainMismatchError, Parent, ParameterSet,
-    SizeGuardError, OptimizerError, TrajectoryDataset, _reachability, parents_of,
-    structure_from_families,
+    ConfigError, DataError, DbnError, DbnStructure, DimensionError, DomainMismatchError, Parent,
+    ParameterSet, SizeGuardError, OptimizerError, TrajectoryDataset, _reachability,
+    canonical_parents, parents_of, structure_from_families,
 )
 from .scoring import (
     BgeHyper, DirichletPrior, FamilyScorer, _SearchScorer, fit_structure_params,
@@ -355,65 +355,125 @@ def _best_dag(tables: list[dict], deadline: Deadline) -> tuple[float, list]:
 # Hill climbing
 
 
-def _legal_moves(structure: DbnStructure, families: list, config: SearchConfig) -> list:
-    """Every legal single-edge move, as the ``(node, new parent tuple)`` pairs it changes.
+class _MoveTable:
+    """Hill climbing's legal moves from the current structure, with their deltas, kept move by move.
 
-    ``families[v]`` is node ``v``'s canonical parent tuple in
-    ``structure``.  The order is fixed; a reversal of ``j -> i`` changes
-    ``i`` first, then ``j``.  One transitive closure of the intra graph
-    decides every intra candidate: adding ``j -> i`` closes a cycle iff
-    ``i`` already reaches ``j``; reversing ``j -> i`` does iff ``j``
-    reaches ``i`` through some other child ``k`` of ``j``.  Auto lag 1 is
-    not offered to a node with an inter self edge, which already is that
-    dependence.
+    Every candidate move has one slot, in a fixed order: per pair
+    ``(j, i)``, ``j``-major, the intra edge ``j -> i`` (drop or add), its
+    reversal, then the inter edge ``j -> i`` (drop or add); then per node
+    each auto lag up to ``config.p``; then per static ``j`` and node ``i``
+    the edge ``j -> i``.  A move toggles parent ``toggle[m]`` of node
+    ``node[m]``; a reversal also toggles intra ``i`` of ``j``
+    (``node2``, ``toggle2``), every other move points there at a zero term.
+    ``terms[v, t]`` is ``v``'s score with parent ``t`` toggled minus its
+    current score.  A term is scored once a legal move first needs it, and
+    kept until ``v``'s family changes, so a step scores exactly the
+    families that listing every legal move would, in the same per-node
+    batches and order.  A move's delta is ``(0 + term) + second term``, the
+    order of summing its changed families one by one.
+
+    Legality is recomputed each step from one transitive closure of the
+    intra graph: adding ``j -> i`` closes a cycle iff ``i`` already reaches
+    ``j``; reversing ``j -> i`` does iff ``j`` reaches ``i`` through some
+    other child of ``j``.  Auto lag 1 is not offered to a node with an
+    inter self edge, which already is that dependence.
     """
-    n = structure.n_x
-    keys = [[par.sort_key() for par in parents] for parents in families]
 
-    def add(v, par):
-        at = bisect.bisect(keys[v], par.sort_key())
-        return v, families[v][:at] + (par,) + families[v][at:]
+    def __init__(self, scorer: FamilyScorer, start: DbnStructure, config: SearchConfig):
+        n, n_z, p = start.n_x, start.n_z, config.p
+        self.scorer, self.config = scorer, config
+        self.families = [parents_of(start, v).parents for v in range(n)]
+        # at least config.p, the largest auto lag a move may add
+        self.structure = structure_from_families(n, n_z, max(start.p, p), self.families)
+        self.node_scores = [scorer(v, parents) for v, parents in enumerate(self.families)]
+        # toggle t adds or drops parents[t]; one more column holds the zero term
+        self.parents = [*(Parent("intra", j) for j in range(n)),
+                        *(Parent("inter", j) for j in range(n)),
+                        *(Parent("auto", t) for t in range(1, p + 1)),
+                        *(Parent("static", j) for j in range(n_z))]
+        zero = len(self.parents)
+        self.terms = np.zeros((n, zero + 1))
+        self.fresh = np.zeros((n, zero + 1), dtype=bool)
+        self.fresh[:, zero] = True
+        j, i = np.nonzero(~np.eye(n, dtype=bool))
+        lag_node, lag = np.divmod(np.arange(n * p), p)
+        z, z_node = np.divmod(np.arange(n_z * n), n)
+        self.node = np.concatenate([np.repeat(i, 3), lag_node, z_node])
+        self.toggle = np.concatenate([(j[:, None] + [0, 0, n]).ravel(), 2 * n + lag, 2 * n + p + z])
+        self.node2 = np.zeros_like(self.node)
+        self.toggle2 = np.full_like(self.node, zero)
+        self.node2[1:3 * j.size:3], self.toggle2[1:3 * j.size:3] = j, i
 
-    def drop(v, par):
-        at = bisect.bisect_left(keys[v], par.sort_key())
-        return v, families[v][:at] + families[v][at + 1:]
+    def evaluate(self, check: Callable[[], None]) -> tuple[np.ndarray, np.ndarray]:
+        """This step's legal moves, in move order, and their deltas; stale terms are scored first."""
+        s, c = self.structure, self.config
+        reach = _reachability(s.intra)
+        # via[j, i]: j reaches i through a child of j other than i itself
+        via = (s.intra.astype(np.int64) @ reach.astype(np.int64)) > 0
+        intra_room = s.intra.sum(axis=0) < c.max_intra
+        pairs = np.stack([s.intra | (intra_room & ~reach.T), s.intra & intra_room[:, None] & ~via,
+                          s.inter | (s.inter.sum(axis=0) < c.max_inter)], axis=-1)
+        has = np.array([[t in lags for t in range(1, c.p + 1)] for lags in s.auto_lags], dtype=bool)
+        offered = np.ones_like(has)
+        offered[:, 0] = ~s.inter.diagonal()
+        auto_room = np.array([len(lags) < c.max_auto for lags in s.auto_lags])
+        static = s.static_edges | (s.static_edges.sum(axis=0) < c.max_static)
+        moves = np.flatnonzero(np.concatenate([
+            pairs[~np.eye(s.n_x, dtype=bool)].ravel(), (has | auto_room[:, None] & offered).ravel(),
+            static.ravel()]))
 
-    moves = []
-    intra_in = structure.intra.sum(axis=0)
-    inter_in = structure.inter.sum(axis=0)
-    static_in = structure.static_edges.sum(axis=0)
-    reach = _reachability(structure.intra)
-    # via[j, i]: j reaches i through a child of j other than i itself
-    via = (structure.intra.astype(np.int64) @ reach.astype(np.int64)) > 0
-    for j in range(n):
-        for i in range(n):
-            if i == j:
-                continue
-            if structure.intra[j, i]:
-                dropped = drop(i, Parent("intra", j))
-                moves.append((dropped,))
-                if intra_in[j] < config.max_intra and not via[j, i]:
-                    moves.append((dropped, add(j, Parent("intra", i))))
-            elif intra_in[i] < config.max_intra and not reach[i, j]:
-                moves.append((add(i, Parent("intra", j)),))
-            if structure.inter[j, i]:
-                moves.append((drop(i, Parent("inter", j)),))
-            elif inter_in[i] < config.max_inter:
-                moves.append((add(i, Parent("inter", j)),))
-    for i in range(n):
-        lags = set(structure.auto_lags[i])
-        for tau in range(1, config.p + 1):
-            if tau in lags:
-                moves.append((drop(i, Parent("auto", tau)),))
-            elif len(lags) < config.max_auto and not (tau == 1 and structure.inter[i, i]):
-                moves.append((add(i, Parent("auto", tau)),))
-    for j in range(structure.static_edges.shape[0]):
-        for i in range(n):
-            if structure.static_edges[j, i]:
-                moves.append((drop(i, Parent("static", j)),))
-            elif static_in[i] < config.max_static:
-                moves.append((add(i, Parent("static", j)),))
-    return moves
+        stale = {}  # node -> its stale toggles, in move order
+        nodes = np.column_stack([self.node[moves], self.node2[moves]]).ravel()
+        toggles = np.column_stack([self.toggle[moves], self.toggle2[moves]]).ravel()
+        keep = ~self.fresh[nodes, toggles]
+        for v, t in zip(nodes[keep].tolist(), toggles[keep].tolist()):
+            stale.setdefault(v, {})[t] = None
+        with np.errstate(invalid="ignore"):  # a singular family scores -inf, as may v itself
+            for v in sorted(stale):
+                ts = list(stale[v])
+                scores = self.scorer.many(v, [self._toggled(v, t) for t in ts], check)
+                self.terms[v, ts] = scores - self.node_scores[v]
+                self.fresh[v, ts] = True
+            deltas = (0.0 + self.terms[self.node[moves], self.toggle[moves]]
+                      + self.terms[self.node2[moves], self.toggle2[moves]])
+        return moves, deltas
+
+    def changes(self, m: int) -> tuple:
+        """Move ``m`` as the ``(node, new parent tuple)`` pairs it changes, a reversal's child first."""
+        toggles = [(self.node[m], self.toggle[m])]
+        if self.toggle2[m] < len(self.parents):
+            toggles.append((self.node2[m], self.toggle2[m]))
+        return tuple((int(v), self._toggled(v, t)) for v, t in toggles)
+
+    def apply(self, m: int) -> None:
+        """Make move ``m``: its families change, and their nodes' terms go stale."""
+        for v, parents in self.changes(m):
+            self.families[v] = parents
+            self.node_scores[v] = self.scorer.scores[(v, parents)]
+            self.fresh[v, :-1] = False
+        s = self.structure
+        self.structure = structure_from_families(s.n_x, s.n_z, s.p, self.families)
+
+    def _toggled(self, v: int, t: int) -> tuple[Parent, ...]:
+        parents, par = self.families[v], self.parents[t]
+        if par in parents:
+            return tuple(q for q in parents if q != par)
+        return canonical_parents(parents + (par,))
+
+
+def _first_best(deltas: np.ndarray) -> int | None:
+    """The move the greedy rule picks: in order, a move wins if it beats the last winner by 1e-12.
+
+    The first winner must beat 0.  Not an argmax: a later move within
+    1e-12 of the winner, or barely above it, does not displace it.
+    """
+    chosen, best = -1, 0.0
+    while True:
+        beats = deltas[chosen + 1:] > best + 1e-12
+        if not beats.any():
+            return None if chosen < 0 else chosen
+        chosen += 1 + int(beats.argmax())
+        best = deltas[chosen]
 
 
 def _random_start(dataset: TrajectoryDataset, config: SearchConfig,
@@ -452,63 +512,61 @@ def hill_climb(dataset: TrajectoryDataset, score: str | None = None,
     """Steepest-ascent search over single-edge moves, best of seeded restarts.
 
     Moves: add/delete/reverse intra edge (cycle-rejecting), add/delete
-    inter edge, auto lag, static edge.  Each step scores the families that
-    legal moves change (:func:`_legal_moves` lists their parent tuples)
-    with one :meth:`~dbnlearn.scoring.FamilyScorer.many` call per node,
-    then reads every delta from the cache.  The chosen move updates the
+    inter edge, auto lag, static edge.  Each restart keeps a
+    :class:`_MoveTable`: per node one score delta for each parent it could
+    gain or lose.  A step lists the legal moves, scores the deltas they
+    need that the last move made stale (the changed nodes' only), with one
+    :meth:`~dbnlearn.scoring.FamilyScorer.many` call per node, and picks
+    a move by the greedy rule of :func:`_first_best`.  The chosen move updates the
     per-node parent tuples, and the structure is rebuilt from them.  Restart 0
     starts from ``initial`` (the empty graph by default), its lag order
     raised to ``config.p`` if smaller, later restarts from random
-    structures (edge probability 0.2).  A family whose least-squares fit is
-    singular scores ``-inf``, as in :func:`exact_search`, so no move
-    chooses it.  The score kind is ``config.score``, ``bic`` by default.
+    structures (edge probability 0.2).  An ``initial`` with other node or
+    static counts than the dataset raises :class:`DimensionError`.  A family
+    whose least-squares fit is singular scores ``-inf``, as in
+    :func:`exact_search`, so no move chooses it.  ``extras`` reports the
+    families scored (``cache_entries``), the moves made (``moves``) and the
+    legal moves compared over all steps (``moves_evaluated``).  The score
+    kind is ``config.score``, ``bic`` by default.
     """
     t_start = time.perf_counter()
     config = _search_config(score, config, "bic")
     deadline = deadline or _NO_DEADLINE
     if dataset.N * (dataset.T - dataset.burn_in) == 0:
         raise DataError("cannot learn from a dataset with no usable transition")
+    if initial is not None and (initial.n_x, initial.n_z) != (dataset.n_x, dataset.n_z):
+        raise DimensionError(
+            f"initial structure has {initial.n_x} nodes and {initial.n_z} static variables, "
+            f"the dataset {dataset.n_x} and {dataset.n_z}")
     scorer = _SearchScorer(dataset, config.score, prior=prior, hyper=hyper)
 
-    best_structure, best_score, best_trace, moves_used = None, -np.inf, (), 0
+    best_structure, best_score, best_trace, moves_used, evaluated = None, -np.inf, (), 0, 0
     for restart in range(config.restarts):
         if restart == 0:
             start = initial if initial is not None \
                 else DbnStructure.empty(dataset.n_x, dataset.n_z, config.p)
         else:
             start = _random_start(dataset, config, substream(config.seed, "restart", restart))
-        families = [parents_of(start, i).parents for i in range(dataset.n_x)]
-        # at least config.p, the largest auto lag a move may add
-        structure = structure_from_families(dataset.n_x, dataset.n_z, max(start.p, config.p),
-                                            families)
-        node_scores = [scorer(i, families[i]) for i in range(dataset.n_x)]
-        current = float(sum(node_scores))
+        table = _MoveTable(scorer, start, config)
+        current = float(sum(table.node_scores))
         trace = [{"restart": restart, "step": 0, "score": current}]
         for step in range(1, config.move_budget + 1):
             deadline.check()
-            moved = _legal_moves(structure, families, config)
-            pending = sorted(itertools.chain.from_iterable(moved), key=lambda key: key[0])
-            for v, keys in itertools.groupby(pending, key=lambda key: key[0]):
-                scorer.many(v, [parents for _, parents in keys], deadline.check)
-            best_moved, best_delta = None, 0.0
-            for changed in moved:
-                delta = sum(scorer.scores[key] - node_scores[key[0]] for key in changed)
-                if delta > best_delta + 1e-12:
-                    best_moved, best_delta = changed, delta
-            if best_moved is None:
+            moves, deltas = table.evaluate(deadline.check)
+            evaluated += moves.size
+            chosen = _first_best(deltas)
+            if chosen is None:
                 break
-            for v, parents in best_moved:
-                families[v] = parents
-                node_scores[v] = scorer.scores[(v, parents)]
-            structure = structure_from_families(structure.n_x, structure.n_z, structure.p, families)
-            current = float(sum(node_scores))
+            table.apply(moves[chosen])
+            current = float(sum(table.node_scores))
             trace.append({"restart": restart, "step": step, "score": current})
             moves_used += 1
         if current > best_score:
-            best_structure, best_score, best_trace = structure, current, tuple(trace)
+            best_structure, best_score, best_trace = table.structure, current, tuple(trace)
 
     return _finish("hill", dataset, best_structure, scorer, t_start, config.seed, best_trace,
-                   extras={"cache_entries": len(scorer.scores), "moves": moves_used})
+                   extras={"cache_entries": len(scorer.scores), "moves": moves_used,
+                           "moves_evaluated": evaluated})
 
 
 # ---------------------------------------------------------------------------

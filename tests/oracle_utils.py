@@ -5,6 +5,7 @@ integration paths: DAG-ness is decided by brute-force permutation
 checks, integrals by quadrature on scipy primitives.
 """
 
+import bisect
 import heapq
 import itertools
 import math
@@ -18,13 +19,16 @@ from scipy import optimize, stats
 from dbnlearn.acyclicity import h_expm_and_grad, threshold_and_repair
 from dbnlearn.core import (
     Cpt, DbnStructure, FactoredCpt, FamilySpec, LinearGaussian, Logistic, NoisyOr,
-    OptimizerError, Parent, canonical_parents, configuration_index, n_configurations, parents_of,
+    OptimizerError, Parent, _reachability, canonical_parents, configuration_index,
+    n_configurations, parents_of, structure_from_families,
 )
 from dbnlearn.learn import (
-    _RHO_MAX, BoundedConfig, ContinuousConfig, _finish, _sem_gram, _sem_structure,
+    _RHO_MAX, BoundedConfig, ContinuousConfig, SearchConfig, _finish, _random_start,
+    _search_config, _sem_gram, _sem_structure,
 )
 from dbnlearn.scoring import (
-    CountTable, FamilyScorer, bde_family_score, family_score, information_criterion,
+    CountTable, FamilyScorer, _SearchScorer, bde_family_score, family_score,
+    information_criterion,
 )
 from dbnlearn.simulate import substream
 
@@ -106,6 +110,123 @@ def _structure_with(structure: DbnStructure, move) -> DbnStructure:
     static = structure.static_edges.copy()
     static[j, i] = kind == "add_static"
     return structure.replace(static_edges=static)
+
+
+def reference_legal_moves(structure: DbnStructure, families: list, config: SearchConfig) -> list:
+    """Every legal single-edge move, as the ``(node, new parent tuple)`` pairs it changes.
+
+    The reference for hill climbing's maintained move table: every list
+    is built from scratch, for one structure.
+
+    ``families[v]`` is node ``v``'s canonical parent tuple in
+    ``structure``.  The order is fixed; a reversal of ``j -> i`` changes
+    ``i`` first, then ``j``.  One transitive closure of the intra graph
+    decides every intra candidate: adding ``j -> i`` closes a cycle iff
+    ``i`` already reaches ``j``; reversing ``j -> i`` does iff ``j``
+    reaches ``i`` through some other child ``k`` of ``j``.  Auto lag 1 is
+    not offered to a node with an inter self edge, which already is that
+    dependence.
+    """
+    n = structure.n_x
+    keys = [[par.sort_key() for par in parents] for parents in families]
+
+    def add(v, par):
+        at = bisect.bisect(keys[v], par.sort_key())
+        return v, families[v][:at] + (par,) + families[v][at:]
+
+    def drop(v, par):
+        at = bisect.bisect_left(keys[v], par.sort_key())
+        return v, families[v][:at] + families[v][at + 1:]
+
+    moves = []
+    intra_in = structure.intra.sum(axis=0)
+    inter_in = structure.inter.sum(axis=0)
+    static_in = structure.static_edges.sum(axis=0)
+    reach = _reachability(structure.intra)
+    # via[j, i]: j reaches i through a child of j other than i itself
+    via = (structure.intra.astype(np.int64) @ reach.astype(np.int64)) > 0
+    for j in range(n):
+        for i in range(n):
+            if i == j:
+                continue
+            if structure.intra[j, i]:
+                dropped = drop(i, Parent("intra", j))
+                moves.append((dropped,))
+                if intra_in[j] < config.max_intra and not via[j, i]:
+                    moves.append((dropped, add(j, Parent("intra", i))))
+            elif intra_in[i] < config.max_intra and not reach[i, j]:
+                moves.append((add(i, Parent("intra", j)),))
+            if structure.inter[j, i]:
+                moves.append((drop(i, Parent("inter", j)),))
+            elif inter_in[i] < config.max_inter:
+                moves.append((add(i, Parent("inter", j)),))
+    for i in range(n):
+        lags = set(structure.auto_lags[i])
+        for tau in range(1, config.p + 1):
+            if tau in lags:
+                moves.append((drop(i, Parent("auto", tau)),))
+            elif len(lags) < config.max_auto and not (tau == 1 and structure.inter[i, i]):
+                moves.append((add(i, Parent("auto", tau)),))
+    for j in range(structure.static_edges.shape[0]):
+        for i in range(n):
+            if structure.static_edges[j, i]:
+                moves.append((drop(i, Parent("static", j)),))
+            elif static_in[i] < config.max_static:
+                moves.append((add(i, Parent("static", j)),))
+    return moves
+
+
+def reference_hill_climb(dataset, score=None, config=None, prior=None, hyper=None, initial=None):
+    """Hill climbing that lists every legal move and re-sums every delta each step.
+
+    The reference for :func:`dbnlearn.learn.hill_climb`: each step takes
+    :func:`reference_legal_moves`, scores their families with one
+    ``many`` call per node, and sums each move's delta from the cache.
+    ``extras["moves_evaluated"]`` is the sum of the move lists' lengths.
+    """
+    t_start = time.perf_counter()
+    config = _search_config(score, config, "bic")
+    scorer = _SearchScorer(dataset, config.score, prior=prior, hyper=hyper)
+
+    best_structure, best_score, best_trace, moves_used, evaluated = None, -np.inf, (), 0, 0
+    for restart in range(config.restarts):
+        if restart == 0:
+            start = initial if initial is not None \
+                else DbnStructure.empty(dataset.n_x, dataset.n_z, config.p)
+        else:
+            start = _random_start(dataset, config, substream(config.seed, "restart", restart))
+        families = [parents_of(start, i).parents for i in range(dataset.n_x)]
+        structure = structure_from_families(dataset.n_x, dataset.n_z, max(start.p, config.p),
+                                            families)
+        node_scores = [scorer(i, families[i]) for i in range(dataset.n_x)]
+        current = float(sum(node_scores))
+        trace = [{"restart": restart, "step": 0, "score": current}]
+        for step in range(1, config.move_budget + 1):
+            moved = reference_legal_moves(structure, families, config)
+            evaluated += len(moved)
+            pending = sorted(itertools.chain.from_iterable(moved), key=lambda key: key[0])
+            for v, keys in itertools.groupby(pending, key=lambda key: key[0]):
+                scorer.many(v, [parents for _, parents in keys])
+            best_moved, best_delta = None, 0.0
+            for changed in moved:
+                delta = sum(scorer.scores[key] - node_scores[key[0]] for key in changed)
+                if delta > best_delta + 1e-12:
+                    best_moved, best_delta = changed, delta
+            if best_moved is None:
+                break
+            for v, parents in best_moved:
+                families[v] = parents
+                node_scores[v] = scorer.scores[(v, parents)]
+            structure = structure_from_families(structure.n_x, structure.n_z, structure.p, families)
+            current = float(sum(node_scores))
+            trace.append({"restart": restart, "step": step, "score": current})
+            moves_used += 1
+        if current > best_score:
+            best_structure, best_score, best_trace = structure, current, tuple(trace)
+
+    return _finish("hill", dataset, best_structure, scorer, t_start, config.seed, best_trace,
+                   extras={"cache_entries": len(scorer.scores), "moves": moves_used,
+                           "moves_evaluated": evaluated})
 
 
 def reference_count_table(dataset, family, t0=None):

@@ -15,14 +15,14 @@ from hypothesis import given, settings, strategies as st
 
 from dbnlearn.acyclicity import threshold_and_repair
 from dbnlearn.core import (
-    ConfigError, DataError, DbnError, DbnStructure, DomainMismatchError, FamilySpec,
+    ConfigError, DataError, DbnError, DbnStructure, DimensionError, DomainMismatchError, FamilySpec,
     OptimizerError, Parent, SingularFitError, SizeGuardError, configuration_index, is_acyclic,
     parents_of, structure_from_families,
 )
 from dbnlearn.learn import (
     LEARNERS, BoundedConfig, CellTimeout, ContinuousConfig, Deadline, SearchConfig,
     bounded_oneshot, continuous_oneshot, exact_search, hill_climb, run_learner,
-    _legal_moves, _price_support, _random_start,
+    _MoveTable, _first_best, _price_support, _random_start,
 )
 import dbnlearn.learn as learn
 from dbnlearn.evaluate import EvalReport, temporal_split
@@ -38,7 +38,8 @@ from dbnlearn.simulate import (
 from conftest import continuous_dataset, discrete_dataset
 from oracle_utils import (
     _structure_with, bounded_support_objective, bounded_tables_unpruned, brute_force_best_score,
-    lag1_design, reference_continuous_oneshot, residual_smooth,
+    lag1_design, reference_continuous_oneshot, reference_hill_climb, reference_legal_moves,
+    residual_smooth,
 )
 
 
@@ -245,6 +246,13 @@ def rebuilt_legal_moves(structure, config):
     return moves
 
 
+def table_moves(scorer, structure, config):
+    """A fresh move table's legal moves from ``structure``, as changed-family tuples, and their deltas."""
+    table = _MoveTable(scorer, structure, config)
+    moves, deltas = table.evaluate(lambda: None)
+    return [table.changes(m) for m in moves], deltas
+
+
 class TestHillClimb:
     def test_terminates_immediately_at_optimum(self):
         _, ds = discrete_instance(6, n_traj=40)
@@ -303,7 +311,7 @@ class TestHillClimb:
                 structure = _random_start(ds, cfg, substream(seed, "moves", k), edge_prob)
                 families = [parents_of(structure, v).parents for v in range(ds.n_x)]
                 node_scores = [scorer(v, families[v]) for v in range(ds.n_x)]
-                moves = _legal_moves(structure, families, cfg)
+                moves, _ = table_moves(scorer, structure, cfg)
                 reference = rebuilt_legal_moves(structure, cfg)
                 assert len(moves) == len(reference)
                 for moved, move in zip(moves, reference):
@@ -325,11 +333,86 @@ class TestHillClimb:
         _, ds = discrete_instance(3)
         initial = DbnStructure.empty(3).replace(inter=np.eye(3, dtype=bool))
         cfg = SearchConfig(score="bic", restarts=1)
-        families = [parents_of(initial, v).parents for v in range(3)]
-        changed = [parents for moved in _legal_moves(initial, families, cfg) for _, parents in moved]
+        moves, _ = table_moves(FamilyScorer(ds, "bic"), initial, cfg)
+        changed = [parents for moved in moves for _, parents in moved]
         assert changed and not any(Parent("auto", 1) in parents for parents in changed)
         report = hill_climb(ds, "bic", cfg, initial=initial)
         assert report.score == pytest.approx(FamilyScorer(ds, "bic").structure_score(report.structure))
+
+    def test_move_table_matches_the_oracle_after_every_step(self):
+        # legal moves, changed families and delta bits, step by step along the greedy path,
+        # against listing every move from scratch
+        for seed in range(10):
+            n, n_z = 3 + seed % 3, seed % 3
+            _, ds = discrete_instance(seed, n=n, n_traj=10, horizon=6, n_z=n_z, static=0.3)
+            cfg = SearchConfig(score="bic", max_intra=1 + seed % 3, max_inter=1 + seed % 2,
+                               max_auto=1 + seed % 2, p=1 + seed % 3, max_static=1 + seed % 2)
+            starts = [_random_start(ds, cfg, substream(seed, "table", k), edge_prob)
+                      for k, edge_prob in enumerate((0.2, 0.6, 0.9))]
+            starts.append(DbnStructure.empty(n, n_z, cfg.p).replace(inter=np.eye(n, dtype=bool)))
+            starts.append(DbnStructure.empty(n, n_z, 3).replace(
+                auto_lags=((3,), (1, 3)) + ((2,),) * (n - 2)))
+            for start in starts:
+                scorer = FamilyScorer(ds, "bic")
+                table = _MoveTable(scorer, start, cfg)
+                for _ in range(cfg.move_budget):
+                    moves, deltas = table.evaluate(lambda: None)
+                    reference = reference_legal_moves(table.structure, table.families, cfg)
+                    assert [table.changes(m) for m in moves] == reference
+                    # every family the oracle needs is already scored, so the lookups add none
+                    entries = len(scorer.scores)
+                    assert bits(deltas) == bits([
+                        sum(scorer.scores[key] - table.node_scores[key[0]] for key in moved)
+                        for moved in reference])
+                    assert len(scorer.scores) == entries
+                    chosen = _first_best(deltas)
+                    if chosen is None:
+                        break
+                    table.apply(moves[chosen])
+
+    def test_first_best_is_the_sequential_rule(self):
+        def sequential(deltas):
+            chosen, best = None, 0.0
+            for k, delta in enumerate(deltas):
+                if delta > best + 1e-12:
+                    chosen, best = k, delta
+            return chosen
+        rng = np.random.default_rng(4)
+        cases = [[], [0.0, -1.0], [1e-13, 5e-13],
+                 [1.0, 1.0 + 1e-13, 2.0, 2.0 + 2e-12, math.nan, math.inf]]
+        values = [-1.0, 0.0, 1e-12, 1.0, 1.0 + 5e-13, 1.0 + 2e-12, 3.0]
+        cases += [rng.choice(values, size=k).tolist() for k in range(1, 40)]
+        for deltas in cases:
+            assert _first_best(np.array(deltas, dtype=float)) == sequential(deltas), deltas
+
+    @pytest.mark.parametrize("kind, restarts", [
+        ("bic", 3), ("bde", 2), ("ll", 2), ("aic", 3), ("bge", 2)])
+    def test_matches_the_reference_search(self, kind, restarts):
+        for seed in range(4):
+            if kind == "bge":
+                _, ds = continuous_instance(seed, n=3 + seed % 2)
+            else:
+                _, ds = discrete_instance(seed, n=3 + seed % 3, n_traj=15, horizon=8, n_z=seed % 2,
+                                          static=0.3)
+            cfg = SearchConfig(score=kind, p=1 + seed % 3, max_auto=1 + seed % 2, restarts=restarts,
+                               seed=seed, max_intra=1 + seed % 3, max_inter=1 + seed % 2)
+            initial = None if seed % 2 else _random_start(ds, cfg, substream(seed, "initial"), 0.5)
+            report = hill_climb(ds, kind, cfg, initial=initial)
+            reference = reference_hill_climb(ds, kind, cfg, initial=initial)
+            assert (repr(report.trace), repr(report.score), report.structure) == \
+                (repr(reference.trace), repr(reference.score), reference.structure)
+            assert report.extras == reference.extras
+            assert report.extras["moves_evaluated"] > 0
+
+    @pytest.mark.parametrize("initial", [
+        DbnStructure.empty(4).replace(intra=np.eye(4, k=1, dtype=bool)),
+        DbnStructure.empty(3, 2).replace(static_edges=np.eye(2, 3, dtype=bool))],
+        ids=["more-nodes", "static-edges"])
+    def test_initial_of_other_dimensions_raises(self, initial):
+        ds = discrete_dataset(np.random.default_rng(0).integers(0, 2, (10, 12, 3)))
+        with mock.patch.object(FamilyScorer, "many", side_effect=AssertionError("scored")):
+            with pytest.raises(DimensionError, match="initial structure has"):
+                hill_climb(ds, "bic", initial=initial)
 
     def test_initial_structure_keeps_its_lag_order(self):
         # moves rebuild the structure at the initial's p, so a lag the search
