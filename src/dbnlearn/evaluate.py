@@ -267,9 +267,7 @@ class BenchmarkResult:
                 r.regime, str(r.n), str(r.n_traj), str(r.horizon), r.learner,
                 str(r.replicate), str(r.seed),
                 "" if r.shd is None else str(r.shd),
-                "" if r.auroc is None else repr(r.auroc),
-                "" if r.train_loglik is None else repr(r.train_loglik),
-                "" if r.test_loglik is None else repr(r.test_loglik),
+                *("" if v is None else repr(float(v)) for v in (r.auroc, r.train_loglik, r.test_loglik)),
                 r.status,
             ]))
         return "\n".join(lines) + "\n"

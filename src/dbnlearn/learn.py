@@ -7,8 +7,8 @@ Four learners share the :class:`LearnerReport` result type:
   set per vertex, cluster-style acyclicity), realized by dynamic
   programming over node subsets instead of a MIP solver.
 * :func:`hill_climb`     -- steepest-ascent local search with restarts
-  over add/delete/reverse moves, read from a table of per-node score
-  deltas in which a move rescores only the nodes it changed; the
+  over add/delete/reverse moves, read from a table of per-node family
+  scores in which a move rescores only the nodes it changed; the
   transitive closure of :mod:`dbnlearn.core` decides which intra moves
   are legal.
 * :func:`continuous_oneshot` -- one-shot least squares over weighted
@@ -51,7 +51,7 @@ from .acyclicity import _h_exp, _h_grad, threshold_and_repair
 from .core import (
     ConfigError, DataError, DbnError, DbnStructure, DimensionError, DomainMismatchError, Parent,
     ParameterSet, SizeGuardError, OptimizerError, TrajectoryDataset, _reachability,
-    canonical_parents, parents_of, structure_from_families,
+    structure_from_families,
 )
 from .scoring import (
     BgeHyper, DirichletPrior, FamilyScorer, _SearchScorer, fit_structure_params,
@@ -232,6 +232,15 @@ def _class_subsets(candidates: Sequence, limit: int):
     return out
 
 
+def _check_horizon(dataset: TrajectoryDataset, max_lag: int) -> None:
+    """Refuse a largest lag past the horizon ``T``: it leaves no transition to learn from.
+
+    A search would score a family with such a lag 0, above every family with data.
+    """
+    if max_lag > dataset.T:
+        raise DataError(f"horizon T={dataset.T} too short for max lag {max_lag}")
+
+
 def _search_config(score: str | None, config: SearchConfig | None, default: str) -> SearchConfig:
     """``config``, by default one scoring ``score`` (else ``default``); ``score`` may only repeat it."""
     if score is not None and config is not None and score.lower() != config.score.lower():
@@ -269,6 +278,7 @@ def exact_search(dataset: TrajectoryDataset, score: str | None = None,
         raise SizeGuardError(f"exact search is guarded at 12 nodes, got {n}")
     if dataset.N * (dataset.T - dataset.burn_in) == 0:
         raise DataError("cannot learn from a dataset with no usable transition")
+    _check_horizon(dataset, config.p)
     scorer = _SearchScorer(dataset, config.score, prior=prior, hyper=hyper)
 
     tables, scored = [], 0  # per node: {intra parent bitmask -> (score, full parent tuple)}
@@ -356,21 +366,23 @@ def _best_dag(tables: list[dict], deadline: Deadline) -> tuple[float, list]:
 
 
 class _MoveTable:
-    """Hill climbing's legal moves from the current structure, with their deltas, kept move by move.
+    """Hill climbing's graph, and its legal moves with their deltas, kept move by move.
 
-    Every candidate move has one slot, in a fixed order: per pair
-    ``(j, i)``, ``j``-major, the intra edge ``j -> i`` (drop or add), its
-    reversal, then the inter edge ``j -> i`` (drop or add); then per node
-    each auto lag up to ``config.p``; then per static ``j`` and node ``i``
-    the edge ``j -> i``.  A move toggles parent ``toggle[m]`` of node
-    ``node[m]``; a reversal also toggles intra ``i`` of ``j``
-    (``node2``, ``toggle2``), every other move points there at a zero term.
-    ``terms[v, t]`` is ``v``'s score with parent ``t`` toggled minus its
-    current score.  A term is scored once a legal move first needs it, and
-    kept until ``v``'s family changes, so a step scores exactly the
-    families that listing every legal move would, in the same per-node
-    batches and order.  A move's delta is ``(0 + term) + second term``, the
-    order of summing its changed families one by one.
+    The graph is one boolean matrix: ``has[v, t]`` iff node ``v`` has parent
+    ``parents[t]``, in canonical column order, so a row's set columns are
+    its node's parent tuple.  Each candidate move has a slot: per pair
+    ``(j, i)``, ``j``-major, the intra edge ``j -> i``, its reversal and the
+    inter edge; then per node each auto lag up to ``config.p``; then per
+    static and node the static edge.  It toggles column ``toggle[m]`` of
+    ``node[m]``, a reversal also ``toggle2`` of ``node2`` (the own column
+    for other moves).  ``scores[v, t]`` is ``v``'s score with column ``t``
+    toggled, the own column's with none; each is computed when a legal move
+    first needs it (the own ones at the first step), one ``many`` call per
+    stale node, and kept until ``v``'s family changes and the toggled score
+    becomes its own.  So a step scores exactly the families that listing
+    every legal move would.  A delta is ``(0 + term) + second term``, a term
+    being a toggled score minus the own one (0 for the own column), the
+    order of summing family by family.
 
     Legality is recomputed each step from one transitive closure of the
     intra graph: adding ``j -> i`` closes a cycle iff ``i`` already reaches
@@ -381,48 +393,41 @@ class _MoveTable:
 
     def __init__(self, scorer: FamilyScorer, start: DbnStructure, config: SearchConfig):
         n, n_z, p = start.n_x, start.n_z, config.p
-        self.scorer, self.config = scorer, config
-        self.families = [parents_of(start, v).parents for v in range(n)]
-        # at least config.p, the largest auto lag a move may add
-        self.structure = structure_from_families(n, n_z, max(start.p, p), self.families)
-        self.node_scores = [scorer(v, parents) for v, parents in enumerate(self.families)]
-        # toggle t adds or drops parents[t]; one more column holds the zero term
-        self.parents = [*(Parent("intra", j) for j in range(n)),
-                        *(Parent("inter", j) for j in range(n)),
-                        *(Parent("auto", t) for t in range(1, p + 1)),
+        self.scorer, self.config, self.n_z = scorer, config, n_z
+        self.p = max(start.p, p)  # at least config.p, the largest auto lag a move may add
+        self.parents = [*(Parent(kind, j) for kind in ("inter", "intra") for j in range(n)),
+                        *(Parent("auto", t) for t in range(1, self.p + 1)),
                         *(Parent("static", j) for j in range(n_z))]
-        zero = len(self.parents)
-        self.terms = np.zeros((n, zero + 1))
-        self.fresh = np.zeros((n, zero + 1), dtype=bool)
-        self.fresh[:, zero] = True
+        auto = [[t in lags for t in range(1, self.p + 1)] for lags in start.auto_lags]
+        self.has = np.hstack([start.inter.T, start.intra.T, auto, start.static_edges.T])
+        self.own = own = len(self.parents)  # the own column
+        self.scores, self.fresh = np.zeros((n, own + 1)), np.zeros((n, own + 1), dtype=bool)
         j, i = np.nonzero(~np.eye(n, dtype=bool))
         lag_node, lag = np.divmod(np.arange(n * p), p)
         z, z_node = np.divmod(np.arange(n_z * n), n)
         self.node = np.concatenate([np.repeat(i, 3), lag_node, z_node])
-        self.toggle = np.concatenate([(j[:, None] + [0, 0, n]).ravel(), 2 * n + lag, 2 * n + p + z])
-        self.node2 = np.zeros_like(self.node)
-        self.toggle2 = np.full_like(self.node, zero)
-        self.node2[1:3 * j.size:3], self.toggle2[1:3 * j.size:3] = j, i
+        self.toggle = np.concatenate([(j[:, None] + [n, n, 0]).ravel(), 2 * n + lag, 2 * n + self.p + z])
+        self.node2, self.toggle2 = self.node.copy(), np.full_like(self.node, own)
+        self.node2[1:3 * j.size:3], self.toggle2[1:3 * j.size:3] = j, n + i
 
     def evaluate(self, check: Callable[[], None]) -> tuple[np.ndarray, np.ndarray]:
-        """This step's legal moves, in move order, and their deltas; stale terms are scored first."""
-        s, c = self.structure, self.config
-        reach = _reachability(s.intra)
+        """This step's legal moves, in move order, and their deltas; stale scores are computed first."""
+        c, n, has = self.config, len(self.has), self.has
+        inter, intra = has[:, :n].T, has[:, n:2 * n].T
+        auto, static = has[:, 2 * n:2 * n + self.p], has[:, 2 * n + self.p:].T
+        reach = _reachability(intra)
         # via[j, i]: j reaches i through a child of j other than i itself
-        via = (s.intra.astype(np.int64) @ reach.astype(np.int64)) > 0
-        intra_room = s.intra.sum(axis=0) < c.max_intra
-        pairs = np.stack([s.intra | (intra_room & ~reach.T), s.intra & intra_room[:, None] & ~via,
-                          s.inter | (s.inter.sum(axis=0) < c.max_inter)], axis=-1)
-        has = np.array([[t in lags for t in range(1, c.p + 1)] for lags in s.auto_lags], dtype=bool)
-        offered = np.ones_like(has)
-        offered[:, 0] = ~s.inter.diagonal()
-        auto_room = np.array([len(lags) < c.max_auto for lags in s.auto_lags])
-        static = s.static_edges | (s.static_edges.sum(axis=0) < c.max_static)
+        via = (intra.astype(np.int64) @ reach.astype(np.int64)) > 0
+        intra_room = intra.sum(axis=0) < c.max_intra
+        pairs = np.stack([intra | (intra_room & ~reach.T), intra & intra_room[:, None] & ~via,
+                          inter | (inter.sum(axis=0) < c.max_inter)], axis=-1)
+        offered = np.arange(1, c.p + 1) > inter.diagonal()[:, None]  # lag 1 iff no inter self edge
+        auto_room = auto.sum(axis=1) < c.max_auto
         moves = np.flatnonzero(np.concatenate([
-            pairs[~np.eye(s.n_x, dtype=bool)].ravel(), (has | auto_room[:, None] & offered).ravel(),
-            static.ravel()]))
-
-        stale = {}  # node -> its stale toggles, in move order
+            pairs[~np.eye(n, dtype=bool)].ravel(), (auto[:, :c.p] | auto_room[:, None] & offered).ravel(),
+            (static | (static.sum(axis=0) < c.max_static)).ravel()]))
+        # node -> its stale columns: the own one first, then the toggles in move order
+        stale = {v: {self.own: None} for v in np.flatnonzero(~self.fresh[:, self.own]).tolist()}
         nodes = np.column_stack([self.node[moves], self.node2[moves]]).ravel()
         toggles = np.column_stack([self.toggle[moves], self.toggle2[moves]]).ravel()
         keep = ~self.fresh[nodes, toggles]
@@ -431,34 +436,39 @@ class _MoveTable:
         with np.errstate(invalid="ignore"):  # a singular family scores -inf, as may v itself
             for v in sorted(stale):
                 ts = list(stale[v])
-                scores = self.scorer.many(v, [self._toggled(v, t) for t in ts], check)
-                self.terms[v, ts] = scores - self.node_scores[v]
+                self.scores[v, ts] = self.scorer.many(v, self.toggled(v, ts), check)
                 self.fresh[v, ts] = True
-            deltas = (0.0 + self.terms[self.node[moves], self.toggle[moves]]
-                      + self.terms[self.node2[moves], self.toggle2[moves]])
+            terms = self.scores - self.scores[:, self.own, None]
+            terms[:, self.own] = 0.0
+            deltas = (0.0 + terms[self.node[moves], self.toggle[moves]]
+                      + terms[self.node2[moves], self.toggle2[moves]])
         return moves, deltas
 
-    def changes(self, m: int) -> tuple:
-        """Move ``m`` as the ``(node, new parent tuple)`` pairs it changes, a reversal's child first."""
-        toggles = [(self.node[m], self.toggle[m])]
-        if self.toggle2[m] < len(self.parents):
-            toggles.append((self.node2[m], self.toggle2[m]))
-        return tuple((int(v), self._toggled(v, t)) for v, t in toggles)
+    def changes(self, m: int) -> list[tuple[int, int]]:
+        """Move ``m`` as the ``(node, column)`` pairs it toggles, a reversal's child first."""
+        pairs = (self.node[m], self.toggle[m]), (self.node2[m], self.toggle2[m])
+        return [(int(v), int(t)) for v, t in pairs if t < self.own]
 
     def apply(self, m: int) -> None:
-        """Make move ``m``: its families change, and their nodes' terms go stale."""
-        for v, parents in self.changes(m):
-            self.families[v] = parents
-            self.node_scores[v] = self.scorer.scores[(v, parents)]
-            self.fresh[v, :-1] = False
-        s = self.structure
-        self.structure = structure_from_families(s.n_x, s.n_z, s.p, self.families)
+        """Make move ``m``: flip its bits; their nodes' toggled scores become their own, the rest stale."""
+        for v, t in self.changes(m):
+            self.has[v, t] = not self.has[v, t]
+            self.scores[v, self.own] = self.scores[v, t]
+            self.fresh[v, :self.own] = False
 
-    def _toggled(self, v: int, t: int) -> tuple[Parent, ...]:
-        parents, par = self.families[v], self.parents[t]
-        if par in parents:
-            return tuple(q for q in parents if q != par)
-        return canonical_parents(parents + (par,))
+    def toggled(self, v: int, columns: Sequence[int]) -> list[tuple[Parent, ...]]:
+        """``v``'s parent tuples with each of ``columns`` toggled; the own column toggles none."""
+        cols = set(np.flatnonzero(self.has[v]).tolist())
+        return [tuple(self.parents[u] for u in sorted(cols ^ ({t} - {self.own}))) for t in columns]
+
+    def structure(self) -> DbnStructure:
+        """The current graph as a new structure, validated, sharing no memory with the table."""
+        families = [tuple(self.parents[u] for u in np.flatnonzero(row)) for row in self.has]
+        return structure_from_families(len(self.has), self.n_z, self.p, families)
+
+    def total(self) -> float:
+        """The current graph's score: the own scores summed node by node."""
+        return float(sum(self.scores[:, self.own].tolist()))
 
 
 def _first_best(deltas: np.ndarray) -> int | None:
@@ -512,17 +522,16 @@ def hill_climb(dataset: TrajectoryDataset, score: str | None = None,
     """Steepest-ascent search over single-edge moves, best of seeded restarts.
 
     Moves: add/delete/reverse intra edge (cycle-rejecting), add/delete
-    inter edge, auto lag, static edge.  Each restart keeps a
-    :class:`_MoveTable`: per node one score delta for each parent it could
-    gain or lose.  A step lists the legal moves, scores the deltas they
-    need that the last move made stale (the changed nodes' only), with one
-    :meth:`~dbnlearn.scoring.FamilyScorer.many` call per node, and picks
-    a move by the greedy rule of :func:`_first_best`.  The chosen move updates the
-    per-node parent tuples, and the structure is rebuilt from them.  Restart 0
-    starts from ``initial`` (the empty graph by default), its lag order
-    raised to ``config.p`` if smaller, later restarts from random
-    structures (edge probability 0.2).  An ``initial`` with other node or
-    static counts than the dataset raises :class:`DimensionError`.  A family
+    inter edge, auto lag, static edge.  Each restart reads them from a
+    :class:`_MoveTable`, which scores only stale families, one
+    :meth:`~dbnlearn.scoring.FamilyScorer.many` call per node and step,
+    picks one by the greedy rule of :func:`_first_best` and builds the
+    structure once, when the restart ends.  Restart 0 starts from
+    ``initial`` (the empty graph by default), its lag order raised to
+    ``config.p`` if smaller, later restarts from random structures (edge
+    probability 0.2).  An ``initial`` with other node or static counts
+    than the dataset raises :class:`DimensionError`; a lag (``config.p`` or
+    ``initial``'s) past the horizon raises :class:`DataError`.  A family
     whose least-squares fit is singular scores ``-inf``, as in
     :func:`exact_search`, so no move chooses it.  ``extras`` reports the
     families scored (``cache_entries``), the moves made (``moves``) and the
@@ -538,6 +547,7 @@ def hill_climb(dataset: TrajectoryDataset, score: str | None = None,
         raise DimensionError(
             f"initial structure has {initial.n_x} nodes and {initial.n_z} static variables, "
             f"the dataset {dataset.n_x} and {dataset.n_z}")
+    _check_horizon(dataset, max(config.p, 1 if initial is None else initial.max_lag()))
     scorer = _SearchScorer(dataset, config.score, prior=prior, hyper=hyper)
 
     best_structure, best_score, best_trace, moves_used, evaluated = None, -np.inf, (), 0, 0
@@ -547,22 +557,22 @@ def hill_climb(dataset: TrajectoryDataset, score: str | None = None,
                 else DbnStructure.empty(dataset.n_x, dataset.n_z, config.p)
         else:
             start = _random_start(dataset, config, substream(config.seed, "restart", restart))
-        table = _MoveTable(scorer, start, config)
-        current = float(sum(table.node_scores))
-        trace = [{"restart": restart, "step": 0, "score": current}]
+        table, trace = _MoveTable(scorer, start, config), []
         for step in range(1, config.move_budget + 1):
             deadline.check()
             moves, deltas = table.evaluate(deadline.check)
+            if step == 1:  # the start's own scores come with the first step's
+                trace.append({"restart": restart, "step": 0, "score": table.total()})
             evaluated += moves.size
             chosen = _first_best(deltas)
             if chosen is None:
                 break
             table.apply(moves[chosen])
-            current = float(sum(table.node_scores))
-            trace.append({"restart": restart, "step": step, "score": current})
+            trace.append({"restart": restart, "step": step, "score": table.total()})
             moves_used += 1
+        structure, current = table.structure(), trace[-1]["score"]
         if current > best_score:
-            best_structure, best_score, best_trace = table.structure, current, tuple(trace)
+            best_structure, best_score, best_trace = structure, current, tuple(trace)
 
     return _finish("hill", dataset, best_structure, scorer, t_start, config.seed, best_trace,
                    extras={"cache_entries": len(scorer.scores), "moves": moves_used,
@@ -676,8 +686,7 @@ def continuous_oneshot(dataset: TrajectoryDataset, config: ContinuousConfig | No
     deadline = deadline or _NO_DEADLINE
     if dataset.domain.discrete:
         raise DomainMismatchError("the continuous one-shot learner needs a continuous dataset")
-    if dataset.T < config.max_lag:
-        raise DataError(f"horizon T={dataset.T} too short for max lag {config.max_lag}")
+    _check_horizon(dataset, config.max_lag)
     n = dataset.n_x
     gram, m = _sem_gram(dataset, config.max_lag)
     smooth = _SemSmooth(gram, m, n)
@@ -913,8 +922,7 @@ def bounded_oneshot(dataset: TrajectoryDataset, config: BoundedConfig | None = N
     deadline = deadline or _NO_DEADLINE
     if dataset.domain.discrete:
         raise DomainMismatchError("the bounded one-shot learner needs a continuous dataset")
-    if dataset.T < 1:
-        raise DataError(f"horizon T={dataset.T} too short for max lag 1")
+    _check_horizon(dataset, 1)
     n = dataset.n_x
     if n > config.max_nodes:
         raise SizeGuardError(f"bounded search is guarded at {config.max_nodes} nodes, got {n}")

@@ -99,14 +99,12 @@ def _config_index(columns: Sequence[np.ndarray], arities: Sequence[int]) -> np.n
     return idx
 
 
-def count_transitions(dataset: TrajectoryDataset, family: FamilySpec,
-                      t0: int | None = None) -> CountTable:
+def count_transitions(dataset: TrajectoryDataset, family: FamilySpec) -> CountTable:
     """Tally every usable transition by parent configuration and child value.
 
     Transitions whose auto lags reach before the first observation (or
     into the burn-in window) are skipped, so the grand total is
-    ``N * (T - first_usable + 1)``.  A later first target time ``t0``
-    skips the transitions before it too.  The table is one family's
+    ``N * (T - first_usable + 1)``.  The table is one family's
     :func:`_block_counts` over the dataset's distinct rows of its columns,
     so a compression a learner kept serves its refit.  A family of
     ``2**31`` count cells or more raises :class:`SizeGuardError`.
@@ -117,8 +115,8 @@ def count_transitions(dataset: TrajectoryDataset, family: FamilySpec,
     child_arity = dataset.domain.x_arities[family.node]
     radix = [child_arity, *arities]
     _guarded_cells(radix)
-    keys = dataset.family_keys(family, t0)
-    t0 = keys[0][0]  # the first target time, with the default resolved
+    keys = dataset.family_keys(family)
+    t0 = keys[0][0]  # the first target time
     columns = np.array([dataset.column_id(lag, j) for _, lag, j in keys])
     ids, distinct, weights = dataset.distinct_rows(t0, np.unique(columns))
     counts = _block_counts(np.searchsorted(ids, columns)[None], radix, distinct, weights)

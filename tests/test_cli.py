@@ -136,6 +136,15 @@ class TestLearnCommand:
                      "--learner", "dynotears"])
         assert code == 3
 
+    @pytest.mark.parametrize("learner", ["hill", "exact"])
+    def test_lag_past_the_horizon_is_data_error(self, tmp_path, capsys, learner):
+        data = tmp_path / "data.csv"
+        write_dataset(discrete_dataset(np.random.default_rng(0).integers(0, 2, (4, 3, 2))), data)
+        code = main(["learn", "--data", str(data), "--learner", learner, "--score", "bic",
+                     "--hyper", "p=3", "--hyper", "max_auto=3"])
+        assert code == 3
+        assert "horizon T=2 too short for max lag 3" in capsys.readouterr().err
+
     def test_unknown_hyperparameter_is_usage_error(self, generated):
         _, cell = generated
         code = main(["learn", "--data", str(cell / "data.csv"), "--learner", "hill",
@@ -287,6 +296,19 @@ class TestBenchmarkCommand:
         assert failed["error"] == "DomainMismatchError: bge_family_score needs a continuous dataset"
         assert {k: failed[k] for k in ("regime", "n", "N", "T", "replicate")} == \
             {"regime": "mini", "n": 2, "N": 6, "T": 6, "replicate": 0}
+
+    @pytest.mark.parametrize("name", ["discrete", "continuous"])
+    def test_checked_in_config_writes_numbers(self, tmp_path, capsys, name):
+        # the fixed benchmark configs: every cell runs, every numeric field parses as a
+        # number (continuous log-likelihoods are numpy scalars), and the truths have edges
+        config = Path(__file__).parents[1] / "configs" / f"benchmark-{name}.json"
+        assert main(["benchmark", "--config", str(config), "--out", str(tmp_path)]) == 0
+        header, *rows = [line.split(",") for line in (tmp_path / "results.csv").read_text().splitlines()]
+        assert rows and all(row[-1] == "OK" for row in rows)
+        for row in rows:
+            for column in ("n", "N", "T", "replicate", "seed", "shd", "auroc", "train_ll", "test_ll"):
+                float(row[header.index(column)])
+        assert {row[header.index("auroc")] for row in rows} != {"0.5"}
 
     def test_eval_alias(self, tmp_path):
         cfg = tmp_path / "c.json"

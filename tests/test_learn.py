@@ -250,7 +250,12 @@ def table_moves(scorer, structure, config):
     """A fresh move table's legal moves from ``structure``, as changed-family tuples, and their deltas."""
     table = _MoveTable(scorer, structure, config)
     moves, deltas = table.evaluate(lambda: None)
-    return [table.changes(m) for m in moves], deltas
+    return changed_families(table, moves), deltas
+
+
+def changed_families(table, moves):
+    """Each move as the ``(node, new parent tuple)`` pairs it changes, a reversal's child first."""
+    return [tuple((v, table.toggled(v, [t])[0]) for v, t in table.changes(m)) for m in moves]
 
 
 class TestHillClimb:
@@ -357,18 +362,105 @@ class TestHillClimb:
                 table = _MoveTable(scorer, start, cfg)
                 for _ in range(cfg.move_budget):
                     moves, deltas = table.evaluate(lambda: None)
-                    reference = reference_legal_moves(table.structure, table.families, cfg)
-                    assert [table.changes(m) for m in moves] == reference
+                    structure = table.structure()
+                    families = [table.toggled(v, [table.own])[0] for v in range(n)]
+                    assert families == [parents_of(structure, v).parents for v in range(n)]
+                    reference = reference_legal_moves(structure, families, cfg)
+                    assert changed_families(table, moves) == reference
                     # every family the oracle needs is already scored, so the lookups add none
                     entries = len(scorer.scores)
+                    node_scores = table.scores[:, table.own]
+                    assert node_scores.tolist() == [
+                        scorer.scores[(v, parents)] for v, parents in enumerate(families)]
                     assert bits(deltas) == bits([
-                        sum(scorer.scores[key] - table.node_scores[key[0]] for key in moved)
+                        sum(scorer.scores[key] - node_scores[key[0]] for key in moved)
                         for moved in reference])
                     assert len(scorer.scores) == entries
                     chosen = _first_best(deltas)
                     if chosen is None:
                         break
                     table.apply(moves[chosen])
+
+    def test_one_many_call_per_stale_node_and_step(self):
+        # the start's own scores come with the first step's batches: a step scores every node
+        # once at a restart's start and the last move's nodes once after it, nothing is scored
+        # outside a step, and the structure is built once per restart
+        _, ds = discrete_instance(5, n=5, n_traj=20, horizon=8, n_z=1, static=0.3)
+        cfg = SearchConfig(score="bic", restarts=3, seed=2)
+        many, evaluate, apply, finish = FamilyScorer.many, _MoveTable.evaluate, _MoveTable.apply, learn._finish
+        outside, steps, state = [], [], {"nodes": None, "moved": {}}
+
+        def counted_many(scorer, node, *args, **kwargs):
+            (outside if state["nodes"] is None else state["nodes"]).append(node)
+            return many(scorer, node, *args, **kwargs)
+
+        def counted_evaluate(table, check):
+            state["nodes"] = []
+            result = evaluate(table, check)
+            steps.append((table, state["nodes"], state["moved"].pop(table, None)))
+            state["nodes"] = None
+            return result
+
+        def counted_apply(table, m):
+            state["moved"][table] = sorted(v for v, _ in table.changes(m))
+            apply(table, m)
+
+        def counted_finish(*args, **kwargs):
+            state["outside"] = list(outside)  # the report's rescoring comes after the search
+            return finish(*args, **kwargs)
+
+        with mock.patch.object(FamilyScorer, "many", counted_many), \
+                mock.patch.object(_MoveTable, "evaluate", counted_evaluate), \
+                mock.patch.object(_MoveTable, "apply", counted_apply), \
+                mock.patch.object(learn, "_finish", counted_finish), \
+                mock.patch.object(learn, "structure_from_families",
+                                  wraps=structure_from_families) as built:
+            report = hill_climb(ds, "bic", cfg)
+        assert state["outside"] == []
+        assert built.call_count == cfg.restarts == len({id(table) for table, _, _ in steps})
+        assert report.extras["moves"] > cfg.restarts
+        for k, (table, nodes, moved) in enumerate(steps):
+            first = k == 0 or steps[k - 1][0] is not table
+            assert (moved is None) == first
+            assert nodes == (list(range(ds.n_x)) if first else moved)
+
+    def test_returned_structure_shares_no_memory_with_a_table(self):
+        # the benchmark reruns a dataset round after round, so leaked state would show there
+        _, ds = discrete_instance(4, n=4, n_traj=20, horizon=8)
+        tables = []
+
+        class Recorded(_MoveTable):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tables.append(self)
+
+        with mock.patch.object(learn, "_MoveTable", Recorded):
+            report = hill_climb(ds, "bic", SearchConfig(score="bic", restarts=2, seed=3))
+        assert len(tables) == 2 and report.extras["moves"] > 0
+        kept = DbnStructure.from_json_dict(report.structure.to_json_dict())
+        for table in tables:
+            for edges in (report.structure.intra, report.structure.inter, report.structure.static_edges):
+                assert not np.shares_memory(edges, table.has)
+            table.has[...] = ~table.has
+            table.scores[...] = np.nan
+        assert report.structure == kept
+
+    @pytest.mark.parametrize("search", [exact_search, hill_climb])
+    def test_lag_past_the_horizon_raises(self, search):
+        # lag 3 leaves no transition at T = 2; such a family would score 0, above every other
+        ds = discrete_dataset(np.random.default_rng(0).integers(0, 2, (4, 3, 2)))
+        assert ds.T == 2
+        with mock.patch.object(FamilyScorer, "many", side_effect=AssertionError("scored")), \
+                mock.patch.object(FamilyScorer, "lattice", side_effect=AssertionError("scored")):
+            with pytest.raises(DataError, match="horizon T=2 too short for max lag 3"):
+                search(ds, "bic", SearchConfig(score="bic", p=3, max_auto=3))
+        assert search(ds, "bic", SearchConfig(score="bic", p=2, max_auto=2)).score < 0
+
+    def test_initial_lag_past_the_horizon_raises(self):
+        ds = discrete_dataset(np.random.default_rng(0).integers(0, 2, (4, 3, 2)))
+        initial = DbnStructure.empty(2, 0, 3).replace(auto_lags=((3,), ()))
+        with pytest.raises(DataError, match="horizon T=2 too short for max lag 3"):
+            hill_climb(ds, "bic", SearchConfig(score="bic", restarts=1), initial=initial)
 
     def test_first_best_is_the_sequential_rule(self):
         def sequential(deltas):
