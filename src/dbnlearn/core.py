@@ -724,21 +724,17 @@ class Cpt:
     def arity(self) -> int:
         return self.table.shape[1]
 
-    def probs(self, config_index: int) -> np.ndarray:
-        return self.table[config_index]
-
 
 @dataclass(frozen=True)
 class FactoredCpt:
     """Binary kernel with independent dynamic and static factors.
 
     ``p(child = 1 | dyn config, stat config) = table_dyn[d] * table_stat[s]``,
-    clipped into [0, 1].  ``clipped`` records whether fitting ever clipped.
+    clipped into [0, 1].
     """
 
     table_dyn: np.ndarray
     table_stat: np.ndarray
-    clipped: bool = False
 
     def __post_init__(self):
         d = _check_prob(np.asarray(self.table_dyn, dtype=float).reshape(-1), "dynamic factor")
@@ -778,15 +774,10 @@ class NoisyOr:
 
 @dataclass(frozen=True)
 class Logistic:
-    """Binary logistic kernel: p(1) = sigmoid(beta0 + beta . parents).
-
-    ``separable_guard`` is set when fitting hit the divergence guard on
-    (near-)separable data and fell back to a ridge-regularized optimum.
-    """
+    """Binary logistic kernel: p(1) = sigmoid(beta0 + beta . parents)."""
 
     beta0: float
     beta: np.ndarray
-    separable_guard: bool = False
 
     def __post_init__(self):
         b = np.asarray(self.beta, dtype=float).reshape(-1)

@@ -45,14 +45,12 @@ def params_to_json(params: ParameterSet) -> list[dict]:
         elif isinstance(par, FactoredCpt):
             entry["table_dyn"] = par.table_dyn.tolist()
             entry["table_stat"] = par.table_stat.tolist()
-            entry["clipped"] = par.clipped
         elif isinstance(par, NoisyOr):
             entry["lambda0"] = par.lam0
             entry["lambda"] = list(par.lam)
         elif isinstance(par, Logistic):
             entry["beta0"] = par.beta0
             entry["beta"] = par.beta.tolist()
-            entry["separable_guard"] = par.separable_guard
         elif isinstance(par, LinearGaussian):
             entry["beta0"] = par.beta0
             entry["beta"] = par.beta.tolist()
@@ -62,6 +60,7 @@ def params_to_json(params: ParameterSet) -> list[dict]:
 
 
 def params_from_json(entries: list[dict]) -> ParameterSet:
+    """Parameters from :func:`params_to_json` entries; keys it does not read are ignored."""
     families = []
     for entry in sorted(entries, key=lambda e: e["node"]):
         kind = entry["kind"]
@@ -70,15 +69,13 @@ def params_from_json(entries: list[dict]) -> ParameterSet:
         elif kind == "factored":
             families.append(FactoredCpt(
                 table_dyn=np.asarray(entry["table_dyn"], dtype=float),
-                table_stat=np.asarray(entry["table_stat"], dtype=float),
-                clipped=bool(entry.get("clipped", False))))
+                table_stat=np.asarray(entry["table_stat"], dtype=float)))
         elif kind == "noisy_or":
             families.append(NoisyOr(lam0=float(entry["lambda0"]),
                                     lam=tuple(float(v) for v in entry["lambda"])))
         elif kind == "logistic":
             families.append(Logistic(beta0=float(entry["beta0"]),
-                                     beta=np.asarray(entry["beta"], dtype=float),
-                                     separable_guard=bool(entry.get("separable_guard", False))))
+                                     beta=np.asarray(entry["beta"], dtype=float)))
         elif kind == "linear_gaussian":
             families.append(LinearGaussian(beta0=float(entry["beta0"]),
                                            beta=np.asarray(entry["beta"], dtype=float),

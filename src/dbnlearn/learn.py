@@ -49,12 +49,12 @@ import numpy as np
 
 from .acyclicity import _h_exp, _h_grad, threshold_and_repair
 from .core import (
-    ConfigError, DataError, DbnError, DbnStructure, DimensionError, DomainMismatchError, Parent,
-    ParameterSet, SizeGuardError, OptimizerError, TrajectoryDataset, _reachability,
-    structure_from_families,
+    PARENT_KINDS, ConfigError, DataError, DbnError, DbnStructure, DimensionError,
+    DomainMismatchError, ParameterSet, SizeGuardError, OptimizerError, TrajectoryDataset,
+    _reachability, structure_from_families,
 )
 from .scoring import (
-    BgeHyper, DirichletPrior, FamilyScorer, _SearchScorer, fit_structure_params,
+    BgeHyper, DirichletPrior, FamilyScorer, _SearchScorer, _check_horizon, fit_structure_params,
 )
 from .simulate import substream
 
@@ -232,13 +232,13 @@ def _class_subsets(candidates: Sequence, limit: int):
     return out
 
 
-def _check_horizon(dataset: TrajectoryDataset, max_lag: int) -> None:
-    """Refuse a largest lag past the horizon ``T``: it leaves no transition to learn from.
-
-    A search would score a family with such a lag 0, above every family with data.
-    """
-    if max_lag > dataset.T:
-        raise DataError(f"horizon T={dataset.T} too short for max lag {max_lag}")
+def _class_rows(scorer: FamilyScorer, columns: np.ndarray, limit: int) -> np.ndarray:
+    """Rows over the scorer's candidate table of every subset of ``columns`` up to ``limit``."""
+    subsets = _class_subsets(columns.tolist(), limit)
+    rows = np.zeros((len(subsets), len(scorer.candidates)), dtype=bool)
+    for r, subset in enumerate(subsets):
+        rows[r, list(subset)] = True
+    return rows
 
 
 def _search_config(score: str | None, config: SearchConfig | None, default: str) -> SearchConfig:
@@ -262,11 +262,11 @@ def exact_search(dataset: TrajectoryDataset, score: str | None = None,
     static subsets go to those enumerated first (smaller, then
     lexicographically earlier); an intra set beats its subsets only when
     strictly better.  Each node's lattice is scored into an array by one
-    :meth:`~dbnlearn.scoring.FamilyScorer.lattice` call, which caches
-    nothing and on discrete data sums most families' counts out of a few
-    tallied ones.  A family whose least-squares fit is singular scores
-    ``-inf`` (:class:`~dbnlearn.scoring._SearchScorer`), so it is never
-    chosen.  ``extras`` reports the lattice families scored
+    :meth:`~dbnlearn.scoring.FamilyScorer.lattice` call on family rows,
+    which caches nothing and on discrete data sums most families' counts
+    out of a few tallied ones.  A family whose least-squares fit is singular
+    scores ``-inf`` (:class:`~dbnlearn.scoring._SearchScorer`), so it is
+    never chosen.  ``extras`` reports the lattice families scored
     (``cache_entries``) and tallied (``families_counted``).
     The score kind is ``config.score``, ``bde`` by default.
     """
@@ -281,26 +281,27 @@ def exact_search(dataset: TrajectoryDataset, score: str | None = None,
     _check_horizon(dataset, config.p)
     scorer = _SearchScorer(dataset, config.score, prior=prior, hyper=hyper)
 
-    tables, scored = [], 0  # per node: {intra parent bitmask -> (score, full parent tuple)}
+    inter, intra, auto, static = map(scorer.columns.get, PARENT_KINDS)
+    tables, scored = [], 0  # per node: {intra parent bitmask -> (score, the family's row)}
     for i in range(n):
         deadline.check()
-        others = [j for j in range(n) if j != i]
+        others = np.arange(n) != i
         intra_sets, inter_sets, auto_sets, static_sets = classes = (
-            _class_subsets([Parent("intra", j) for j in others], config.max_intra),
-            _class_subsets([Parent("inter", j) for j in others], config.max_inter),
-            _class_subsets([Parent("auto", t) for t in range(1, config.p + 1)], config.max_auto),
-            _class_subsets([Parent("static", j) for j in range(dataset.n_z)], config.max_static))
+            _class_rows(scorer, intra[others], config.max_intra),
+            _class_rows(scorer, inter[others], config.max_inter),
+            _class_rows(scorer, auto[:config.p], config.max_auto),
+            _class_rows(scorer, static, config.max_static))
+        masks = intra_sets[:, intra] @ (1 << np.arange(n))
         # argmax keeps the first of equal values, as the enumeration order promises
         table, lattice = {}, scorer.lattice(i, classes, deadline.check)
         scored += lattice.size
-        for intra, row in zip(intra_sets, lattice):
-            a, b, c = np.unravel_index(row.argmax(), row.shape)
-            table[sum(1 << p.index for p in intra)] = (
-                float(row[a, b, c]), inter_sets[a] + intra + auto_sets[b] + static_sets[c])
+        for mask, row, values in zip(masks.tolist(), intra_sets, lattice):
+            a, b, c = np.unravel_index(values.argmax(), values.shape)
+            table[mask] = (float(values[a, b, c]), row | inter_sets[a] | auto_sets[b] | static_sets[c])
         tables.append(table)
 
     _, chosen = _best_dag(tables, deadline)
-    families = [parents for _, parents in chosen]
+    families = [scorer.parents(row) for _, row in chosen]
     structure = structure_from_families(n, dataset.n_z, config.p, families)
     return _finish("exact", dataset, structure, scorer, t_start, config.seed,
                    extras={"cache_entries": scored, "families_counted": scorer.counted})
@@ -368,21 +369,21 @@ def _best_dag(tables: list[dict], deadline: Deadline) -> tuple[float, list]:
 class _MoveTable:
     """Hill climbing's graph, and its legal moves with their deltas, kept move by move.
 
-    The graph is one boolean matrix: ``has[v, t]`` iff node ``v`` has parent
-    ``parents[t]``, in canonical column order, so a row's set columns are
-    its node's parent tuple.  Each candidate move has a slot: per pair
-    ``(j, i)``, ``j``-major, the intra edge ``j -> i``, its reversal and the
-    inter edge; then per node each auto lag up to ``config.p``; then per
-    static and node the static edge.  It toggles column ``toggle[m]`` of
-    ``node[m]``, a reversal also ``toggle2`` of ``node2`` (the own column
+    The graph is one boolean matrix: ``has[v]`` is node ``v``'s family row
+    over the scorer's candidate table, each parent kind's columns read from
+    ``scorer.columns``.  Each candidate move has a slot: per pair ``(j, i)``,
+    ``j``-major, the intra edge ``j -> i``, its reversal and the inter edge;
+    then per node each auto lag up to ``config.p``; then per static and node
+    the static edge.  It toggles column ``toggle[m]`` of ``node[m]``, a
+    reversal also ``toggle2`` of ``node2`` (the own column, past the table,
     for other moves).  ``scores[v, t]`` is ``v``'s score with column ``t``
     toggled, the own column's with none; each is computed when a legal move
-    first needs it (the own ones at the first step), one ``many`` call per
-    stale node, and kept until ``v``'s family changes and the toggled score
-    becomes its own.  So a step scores exactly the families that listing
-    every legal move would.  A delta is ``(0 + term) + second term``, a term
-    being a toggled score minus the own one (0 for the own column), the
-    order of summing family by family.
+    first needs it (the own ones at the first step), one ``many`` call on
+    the :meth:`toggled` rows per stale node, and kept until ``v``'s family
+    changes and the toggled score becomes its own.  So a step scores
+    exactly the families that listing every legal move would.  A delta is
+    ``(0 + term) + second term``, a term being a toggled score minus the own
+    one (0 for the own column), the order of summing family by family.
 
     Legality is recomputed each step from one transitive closure of the
     intra graph: adding ``j -> i`` closes a cycle iff ``i`` already reaches
@@ -395,26 +396,27 @@ class _MoveTable:
         n, n_z, p = start.n_x, start.n_z, config.p
         self.scorer, self.config, self.n_z = scorer, config, n_z
         self.p = max(start.p, p)  # at least config.p, the largest auto lag a move may add
-        self.parents = [*(Parent(kind, j) for kind in ("inter", "intra") for j in range(n)),
-                        *(Parent("auto", t) for t in range(1, self.p + 1)),
-                        *(Parent("static", j) for j in range(n_z))]
-        auto = [[t in lags for t in range(1, self.p + 1)] for lags in start.auto_lags]
-        self.has = np.hstack([start.inter.T, start.intra.T, auto, start.static_edges.T])
-        self.own = own = len(self.parents)  # the own column
+        inter, intra, auto, static = map(scorer.columns.get, PARENT_KINDS)
+        self.own = own = len(scorer.candidates)  # the own column
+        self.has = np.zeros((n, own), dtype=bool)
+        self.has[:, inter], self.has[:, intra], self.has[:, static] = (
+            start.inter.T, start.intra.T, start.static_edges.T)
+        self.has[:, auto] = [[t in lags for t in range(1, auto.size + 1)] for lags in start.auto_lags]
         self.scores, self.fresh = np.zeros((n, own + 1)), np.zeros((n, own + 1), dtype=bool)
         j, i = np.nonzero(~np.eye(n, dtype=bool))
         lag_node, lag = np.divmod(np.arange(n * p), p)
         z, z_node = np.divmod(np.arange(n_z * n), n)
         self.node = np.concatenate([np.repeat(i, 3), lag_node, z_node])
-        self.toggle = np.concatenate([(j[:, None] + [n, n, 0]).ravel(), 2 * n + lag, 2 * n + self.p + z])
+        self.toggle = np.concatenate([np.column_stack([intra[j], intra[j], inter[j]]).ravel(),
+                                      auto[lag], static[z]])
         self.node2, self.toggle2 = self.node.copy(), np.full_like(self.node, own)
-        self.node2[1:3 * j.size:3], self.toggle2[1:3 * j.size:3] = j, n + i
+        self.node2[1:3 * j.size:3], self.toggle2[1:3 * j.size:3] = j, intra[i]
 
     def evaluate(self, check: Callable[[], None]) -> tuple[np.ndarray, np.ndarray]:
         """This step's legal moves, in move order, and their deltas; stale scores are computed first."""
         c, n, has = self.config, len(self.has), self.has
-        inter, intra = has[:, :n].T, has[:, n:2 * n].T
-        auto, static = has[:, 2 * n:2 * n + self.p], has[:, 2 * n + self.p:].T
+        inter, intra, auto, static = (has[:, self.scorer.columns[kind]] for kind in PARENT_KINDS)
+        inter, intra, static = inter.T, intra.T, static.T
         reach = _reachability(intra)
         # via[j, i]: j reaches i through a child of j other than i itself
         via = (intra.astype(np.int64) @ reach.astype(np.int64)) > 0
@@ -456,14 +458,13 @@ class _MoveTable:
             self.scores[v, self.own] = self.scores[v, t]
             self.fresh[v, :self.own] = False
 
-    def toggled(self, v: int, columns: Sequence[int]) -> list[tuple[Parent, ...]]:
-        """``v``'s parent tuples with each of ``columns`` toggled; the own column toggles none."""
-        cols = set(np.flatnonzero(self.has[v]).tolist())
-        return [tuple(self.parents[u] for u in sorted(cols ^ ({t} - {self.own}))) for t in columns]
+    def toggled(self, v: int, columns: Sequence[int]) -> np.ndarray:
+        """``v``'s family row with each of ``columns`` flipped, one row each; the own column none."""
+        return self.has[v] ^ (np.arange(self.own) == np.asarray(columns)[:, None])
 
     def structure(self) -> DbnStructure:
         """The current graph as a new structure, validated, sharing no memory with the table."""
-        families = [tuple(self.parents[u] for u in np.flatnonzero(row)) for row in self.has]
+        families = [self.scorer.parents(row) for row in self.has]
         return structure_from_families(len(self.has), self.n_z, self.p, families)
 
     def total(self) -> float:
@@ -523,8 +524,8 @@ def hill_climb(dataset: TrajectoryDataset, score: str | None = None,
 
     Moves: add/delete/reverse intra edge (cycle-rejecting), add/delete
     inter edge, auto lag, static edge.  Each restart reads them from a
-    :class:`_MoveTable`, which scores only stale families, one
-    :meth:`~dbnlearn.scoring.FamilyScorer.many` call per node and step,
+    :class:`_MoveTable`, which scores only stale families, as family rows,
+    one :meth:`~dbnlearn.scoring.FamilyScorer.many` call per node and step,
     picks one by the greedy rule of :func:`_first_best` and builds the
     structure once, when the restart ends.  Restart 0 starts from
     ``initial`` (the empty graph by default), its lag order raised to
@@ -899,7 +900,8 @@ def bounded_oneshot(dataset: TrajectoryDataset, config: BoundedConfig | None = N
     class.  The per-node tables then feed the same subset DP as the exact
     search, so the returned support is the global minimizer for any
     penalties ``lambda_*_pos`` / ``lambda_*_neg``.  Every active edge
-    satisfies its bound by construction.
+    satisfies its bound by construction.  A support of ``k`` weights is
+    priced only if ``k < M``, the refit's rule for ``M`` rows and an intercept.
     Pruning keeps every choice exact (:func:`_bounded_tables`): sign
     patterns are solved in order of their least-squares lower bound and
     skipped once the bound, less a rounding margin, exceeds the best cost
@@ -965,19 +967,19 @@ def _bounded_tables(y: np.ndarray, x_prev: np.ndarray, config: BoundedConfig,
     ``y`` and ``x_prev`` are the rows of ``Y`` and ``X_prev``, or the two
     column blocks of the triangular factor of a QR of ``[Y | X_prev]``;
     ``rows`` is then the data's row count, which sets every support's rank
-    threshold (:func:`_price_support`).
+    threshold (:func:`_price_support`) and which supports fit: ``k`` weights need ``k + 1``.
     Inter sets are priced in enumeration order, each capped at the cheapest
     cost found so far for the same intra set, so a support that cannot be
     strictly cheaper is pruned and the first of equal costs is kept.
     """
-    n = y.shape[1]
+    n, m = y.shape[1], rows or len(y)
     tables = []
     for i in range(n):
         table = {}
-        for intra_js in _class_subsets([j for j in range(n) if j != i], n - 1):
+        for intra_js in _class_subsets([j for j in range(n) if j != i], m - 1):
             deadline.check()
             best = None
-            for inter_js in _class_subsets(range(n), n):
+            for inter_js in _class_subsets(range(n), m - 1 - len(intra_js)):
                 cols = [y[:, j] for j in intra_js] + [x_prev[:, j] for j in inter_js]
                 cost, weights = _price_support(y[:, i], cols, len(intra_js), config,
                                                np.inf if best is None else -best[0], tally, rows)

@@ -3,8 +3,8 @@
 Every score here is decomposable: a structure's score is the sum of
 independent per-(node, parent set) family terms, so hill climbing memoises
 families and the exact search scores each node alone.  :class:`FamilyScorer`
-is the one place where a family is scored, for every learner and for
-:func:`family_score`; its values are *higher is better* for every kind:
+is the one place where a family, a row over its candidate table, is scored
+for every learner and :func:`family_score`; higher is better for every kind:
 
 * ``ll``   -- maximized family log-likelihood,
 * ``aic`` / ``aicc`` / ``bic`` -- minus the information criterion
@@ -43,8 +43,8 @@ from scipy.special import gammaln
 
 from .core import (
     ConfigError, Cpt, DataError, DbnStructure, DomainMismatchError, FamilySpec,
-    LinearGaussian, ModelError, Parent, ParameterSet, SingularFitError, SizeGuardError,
-    TrajectoryDataset, UnderdeterminedError, _source, canonical_parents,
+    LinearGaussian, ModelError, PARENT_KINDS, Parent, ParameterSet, SingularFitError,
+    SizeGuardError, TrajectoryDataset, UnderdeterminedError, _source, canonical_parents,
     n_configurations, parents_of,
 )
 
@@ -481,25 +481,10 @@ def bge_family_score(dataset: TrajectoryDataset, node: int, family: FamilySpec,
 # Family scores and the cache
 
 
-def _check_parents(dataset: TrajectoryDataset, node: int, parents: Sequence[Parent]) -> None:
-    """Refuse a family ``node`` cannot have in ``dataset`` with :class:`ModelError`.
-
-    The node and every inter, intra or static parent must name a variable of
-    the data, an auto lag is at least 1, and no node is its own intra parent.
-    """
-    if not 0 <= node < dataset.n_x:
-        raise ModelError(f"node {node} is not in the data")
-    for par in parents:
-        if par.kind == "auto":
-            valid = par.index >= 1
-        elif par.kind == "static":
-            valid = 0 <= par.index < dataset.n_z
-        elif par.kind in ("inter", "intra"):
-            valid = 0 <= par.index < dataset.n_x and par != Parent("intra", node)
-        else:
-            valid = False
-        if not valid:
-            raise ModelError(f"node {node} cannot have parent {par} in this dataset")
+def _check_horizon(dataset: TrajectoryDataset, max_lag: int) -> None:
+    """Refuse a lag past the horizon ``T``: a family with it has no transition, so it would score 0."""
+    if max_lag > dataset.T:
+        raise DataError(f"horizon T={dataset.T} too short for max lag {max_lag}")
 
 
 def family_score(dataset: TrajectoryDataset, node: int, parents: Sequence[Parent],
@@ -563,56 +548,57 @@ class _Block(NamedTuple):
 
     t0: int
     radix: list  # arities of the columns the families read, child first, as Python ints
-    members: np.ndarray  # the families' positions in the list they came from
+    members: np.ndarray  # the families' positions among the rows they came from
     cols: np.ndarray  # (families, len(radix)) row-bank column ids, child first
     columns: np.ndarray  # every column that the listed families of first target time t0 read
 
 
-def _class_completions(node: int, subsets: Sequence[tuple[Parent, ...]], t_floor: int):
+def _unions(classes: Sequence[np.ndarray]) -> np.ndarray:
+    """The rows of every union of one row per class, the first class's row major."""
+    grid = np.ix_(*(np.arange(len(rows)) for rows in classes))
+    union = False
+    for rows, axis in zip(classes, grid):
+        union = union | rows[axis]
+    return union.reshape(-1, classes[0].shape[1])
+
+
+def _class_completions(subsets: np.ndarray, lag: np.ndarray, t_floor: int):
     """Each subset's completion in one class of an exact-search lattice.
 
-    ``subsets`` is every subset of the class's candidates up to its cap,
-    by (size, lexicographic) order, so its singletons are the candidates
-    and its last subset has the cap's size.  A completion adds the
-    lowest-index candidates the subset lacks, up to the cap, whose lag is
-    at most ``max(t_floor, the subset's largest lag)``.  Returns the
-    distinct completions in order of first use, and per subset the index of
-    its completion, the completion's size and the bits of the completion's
-    positions the subset lacks.
+    ``subsets`` holds the rows of every subset of the class's candidates up
+    to its cap, by (size, lexicographic) order, so the last has the cap's
+    size; ``lag`` holds the lag of each column.  A completion adds the lowest
+    candidates the subset lacks, up to the cap, whose lag is at most
+    ``max(t_floor, the subset's largest lag)``.  Returns the distinct
+    completions' rows in order of first use, and per subset the index of its
+    completion, its size and the bits of its positions the subset lacks.
     """
-    cap = len(subsets[-1])
-    lags = {s[0]: _source(node, s[0])[0] or 0 for s in subsets if len(s) == 1}
-    distinct, index, size, lacking = {}, [], [], []
-    for subset in subsets:
-        bound = max([t_floor, *map(lags.__getitem__, subset)])
-        added = [par for par, lag in lags.items() if lag <= bound and par not in subset]
-        full = tuple(sorted(subset + tuple(added[:cap - len(subset)]), key=Parent.sort_key))
-        index.append(distinct.setdefault(full, len(distinct)))
-        size.append(len(full))
-        lacking.append(sum(1 << j for j, par in enumerate(full) if par not in subset))
-    return list(distinct), *(np.array(a, dtype=np.int64) for a in (index, size, lacking))
-
-
-def _joined(intra: Sequence, inter: Sequence, auto: Sequence, static: Sequence) -> list:
-    """Every family of one subset per class, intra-major, its parents in canonical order."""
-    return [b + a + c + d for a in intra for b in inter for c in auto for d in static]
+    bound = np.maximum(t_floor, np.where(subsets, lag, 0).max(axis=1))
+    free = subsets.any(axis=0) & ~subsets & (lag <= bound[:, None])  # the candidates it may add
+    full = subsets | free & (np.cumsum(free, axis=1) <= subsets[-1].sum() - subsets.sum(axis=1)[:, None])
+    first: dict[bytes, int] = {}
+    index = np.array([first.setdefault(row.tobytes(), f) for f, row in enumerate(full)])
+    used = np.unique(index)  # the first subset of each distinct completion, in order of first use
+    lacking = ((full & ~subsets) << (np.cumsum(full, axis=1) - full)).sum(axis=1)
+    return full[used], np.searchsorted(used, index), full.sum(axis=1), lacking
 
 
 class FamilyScorer:
-    """The one place where a family is scored: dataset, kind, priors and the score cache.
+    """The one place where a family is scored: dataset, kind, priors, candidate table and cache.
 
-    ``scores`` maps (node, canonical parent tuple) to the score of each
-    family looked up through :meth:`many`: hill climbing's, :func:`family_score`'s
-    and a learned structure's rescoring.  :meth:`lattice` scores the exact
-    search's lattices into arrays, bit for bit alike, and caches nothing.  On
-    discrete data the count-based kinds share one block counter
-    (:meth:`_blocks` and :meth:`_tally`, over the dataset's row bank) and
-    one block scorer (:meth:`_block_scores`), for the exact search, hill
-    climbing, :func:`family_score` and ``dbnlearn score`` alike; the scorer
-    keeps scores only, so every scorer of a dataset shares its
-    compressions.  ``counted`` is the number of families whose counts it
-    has tallied.  BGe and the linear-Gaussian fits score one family at a
-    time (:meth:`_fitted_score`).  Values are deterministic functions of
+    A family is a boolean row over ``candidates``, every parent a node can
+    have in canonical order: inter ``0..n_x-1``, intra ``0..n_x-1`` (a node's
+    own never set), auto lags ``1..T``, static ``0..n_z-1``; ``columns[kind]``
+    holds each kind's columns.  Tuples enter by :meth:`rows` and leave by
+    :meth:`parents`.  ``scores`` maps ``(node, row bytes)`` to the score of
+    each family looked up through :meth:`many`.  :meth:`lattice` scores the
+    exact search's lattices into arrays, bit for bit alike, and caches
+    nothing.  On discrete data the count-based kinds share one block counter
+    (:meth:`_blocks` and :meth:`_tally`, over the dataset's row bank, whose
+    compressions every scorer of a dataset shares) and one block scorer
+    (:meth:`_block_scores`); ``counted`` is the number of families tallied.
+    BGe and the linear-Gaussian fits score one family at a time
+    (:meth:`_fitted_score`).  Values are deterministic functions of
     (dataset, family), so concurrent last-write-wins insertion is benign.
     """
 
@@ -624,47 +610,75 @@ class FamilyScorer:
             raise ConfigError(f"unknown score kind {kind!r}; expected one of {SCORE_KINDS}")
         self.prior = prior
         self.hyper = hyper
-        self.scores: dict[tuple[int, tuple[Parent, ...]], float] = {}
+        indices = {"inter": range(dataset.n_x), "intra": range(dataset.n_x),
+                   "auto": range(1, dataset.T + 1), "static": range(dataset.n_z)}
+        self.candidates = tuple(Parent(tag, j) for tag in PARENT_KINDS for j in indices[tag])
+        self.columns = {tag: np.flatnonzero([par.kind == tag for par in self.candidates])
+                        for tag in PARENT_KINDS}
+        self._column = {par: c for c, par in enumerate(self.candidates)}
+        self._tables: dict[int, np.ndarray] = {}
+        self.scores: dict[tuple[int, bytes], float] = {}
         self.counted = 0
+
+    def rows(self, node: int, parent_sets: Sequence[Sequence[Parent]]) -> np.ndarray:
+        """Rows of ``node``'s canonical parent tuples.  A node or parent not in the table (or the node's
+        own intra slot), or a tuple out of order or with a repeat, raises :class:`ModelError`; an auto
+        lag past the horizon ``T`` raises :class:`DataError`, as in the learners."""
+        rows = np.zeros((len(parent_sets), len(self.candidates)), dtype=bool)
+        for f, parents in enumerate(parent_sets):
+            slots = [None if par == ("intra", node) else self._column.get(par) for par in parents]
+            if None in slots:
+                par = parents[slots.index(None)]
+                if par.kind == "auto":
+                    _check_horizon(self.dataset, par.index)
+                raise ModelError(f"node {node} cannot have parent {par} in this dataset")
+            if slots != sorted(set(slots)):
+                raise ModelError("parent tuples must be canonical, without repeats")
+            rows[f, slots] = True
+        return rows
+
+    def parents(self, row: np.ndarray) -> tuple[Parent, ...]:
+        """The canonical parent tuple of a row over the candidate table."""
+        return tuple(itertools.compress(self.candidates, row))
 
     def __call__(self, node: int, parents: Sequence[Parent]) -> float:
         """Score of ``node`` with ``parents``, memoized; parent order never matters."""
         return float(self.many(node, [canonical_parents(parents)])[0])
 
-    def many(self, node: int, parent_sets: Sequence[tuple[Parent, ...]],
-             check: Callable[[], None] | None = None) -> np.ndarray:
-        """Scores of ``node`` with each parent tuple, in order, every one left in the cache.
+    def many(self, node: int, families: np.ndarray | Sequence[tuple[Parent, ...]],
+             check: Callable[[], None] = lambda: None) -> np.ndarray:
+        """Scores of ``node`` with each family, in order, every one left in the cache.
 
-        The tuples must be canonical (:func:`~dbnlearn.core.canonical_parents`),
-        the order the cache keys them by.  Only the families not yet cached
-        are scored, each once however often it repeats.  ``check`` (a
-        deadline's ``check``) runs before every counting step, or every
-        family.
+        ``families`` are boolean rows over the candidate table (the node's own
+        intra column unset, else :class:`ModelError`), or canonical parent
+        tuples, which :meth:`rows` converts once.  Only the families not yet
+        cached are scored, each once however often it repeats.  ``check`` (a
+        deadline's ``check``) runs before every counting step, or every family.
         """
-        check = check or (lambda: None)
-        keys = [(node, tuple(parents)) for parents in parent_sets]
-        entries = self.scores
-        todo = list(dict.fromkeys(key for key in keys if key not in entries))
-        if todo and self.dataset.domain.discrete and self.kind in _COUNTED_KINDS:
-            entries.update(zip(todo, self._counted_scores(node, [k[1] for k in todo], check)))
-        else:
-            for key in todo:
-                check()
-                entries[key] = self._fitted_score(*key)
-        return np.fromiter(map(entries.__getitem__, keys), dtype=float, count=len(keys))
+        if not 0 <= node < self.dataset.n_x:
+            raise ModelError(f"node {node} is not in the data")
+        rows = families if isinstance(families, np.ndarray) else self.rows(node, families)
+        if rows.dtype != bool or rows.shape[1:] != (len(self.candidates),) or rows[:, self.columns["intra"][node]].any():
+            raise ModelError(f"a family of node {node} is not a row of its candidate table")
+        keys = [(node, row.tobytes()) for row in rows]
+        todo = {key: f for f, key in enumerate(keys) if key not in self.scores}  # one row per family
+        if todo:
+            self.scores.update(zip(todo, self._scores(node, rows[list(todo.values())], check)))
+        return np.fromiter(map(self.scores.__getitem__, keys), dtype=float, count=len(keys))
 
-    def lattice(self, node: int, classes: Sequence[Sequence[tuple[Parent, ...]]],
-                check: Callable[[], None] | None = None) -> np.ndarray:
+    def lattice(self, node: int, classes: Sequence[np.ndarray],
+                check: Callable[[], None] = lambda: None) -> np.ndarray:
         """Scores of ``node`` with every family of an exact-search lattice; nothing is cached.
 
         ``classes`` holds the intra, inter, auto and static subsets, in that
-        order, each every subset of the class's candidates up to its cap by
-        (size, lexicographic) order; entry ``[a, b, c, d]`` scores
-        ``inter[b] + intra[a] + auto[c] + static[d]`` with :meth:`many`'s bits.
-        ``check`` runs before every counting step, or every family.
+        order, each the rows of every subset of the class's candidates up to
+        its cap by (size, lexicographic) order; entry ``[a, b, c, d]`` scores
+        the union of their rows ``a``, ``b``, ``c`` and ``d`` with
+        :meth:`many`'s bits.  ``check`` runs before every counting step, or
+        every family.
 
         On discrete data the count-based kinds tally only the families'
-        *completions*.  Class by class, a completion adds the lowest-index
+        *completions*.  Class by class, a completion adds the lowest-column
         candidates the family lacks, up to the class cap, whose lag is at
         most the family's first target time; only an auto lag can pass it,
         so a completion counts the family's rows.  Each distinct completion
@@ -678,19 +692,15 @@ class FamilyScorer:
         most ``_BATCH_ELEMENTS`` completion cells.  Other kinds and continuous
         data score each family by :meth:`_fitted_score`, in lattice order.
         """
-        check = check or (lambda: None)
         shape = tuple(map(len, classes))
-        ds = self.dataset
+        if not (self.dataset.domain.discrete and self.kind in _COUNTED_KINDS):
+            return np.array(self._scores(node, _unions(classes), check)).reshape(shape)
         values = np.empty(math.prod(shape))
-        if not (ds.domain.discrete and self.kind in _COUNTED_KINDS):
-            for f, (intra, inter, auto, static) in enumerate(itertools.product(*classes)):
-                check()
-                values[f] = self._fitted_score(node, inter + intra + auto + static)
-            return values.reshape(shape)
 
-        # per class: distinct completions, and per subset its completion's index and size and
+        # per class: its distinct completions, and per subset its completion's index and size and
         # the bits of the completion positions it lacks; broadcast over the lattice's axes
-        parts = [_class_completions(node, subsets, ds.burn_in + 1) for subsets in classes]
+        parts = [_class_completions(rows, self._table(node)[1, :-1], self.dataset.burn_in + 1)
+                 for rows in classes]
         grid = np.ix_(*(np.arange(n) for n in shape))
         completion = np.ravel_multi_index([index[axis] for (_, index, _, _), axis in zip(parts, grid)],
                                           [len(distinct) for distinct, *_ in parts]).reshape(-1)
@@ -701,7 +711,7 @@ class FamilyScorer:
             offset = offset + size[grid[c]]
         summed = summed.reshape(-1)
 
-        completions = _joined(*(distinct for distinct, *_ in parts))
+        completions = _unions([distinct for distinct, *_ in parts])
         blocks = [block._replace(members=block.members[i:i + size], cols=block.cols[i:i + size])
                   for block in self._blocks(node, completions)
                   for size in [max(1, _TABLE_ELEMENTS // math.prod(block.radix))]
@@ -733,11 +743,10 @@ class FamilyScorer:
                     counts.reshape(len(counts), -1, block.radix[0]), block.t0)
         return values.reshape(shape)
 
-    def _fitted_score(self, node: int, parents: tuple[Parent, ...]) -> float:
+    def _fitted_score(self, node: int, row: np.ndarray) -> float:
         """One family's BGe or least-squares score; a kind on the wrong domain raises DomainMismatchError."""
         ds = self.dataset
-        _check_parents(ds, node, parents)
-        family = FamilySpec(node=node, parents=parents)
+        family = FamilySpec(node=node, parents=self.parents(row))
         if self.kind == "bge":
             return bge_family_score(ds, node, family, self.hyper)
         if self.kind == "bde":
@@ -745,54 +754,53 @@ class FamilyScorer:
         _, loglik = fit_linear_gaussian(ds, node, family)
         if self.kind == "ll":
             return loglik
-        k = len(parents) + 2  # betas + intercept + sigma2
+        k = len(family.parents) + 2  # betas + intercept + sigma2
         return -information_criterion(loglik, k, ds.usable_transitions(family), self.kind)
 
-    def _counted_scores(self, node: int, families: list, check: Callable[[], None]) -> list:
-        """Count-based scores of ``node`` with each canonical parent tuple, in order.
-
-        Each block of :meth:`_blocks` is counted by :meth:`_tally` and scored
-        by :meth:`_block_scores`, step by step.
-        """
-        values = np.empty(len(families))
-        for block in self._blocks(node, families):
+    def _scores(self, node: int, rows: np.ndarray, check: Callable[[], None]) -> list:
+        """Scores of ``node`` with each row, in order: the count-based kinds on discrete data block by
+        block (:meth:`_blocks`, :meth:`_tally`, :meth:`_block_scores`), others one by one
+        (:meth:`_fitted_score`); ``check`` runs before every counting step, or every family."""
+        if not (self.dataset.domain.discrete and self.kind in _COUNTED_KINDS):
+            values = []
+            for row in rows:
+                check()
+                values.append(self._fitted_score(node, row))
+            return values
+        values = np.empty(len(rows))
+        for block in self._blocks(node, rows):
             for members, counts in self._tally(block, check):
                 values[members] = self._block_scores(counts, block.t0)
         return values.tolist()
 
-    def _blocks(self, node: int, families: list) -> list[_Block]:
-        """``node``'s canonical parent tuples, sorted into counting blocks, every one guarded.
+    def _table(self, node: int) -> np.ndarray:
+        """``node``'s candidate table on discrete data, built once: three rows, each candidate's
+        row-bank column id, lag (0 for a static) and arity, then a padding slot's (0, 0, 1): no digit."""
+        if node not in self._tables:
+            ds, domain = self.dataset, self.dataset.domain
+            table = [(ds.column_id(lag, j), lag or 0, (domain.z_arities if lag is None else domain.x_arities)[j])
+                     for lag, j in (_source(node, par) for par in self.candidates)]
+            self._tables[node] = np.array([*table, (0, 0, 1)], dtype=np.int64).T
+        return self._tables[node]
 
-        Families with one first target time and one arity tuple form a
-        block.  Every block passes :func:`_guarded_cells` before any is
-        returned, so a family past the guard raises before anything is
-        compressed.
+    def _blocks(self, node: int, rows: np.ndarray) -> list[_Block]:
+        """``node``'s family rows sorted into counting blocks, every one guarded.
+
+        A row's set columns, padded with the padding slot, gather its parents'
+        column ids, lags and arities from :meth:`_table`.  Families with one
+        first target time and one arity tuple form a block.  Every block passes
+        :func:`_guarded_cells` before any is returned, so a family past the
+        guard raises before anything is compressed.
         """
         ds = self.dataset
-        # every distinct parent, in canonical order, then a padding slot of
-        # arity 1, which adds no digit: its row-bank column id, lag and arity
-        sources = sorted(set(itertools.chain.from_iterable(families)), key=Parent.sort_key)
-        _check_parents(ds, node, sources)
-        slot = {par: s for s, par in enumerate(sources)}
-        column, lag, arity = [], [], []
-        for par in sources:
-            par_lag, var = _source(node, par)
-            column.append(ds.column_id(par_lag, var))
-            lag.append(par_lag or 0)
-            arity.append(ds.domain.z_arities[var] if par_lag is None else ds.domain.x_arities[var])
-        column, lag, arity = (np.array([*a, pad], dtype=np.int64)
-                              for a, pad in ((column, 0), (lag, 0), (arity, 1)))
-
-        n_parents = np.fromiter(map(len, families), dtype=np.int64, count=len(families))
+        column, lag, arity = self._table(node)
+        n_parents = rows.sum(axis=1)
         filled = np.arange(n_parents.max(initial=0)) < n_parents[:, None]
-        slots = np.full(filled.shape, len(sources))
-        slots[filled] = np.fromiter(map(slot.__getitem__, itertools.chain.from_iterable(families)),
-                                    dtype=np.int64, count=int(n_parents.sum()))
-        if np.any((slots[:, 1:] <= slots[:, :-1]) & filled[:, 1:]):
-            raise ModelError("parent tuples must be canonical, without repeats")
+        slots = np.full(filled.shape, rows.shape[1])
+        slots[filled] = np.nonzero(rows)[1]
         t_first = np.maximum(ds.burn_in + 1, lag[slots].max(axis=1, initial=0))
-        cols = np.column_stack([np.full(len(families), ds.column_id(0, node)), column[slots]])
-        radices = np.column_stack([np.full(len(families), ds.domain.x_arities[node]), arity[slots]])
+        cols = np.column_stack([np.full(len(rows), ds.column_id(0, node)), column[slots]])
+        radices = np.column_stack([np.full(len(rows), ds.domain.x_arities[node]), arity[slots]])
 
         blocks = []
         order, starts = _sorted_groups(np.vstack([t_first, radices.T]))
@@ -854,9 +862,9 @@ class _SearchScorer(FamilyScorer):
     :class:`FamilyScorer`, :func:`family_score` and the refit raise.
     """
 
-    def _fitted_score(self, node: int, parents: tuple[Parent, ...]) -> float:
+    def _fitted_score(self, node: int, row: np.ndarray) -> float:
         try:
-            return super()._fitted_score(node, parents)
+            return super()._fitted_score(node, row)
         except SingularFitError:
             return -math.inf
 
@@ -864,7 +872,8 @@ class _SearchScorer(FamilyScorer):
 def dump_scores(scorer: FamilyScorer) -> str:
     """Sorted text dump: ``node<TAB>parents<TAB>kind<TAB>value`` at 17 significant digits."""
     lines = []
-    for (node, parents), value in scorer.scores.items():
+    for (node, row), value in scorer.scores.items():
+        parents = scorer.parents(np.frombuffer(row, dtype=bool))
         tags = "+".join(f"{p.kind}:{p.index}" for p in parents) or "-"
         lines.append(f"{node}\t{tags}\t{scorer.kind}\t{value:.17g}")
     return "\n".join(sorted(lines)) + ("\n" if lines else "")

@@ -176,6 +176,11 @@ def reference_legal_moves(structure: DbnStructure, families: list, config: Searc
     return moves
 
 
+def cached_families(scorer):
+    """The ``(node, canonical parent tuple)`` of each entry of a scorer's cache, in cache order."""
+    return [(node, scorer.parents(np.frombuffer(row, dtype=bool))) for node, row in scorer.scores]
+
+
 def reference_hill_climb(dataset, score=None, config=None, prior=None, hyper=None, initial=None):
     """Hill climbing that lists every legal move and re-sums every delta each step.
 
@@ -209,14 +214,14 @@ def reference_hill_climb(dataset, score=None, config=None, prior=None, hyper=Non
                 scorer.many(v, [parents for _, parents in keys])
             best_moved, best_delta = None, 0.0
             for changed in moved:
-                delta = sum(scorer.scores[key] - node_scores[key[0]] for key in changed)
+                delta = sum(scorer(v, parents) - node_scores[v] for v, parents in changed)
                 if delta > best_delta + 1e-12:
                     best_moved, best_delta = changed, delta
             if best_moved is None:
                 break
             for v, parents in best_moved:
                 families[v] = parents
-                node_scores[v] = scorer.scores[(v, parents)]
+                node_scores[v] = scorer(v, parents)
             structure = structure_from_families(structure.n_x, structure.n_z, structure.p, families)
             current = float(sum(node_scores))
             trace.append({"restart": restart, "step": step, "score": current})
@@ -664,9 +669,10 @@ def bounded_tables_unpruned(y, x_prev, config, deadline, tally, rows=0):
     """``dbnlearn.learn._bounded_tables`` before pruning: every support priced in full.
 
     Takes the learner's arguments so a test can substitute it; ``tally`` is
-    left untouched.
+    left untouched.  A support of k weights is left out when the data have
+    fewer than k + 1 rows (``rows``, else the rows of ``y``), the refit's rule.
     """
-    n = y.shape[1]
+    n, m = y.shape[1], rows or len(y)
     tables = []  # per node: {intra parent bitmask -> (-cost, intra_js, inter_js, weights)}
     for i in range(n):
         table = {}
@@ -674,11 +680,14 @@ def bounded_tables_unpruned(y, x_prev, config, deadline, tally, rows=0):
             deadline.check()
             best = None
             for inter_js in class_subsets(range(n), n):
+                if len(intra_js) + len(inter_js) + 1 > m:
+                    continue
                 cols = [y[:, j] for j in intra_js] + [x_prev[:, j] for j in inter_js]
                 cost, weights = price_support_unpruned(y[:, i], cols, len(intra_js), config, rows)
                 if best is None or -cost > best[0]:
                     best = (-cost, intra_js, inter_js, weights)
-            table[sum(1 << j for j in intra_js)] = best
+            if best is not None:
+                table[sum(1 << j for j in intra_js)] = best
         tables.append(table)
     return tables
 

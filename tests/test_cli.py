@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from dbnlearn.cli import main, parse_experiment_config, SchemaError
-from dbnlearn.io import dataset_from_csv, dataset_to_csv, read_dataset, write_dataset
+from dbnlearn.core import FactoredCpt, Logistic
+from dbnlearn.io import (
+    dataset_from_csv, dataset_to_csv, params_from_json, params_to_json, read_dataset, write_dataset,
+)
 from dbnlearn.simulate import EdgeProbs, GeneratorConfig, sample_random_dbn, sample_trajectories
 
 from conftest import continuous_dataset, discrete_dataset
@@ -185,6 +188,16 @@ class TestScoreAndCheck:
         assert code == 3
         assert "data error: 2 usable transitions" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["bde", "bic"])
+    def test_lag_past_the_horizon_is_a_data_error(self, tmp_path, capsys, kind):
+        # two binary trajectories of T = 2: lag 3 leaves no transition to score
+        ds = discrete_dataset(np.random.default_rng(0).integers(0, 2, (2, 3, 1)))
+        write_dataset(ds, tmp_path / "tiny.csv")
+        code = main(["score", "--data", str(tmp_path / "tiny.csv"), "--arity", "2", "--node", "0",
+                     "--parents", "auto:3", "--kind", kind])
+        assert code == 3
+        assert "horizon T=2 too short for max lag 3" in capsys.readouterr().err
+
     def test_score_prints_value(self, generated, capsys):
         _, cell = generated
         assert main(["score", "--data", str(cell / "data.csv"), "--node", "0",
@@ -345,3 +358,19 @@ class TestCsvRoundTrip:
         back = read_dataset(tmp_path / "data.csv", tmp_path / "static.csv",
                             x_arities=(2, 2), z_arities=(2,))
         assert np.array_equal(back.x, ds.x) and np.array_equal(back.z, ds.z)
+
+
+class TestParamsJson:
+    def test_older_files_with_fitting_flags_still_load(self):
+        # files written before the unused fitting flags went carry them; they are ignored
+        entries = [{"node": 0, "kind": "factored", "table_dyn": [0.2, 0.9], "table_stat": [0.5],
+                    "clipped": False},
+                   {"node": 1, "kind": "logistic", "beta0": -0.3, "beta": [1.5, -2.0],
+                    "separable_guard": False}]
+        params = params_from_json(entries)
+        assert isinstance(params[0], FactoredCpt) and isinstance(params[1], Logistic)
+        assert params[0].table_dyn.tolist() == [0.2, 0.9] and params[1].beta.tolist() == [1.5, -2.0]
+        written = params_to_json(params)
+        assert written == [{key: value for key, value in entry.items()
+                            if key not in ("clipped", "separable_guard")} for entry in entries]
+        assert params_to_json(params_from_json(written)) == written

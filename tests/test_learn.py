@@ -28,7 +28,7 @@ import dbnlearn.learn as learn
 from dbnlearn.evaluate import EvalReport, temporal_split
 from dbnlearn.scoring import (
     SCORE_KINDS, DirichletPrior, FamilyScorer, bge_family_score, family_score,
-    information_criterion, _joined, _SearchScorer,
+    information_criterion, _SearchScorer,
 )
 from dbnlearn.simulate import substream
 from dbnlearn.simulate import (
@@ -37,7 +37,7 @@ from dbnlearn.simulate import (
 
 from conftest import continuous_dataset, discrete_dataset
 from oracle_utils import (
-    _structure_with, bounded_support_objective, bounded_tables_unpruned, brute_force_best_score,
+    _structure_with, bounded_support_objective, cached_families, bounded_tables_unpruned, brute_force_best_score,
     lag1_design, reference_continuous_oneshot, reference_hill_climb, reference_legal_moves,
     residual_smooth,
 )
@@ -144,11 +144,11 @@ class TestExactSearch:
                 assert [node for node, _, _ in arrays] == list(range(side.n_x))
                 for node, classes, got in arrays:
                     assert got.shape == tuple(map(len, classes))
-                    want = [one_by_one.many(node, [parents])[0] for parents in _joined(*classes)]
+                    want = [one_by_one.many(node, row[None])[0] for row in joined_rows(classes)]
                     assert bits(got.reshape(-1)) == bits(want)
                 assert report.extras["cache_entries"] == len(one_by_one.scores)
                 assert len(scorers[-1].scores) == side.n_x
-                assert sorted(scorers[-1].scores) == sorted(
+                assert sorted(cached_families(scorers[-1])) == sorted(
                     (i, parents_of(report.structure, i).parents) for i in range(side.n_x))
 
     def test_exact_ties_keep_the_smaller_intra_set(self):
@@ -192,6 +192,12 @@ class TestExactSearch:
         with pytest.raises(CellTimeout):
             exact_search(ds, "bde", deadline=deadline)
         assert deadline.checks == -1
+
+
+def joined_rows(classes):
+    """Every family of a lattice, one class row each, intra-major: the union of its rows."""
+    intra, inter, auto, static = classes
+    return np.array([a | b | c | d for a in intra for b in inter for c in auto for d in static])
 
 
 def _all_non_intra_sets(ds, node, cfg):
@@ -255,7 +261,8 @@ def table_moves(scorer, structure, config):
 
 def changed_families(table, moves):
     """Each move as the ``(node, new parent tuple)`` pairs it changes, a reversal's child first."""
-    return [tuple((v, table.toggled(v, [t])[0]) for v, t in table.changes(m)) for m in moves]
+    return [tuple((v, table.scorer.parents(table.toggled(v, [t])[0])) for v, t in table.changes(m))
+            for m in moves]
 
 
 class TestHillClimb:
@@ -363,7 +370,7 @@ class TestHillClimb:
                 for _ in range(cfg.move_budget):
                     moves, deltas = table.evaluate(lambda: None)
                     structure = table.structure()
-                    families = [table.toggled(v, [table.own])[0] for v in range(n)]
+                    families = [scorer.parents(table.toggled(v, [table.own])[0]) for v in range(n)]
                     assert families == [parents_of(structure, v).parents for v in range(n)]
                     reference = reference_legal_moves(structure, families, cfg)
                     assert changed_families(table, moves) == reference
@@ -371,9 +378,9 @@ class TestHillClimb:
                     entries = len(scorer.scores)
                     node_scores = table.scores[:, table.own]
                     assert node_scores.tolist() == [
-                        scorer.scores[(v, parents)] for v, parents in enumerate(families)]
+                        scorer(v, parents) for v, parents in enumerate(families)]
                     assert bits(deltas) == bits([
-                        sum(scorer.scores[key] - node_scores[key[0]] for key in moved)
+                        sum(scorer(v, parents) - node_scores[v] for v, parents in moved)
                         for moved in reference])
                     assert len(scorer.scores) == entries
                     chosen = _first_best(deltas)
@@ -388,11 +395,22 @@ class TestHillClimb:
         _, ds = discrete_instance(5, n=5, n_traj=20, horizon=8, n_z=1, static=0.3)
         cfg = SearchConfig(score="bic", restarts=3, seed=2)
         many, evaluate, apply, finish = FamilyScorer.many, _MoveTable.evaluate, _MoveTable.apply, learn._finish
-        outside, steps, state = [], [], {"nodes": None, "moved": {}}
+        rows, parents = FamilyScorer.rows, FamilyScorer.parents
+        outside, steps, state = [], [], {"nodes": None, "moved": {}, "finishing": False}
+        converted, decoded = [], []  # per tuple-to-row and row-to-tuple call: where it came from
 
-        def counted_many(scorer, node, *args, **kwargs):
+        def counted_many(scorer, node, families, *args, **kwargs):
             (outside if state["nodes"] is None else state["nodes"]).append(node)
-            return many(scorer, node, *args, **kwargs)
+            assert state["finishing"] or isinstance(families, np.ndarray)  # a step hands rows
+            return many(scorer, node, families, *args, **kwargs)
+
+        def counted_rows(scorer, node, parent_sets):
+            converted.append("finish" if state["finishing"] else "search")
+            return rows(scorer, node, parent_sets)
+
+        def counted_parents(scorer, row):
+            decoded.append("step" if state["nodes"] is not None else "outside a step")
+            return parents(scorer, row)
 
         def counted_evaluate(table, check):
             state["nodes"] = []
@@ -407,9 +425,12 @@ class TestHillClimb:
 
         def counted_finish(*args, **kwargs):
             state["outside"] = list(outside)  # the report's rescoring comes after the search
+            state["finishing"] = True
             return finish(*args, **kwargs)
 
         with mock.patch.object(FamilyScorer, "many", counted_many), \
+                mock.patch.object(FamilyScorer, "rows", counted_rows), \
+                mock.patch.object(FamilyScorer, "parents", counted_parents), \
                 mock.patch.object(_MoveTable, "evaluate", counted_evaluate), \
                 mock.patch.object(_MoveTable, "apply", counted_apply), \
                 mock.patch.object(learn, "_finish", counted_finish), \
@@ -417,6 +438,9 @@ class TestHillClimb:
                                   wraps=structure_from_families) as built:
             report = hill_climb(ds, "bic", cfg)
         assert state["outside"] == []
+        # tuples enter the scorer only through the report's rescoring, and no step decodes a row
+        assert converted == ["finish"] * ds.n_x
+        assert decoded and "step" not in decoded
         assert built.call_count == cfg.restarts == len({id(table) for table, _, _ in steps})
         assert report.extras["moves"] > cfg.restarts
         for k, (table, nodes, moved) in enumerate(steps):
@@ -461,6 +485,25 @@ class TestHillClimb:
         initial = DbnStructure.empty(2, 0, 3).replace(auto_lags=((3,), ()))
         with pytest.raises(DataError, match="horizon T=2 too short for max lag 3"):
             hill_climb(ds, "bic", SearchConfig(score="bic", restarts=1), initial=initial)
+
+    def test_move_table_columns_are_the_scorer_table(self):
+        # the graph's rows and every move's toggled columns are written in the scorer's table
+        rng = np.random.default_rng(26)
+        for trial in range(20):
+            n, horizon, n_z = (int(v) for v in rng.integers((2, 1, 0), (6, 6, 3)))
+            ds = discrete_dataset(rng.integers(0, 2, (3, horizon + 1, n)), rng.integers(0, 2, (3, n_z)))
+            cfg = SearchConfig(score="bic", p=int(rng.integers(1, horizon + 1)), max_auto=2, max_static=2)
+            scorer = FamilyScorer(ds, "bic")
+            start = _random_start(ds, cfg, substream(trial, "columns"), 0.5)
+            table = _MoveTable(scorer, start, cfg)
+            assert table.own == len(scorer.candidates) == table.has.shape[1]
+            assert [scorer.parents(row) for row in table.has] == \
+                [parents_of(start, v).parents for v in range(n)]
+            kinds = [scorer.candidates[t].kind for t in table.toggle]
+            assert kinds == ["intra", "intra", "inter"] * (n * (n - 1)) + ["auto"] * (n * cfg.p) \
+                + ["static"] * (n * n_z)
+            assert [scorer.candidates[t] for t in table.toggle[3 * n * (n - 1):][:cfg.p]] == \
+                [Parent("auto", t) for t in range(1, cfg.p + 1)]
 
     def test_first_best_is_the_sequential_rule(self):
         def sequential(deltas):
@@ -785,6 +828,22 @@ class TestBoundedOneshot:
             assert active.size == 0 or active.min() >= cfg.b_w - 1e-9
             active = np.abs(a[a != 0.0])
             assert active.size == 0 or active.min() >= cfg.b_a - 1e-9
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_supports_past_the_rows_are_not_priced(self, seed, monkeypatch):
+        # 3 usable transitions: a support of k weights needs k + 1 <= 3 rows, as the refit does,
+        # so no larger one is priced and the refit of the chosen structure succeeds
+        ds = continuous_dataset(np.random.default_rng(seed).standard_normal((1, 4, 3)))
+        sizes = []
+        price = learn._price_support
+        monkeypatch.setattr(learn, "_price_support",
+                            lambda target, cols, *a, **k: sizes.append(len(cols)) or price(target, cols, *a, **k))
+        report = bounded_oneshot(ds)
+        assert sizes and max(sizes) == 2
+        assert len(report.params) == 3
+        for v in range(3):
+            assert len(parents_of(report.structure, v).parents) + 1 <= 3
+        assert report.score == FamilyScorer(ds, "ll").structure_score(report.structure)
 
     def test_objective_never_worse_than_empty(self):
         for seed in range(5):

@@ -20,7 +20,8 @@ from dbnlearn.simulate import EdgeProbs, GeneratorConfig, sample_random_dbn, sam
 
 from conftest import continuous_dataset, discrete_dataset
 from oracle_utils import (
-    class_subsets, discrete_family_score, raw_family_rows, row_gaussian_loglik, row_least_squares,
+    cached_families, class_subsets, discrete_family_score, raw_family_rows, row_gaussian_loglik,
+    row_least_squares,
 )
 
 
@@ -824,7 +825,7 @@ class TestScoreCacheAndDump:
         first = scorer(0, parents)
         flipped = scorer(0, parents[::-1])
         assert first == flipped and len(scorer.scores) == 1
-        assert list(scorer.scores) == [(0, canonical_parents(parents))]
+        assert cached_families(scorer) == [(0, canonical_parents(parents))]
 
     def test_distinct_nodes_never_collide(self, rng):
         ds = discrete_dataset((rng.random((5, 8, 2)) < 0.5).astype(int))
@@ -862,13 +863,14 @@ class TestScoreCacheAndDump:
             sc.FamilyScorer(ds, "foo")
 
     def test_permuted_repeat_is_counted_once(self, rng, monkeypatch):
-        # every discrete family is counted by _counted_scores, so wrapping it sees each one
+        # every family is scored by _scores, so wrapping it sees each one
         ds = discrete_dataset((rng.random((4, 6, 2)) < 0.5).astype(int))
         calls = []
-        original = sc.FamilyScorer._counted_scores
-        monkeypatch.setattr(sc.FamilyScorer, "_counted_scores",
-                            lambda self, node, fams, check: calls.append((node, fams))
-                            or original(self, node, fams, check))
+        original = sc.FamilyScorer._scores
+        monkeypatch.setattr(sc.FamilyScorer, "_scores",
+                            lambda self, node, rows, check: calls.append(
+                                (node, [self.parents(row) for row in rows]))
+                            or original(self, node, rows, check))
         scorer = sc.FamilyScorer(ds, "bic")
         scorer(1, [Parent("intra", 0), Parent("inter", 1)])
         scorer(1, [Parent("inter", 1), Parent("intra", 0)])
@@ -881,19 +883,25 @@ COUNTED_KINDS = ("ll", "aic", "aicc", "bic", "bde")
 
 @st.composite
 def lattice_classes(draw):
-    """A small discrete dataset, one node, and the intra, inter, auto (lags up to 2) and
-    static subsets of its exact-search lattice."""
+    """A small discrete dataset, one node, and the intra, inter, auto (lags up to 2, at most
+    T: a longer lag is refused, see TestLagPastTheHorizon) and static subsets of its
+    exact-search lattice."""
     x, z, x_ar, z_ar = draw_discrete_arrays(draw)
     n_x, n_z = len(x_ar), len(z_ar)
     ds = discrete_dataset(x, z, x_arities=x_ar, z_arities=z_ar)
     node = draw(st.integers(0, n_x - 1))
-    p = draw(st.integers(1, 2))
+    p = draw(st.integers(1, min(2, ds.T)))
     caps = draw(st.lists(st.integers(0, 2), min_size=4, max_size=4))
     others = [j for j in range(n_x) if j != node]
     return ds, node, (class_subsets([Parent("intra", j) for j in others], caps[0]),
                       class_subsets([Parent("inter", j) for j in range(n_x)], caps[1]),
                       class_subsets([Parent("auto", t) for t in range(1, p + 1)], caps[2]),
                       class_subsets([Parent("static", j) for j in range(n_z)], caps[3]))
+
+
+def lattice_rows(scorer, node, classes):
+    """A lattice's class subsets as rows over the scorer's candidate table."""
+    return [scorer.rows(node, subsets) for subsets in classes]
 
 
 def joined(intra, inter, auto, static):
@@ -1005,9 +1013,9 @@ class TestBatchedScorer:
                 scorer = sc.FamilyScorer(side, kind, prior=prior)
                 if want is DataError:
                     with pytest.raises(DataError):
-                        scorer.lattice(node, classes)
+                        scorer.lattice(node, lattice_rows(scorer, node, classes))
                     continue
-                got = scorer.lattice(node, classes)
+                got = scorer.lattice(node, lattice_rows(scorer, node, classes))
                 assert got.shape == tuple(map(len, classes))
                 assert bits(got.reshape(-1)) == bits(want)
                 assert scorer.scores == {}
@@ -1028,7 +1036,7 @@ class TestBatchedScorer:
         calls = []
         for kind in ("bde", "bic"):
             scorer = sc.FamilyScorer(ds, kind)
-            got = scorer.lattice(0, classes, lambda: calls.append(1))
+            got = scorer.lattice(0, lattice_rows(scorer, 0, classes), lambda: calls.append(1))
             assert bits(got.reshape(-1)) == bits(sc.FamilyScorer(ds, kind).many(0, joined(*classes)))
             assert len(calls) == scorer.counted == 4  # intra 1 or 2, auto (1) or (1, 2)
             calls.clear()
@@ -1044,7 +1052,7 @@ class TestBatchedScorer:
         for side in (ds, *temporal_split(ds)):
             calls = []
             scorer = sc.FamilyScorer(side, kind)
-            got = scorer.lattice(1, classes, lambda: calls.append(1))
+            got = scorer.lattice(1, lattice_rows(scorer, 1, classes), lambda: calls.append(1))
             assert got.shape == tuple(map(len, classes)) and scorer.scores == {}
             one_by_one = sc.FamilyScorer(side, kind)
             want = [one_by_one.many(1, [parents])[0] for parents in joined(*classes)]
@@ -1055,7 +1063,9 @@ class TestBatchedScorer:
         ds = discrete_dataset(rng.integers(0, 2, size=(4, 9, 3)))
         scorer = sc.FamilyScorer(ds, "bde")
         first = scorer(1, (Parent("inter", 0),))
-        scorer.scores[(1, (Parent("inter", 0),))] = 123.0  # a hit is not rescored
+        (key,) = scorer.scores
+        assert key == (1, scorer.rows(1, [(Parent("inter", 0),)])[0].tobytes())
+        scorer.scores[key] = 123.0  # a hit is not rescored
         got = scorer.many(1, [(), (Parent("inter", 0),), (), (Parent("intra", 2),)])
         assert first != 123.0 and got[1] == 123.0 and got[0] == got[2]
         assert len(scorer.scores) == 3
@@ -1068,6 +1078,18 @@ class TestBatchedScorer:
                     (Parent("static", 0),), (Parent("inter", 3),)):
             with pytest.raises(ModelError):
                 scorer.many(0, [bad])
+
+    def test_rows_off_the_table_are_refused(self, rng):
+        ds = discrete_dataset(rng.integers(0, 2, size=(2, 5, 3)))
+        scorer = sc.FamilyScorer(ds, "bic")
+        own = np.zeros((1, len(scorer.candidates)), dtype=bool)
+        own[0, scorer.columns["intra"][0]] = True  # node 0 as its own intra parent
+        for node, bad in ((0, own), (1, own.astype(int)), (1, own[:, :-1]), (3, own & False)):
+            with pytest.raises(ModelError):
+                scorer.many(node, bad)
+        with pytest.raises(ModelError, match="node -1 is not in the data"):
+            scorer(-1, ())
+        assert np.isfinite(scorer.many(1, own)).all() and len(scorer.scores) == 1
 
     @pytest.mark.parametrize("bad", [Parent("foo", 1), Parent("inter", 5), Parent("auto", 0),
                                      Parent("intra", 0)],
@@ -1146,6 +1168,56 @@ class TestBatchedScorer:
         monkeypatch.setattr(sc, "_BATCH_ELEMENTS", 1)  # one family per step
         sc.FamilyScorer(ds, "bde").many(0, lattice, lambda: calls.append(1))
         assert len(calls) == len(lattice)
+
+
+class TestCandidateTable:
+    """One canonical candidate table per dataset: the order every family row is written in."""
+
+    def test_table_order_is_the_canonical_order(self):
+        rng = np.random.default_rng(26)
+        for _ in range(40):
+            n_x, horizon, n_z = (int(v) for v in rng.integers((1, 1, 0), (5, 7, 3)))
+            ds = discrete_dataset(rng.integers(0, 2, (2, horizon + 1, n_x)),
+                                  rng.integers(0, 2, (2, n_z)))
+            scorer = sc.FamilyScorer(ds, "bic")
+            assert len(scorer.candidates) == 2 * n_x + horizon + n_z
+            assert scorer.candidates == canonical_parents(scorer.candidates)
+            assert {par.kind for par in scorer.candidates} <= {"inter", "intra", "auto", "static"}
+            assert [par.index for par in scorer.candidates if par.kind == "auto"] == \
+                list(range(1, horizon + 1))
+            for kind, columns in scorer.columns.items():
+                assert [scorer.candidates[c] for c in columns] == \
+                    [par for par in scorer.candidates if par.kind == kind]
+            # a random family goes in as a tuple and comes out as the same canonical tuple
+            node = int(rng.integers(n_x))
+            allowed = [par for par in scorer.candidates if par != Parent("intra", node)]
+            parents = canonical_parents(par for par in allowed if rng.random() < 0.3)
+            row = scorer.rows(node, [parents])[0]
+            assert scorer.parents(row) == parents and row.sum() == len(parents)
+
+
+class TestLagPastTheHorizon:
+    """An auto lag past the horizon T leaves no transition: every score kind refuses it with
+    the learners' DataError, and lag T itself still scores."""
+
+    @pytest.mark.parametrize("domain", ["discrete", "continuous"])
+    def test_every_kind_raises(self, domain):
+        rng = np.random.default_rng(3)
+        if domain == "discrete":
+            ds, kinds = discrete_dataset(rng.integers(0, 2, (6, 3, 2))), COUNTED_KINDS
+        else:
+            ds, kinds = continuous_dataset(rng.normal(size=(6, 3, 2))), ("ll", "aic", "aicc", "bic", "bge")
+        assert ds.T == 2
+        past = "horizon T=2 too short for max lag 3"
+        for kind in kinds:
+            for entry in (lambda parents: sc.family_score(ds, 0, parents, kind),
+                          lambda parents: sc.FamilyScorer(ds, kind)(0, parents),
+                          lambda parents: sc.FamilyScorer(ds, kind).many(0, [parents])[0]):
+                with pytest.raises(DataError, match=past):
+                    entry((Parent("auto", 3),))
+                with pytest.raises(DataError, match=past):
+                    entry((Parent("inter", 1), Parent("auto", 3)))
+                assert math.isfinite(entry((Parent("auto", 2),)))
 
 
 class TestDecomposability:
